@@ -6,7 +6,8 @@ with --config; explicit flags override config values.  Simulation commands
 append rows to a stable-schema CSV and write a JSON manifest (resolved
 config + seed + version) next to it.
 
-Exit codes: 0 success, 2 config error, 3 data error.
+Exit codes: 0 success, 2 config error (including bad numeric options and
+any ValueError raised by the library), 3 data error.
 """
 
 from __future__ import annotations
@@ -51,6 +52,20 @@ def _parse_range(spec: str) -> list[float]:
         return [float(x) for x in spec.split(",")]
     except ValueError:
         raise ConfigError(f"bad range {spec!r}; expected 'a:step:b' or 'a,b,...'")
+
+
+def _int_opt(opts: dict, key: str, default: int | None) -> int | None:
+    """Integer option ``key`` (flag or config value); ``default`` if unset.
+
+    Ranges are checked by the library calls the value goes to.
+    """
+    raw = opts.get(key)
+    if raw is None or raw == "":
+        return default
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"--{key.replace('_', '-')} must be an integer, got {raw!r}")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -184,12 +199,13 @@ def cmd_search(opts: dict) -> int:
     for key in ("rows", "cols", "z", "target"):
         if opts.get(key) is None:
             raise ConfigError(f"missing key: {key}")
-    seed = int(opts["seed"] or 0)
+    seed = _int_opt(opts, "seed", 0)
     res = qc.random_proto_search(
-        (int(opts["rows"]), int(opts["cols"])), int(opts["z"]),
-        int(opts["target"]), not bool(int(opts["no_girth_filter"] or 0)),
-        int(opts["budget"] or 10), seed,
-        score_iterations=int(opts["score_iters"] or 2000))
+        (_int_opt(opts, "rows", None), _int_opt(opts, "cols", None)),
+        _int_opt(opts, "z", None), _int_opt(opts, "target", None),
+        not bool(_int_opt(opts, "no_girth_filter", 0)),
+        _int_opt(opts, "budget", 10), seed,
+        score_iterations=_int_opt(opts, "score_iters", 2000))
     text = qc.format_proto(res.proto)
     if opts.get("out"):
         with open(opts["out"], "w") as fh:
@@ -218,20 +234,25 @@ def cmd_distance(opts: dict) -> int:
         else:
             raise ConfigError(f"unknown matrix {which!r}; use hqc, h0 or h1")
         label = f"{bundle.name}:{which}"
-    iters = int(opts["iterations"] or 10000)
-    seed = int(opts["seed"] or 0)
-    stop = int(opts["stop_at"]) if opts.get("stop_at") else None
-    w, witness = wmin.low_weight_search(H, iters, seed, stop_at=stop)
-    assert not H.mul_vec(witness).any()
+    iters = _int_opt(opts, "iterations", 10000)
+    seed = _int_opt(opts, "seed", 0)
+    stop = _int_opt(opts, "stop_at", None)
+    try:
+        w, witness = wmin.low_weight_search(H, iters, seed, stop_at=stop)
+    except wmin.WitnessError as e:
+        raise DataError(f"{label}: {e}")
+    if not witness.any() or H.mul_vec(witness).any():
+        raise DataError(f"{label}: witness of weight {w} is not a nonzero codeword")
     print(f"{label}: found codeword weight {w} "
           f"(iterations <= {iters}, seed {seed}); upper bound on d_min")
     return 0
 
 
 def _sim_common(opts: dict) -> tuple[int, int, int, int]:
-    return (int(opts["seed"] or 0), int(opts["max_trials"] or sim.DEFAULT_MAX_TRIALS),
-            int(opts["target_errors"] or sim.DEFAULT_TARGET_ERRORS),
-            int(opts["iters"] or 100))
+    return (_int_opt(opts, "seed", 0),
+            _int_opt(opts, "max_trials", sim.DEFAULT_MAX_TRIALS),
+            _int_opt(opts, "target_errors", sim.DEFAULT_TARGET_ERRORS),
+            _int_opt(opts, "iters", 100))
 
 
 def cmd_simulate_code(opts: dict) -> int:
@@ -355,7 +376,9 @@ def main(argv=None) -> int:
         if "seed" in opts and opts["seed"] is None:
             opts["seed"] = 0
         return COMMANDS[args.command](opts)
-    except ConfigError as e:
+    except (ConfigError, ValueError) as e:
+        # the library raises ValueError for out-of-range options (a seed
+        # below 0, zero trials, a negative iteration cap): refused input
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except DataError as e:

@@ -17,6 +17,15 @@ realized exactly by folding the syndrome column into per-check sign flips
 (a +/-1 tanh factor), with all real messages clipped to +/-30; input LLRs
 saturate at +/-64.
 
+The BP kernel works frame-minor: every message array is (edges, frames)
+with one contiguous row per edge, edges laid out slot-major within groups
+of equal-degree checks (see :class:`TannerGraph`).  Gathers are whole-row
+``np.take(..., axis=0)`` copies, per-check and per-variable sums are adds
+of contiguous slot blocks in the summation order of ``np.add.reduceat``,
+and each iteration updates a few preallocated buffers in place.  The
+results are bit-identical to the straightforward (frames, edges) form with
+``reduceat`` sums, which ``tests/oracles.py`` keeps as the reference.
+
 LLR sign convention: positive favors bit 0.
 """
 
@@ -34,7 +43,6 @@ LLR_SAT = 64.0      # saturation used to pin known bits
 MSG_CLIP = 30.0     # message clip inside the sum-product updates
 _TINY = 1e-300
 _ATANH_CAP = 1.0 - 1e-15
-_EDGE_BUDGET = 8_000_000  # max batch*edges worked on at once
 
 
 class OddDotError(ValueError):
@@ -209,27 +217,103 @@ def wrapped_log_density(y, sigma: float, bit: int, window: int | None = None) ->
 # ---------------------------------------------------------------------------
 
 class TannerGraph:
-    """Edge-list view of a parity-check matrix for vectorized flooding BP."""
+    """Edge layout of a parity-check matrix for vectorized flooding BP.
+
+    Checks are grouped by degree.  Inside a group of ``m`` checks of degree
+    ``d`` the edges sit slot-major: edge ``j`` of the group's check ``i``
+    (edges of a check in ascending variable order) is row ``j*m + i`` of the
+    group's block, so a (d*m, batch) block reshapes to (d, m, batch) and a
+    per-check reduction is a reduction over axis 0.  Variables are grouped by
+    degree the same way (edges of a variable in ascending check order), with
+    ``vgather`` mapping the variable-side slots to edge rows.
+    """
 
     def __init__(self, H: BitMatrix):
         self.n_checks, self.n_vars = H.shape
         chk, var = np.nonzero(H.a)          # row-major: grouped by check
-        self.chk = chk.astype(np.int64)
-        self.var = var.astype(np.int64)
         self.n_edges = int(chk.size)
 
         deg_chk = np.bincount(chk, minlength=self.n_checks)
-        self.active_chk = np.nonzero(deg_chk)[0]
         self.idle_chk = np.nonzero(deg_chk == 0)[0]
-        self.chk_ptr = np.concatenate(
-            [[0], np.cumsum(deg_chk[self.active_chk])])[:-1].astype(np.int64)
-        self.chk_pos = np.searchsorted(self.active_chk, chk).astype(np.int64)
+        active = np.nonzero(deg_chk)[0]
+        self.chk_perm = active[np.argsort(deg_chk[active], kind="stable")]
+        self.chk_groups, eperm = _slot_layout(
+            deg_chk, self.chk_perm, np.arange(self.n_edges))
 
-        self.var_order = np.argsort(var, kind="stable").astype(np.int64)
         deg_var = np.bincount(var, minlength=self.n_vars)
-        self.active_var = np.nonzero(deg_var)[0]
-        self.var_ptr = np.concatenate(
-            [[0], np.cumsum(deg_var[self.active_var])])[:-1].astype(np.int64)
+        self.var_perm = np.argsort(deg_var, kind="stable")
+        self.var_row = np.empty(self.n_vars, dtype=np.int64)
+        self.var_row[self.var_perm] = np.arange(self.n_vars)
+        edge_row = np.empty(self.n_edges, dtype=np.int64)
+        edge_row[eperm] = np.arange(self.n_edges)
+        self.vpos = self.var_row[var[eperm]]
+        var_order = edge_row[np.argsort(var, kind="stable")]
+        n_idle = int((deg_var == 0).sum())    # degree-0 variables come first
+        self.var_groups, self.vgather = _slot_layout(
+            deg_var, self.var_perm[n_idle:], var_order, n_idle)
+
+
+def _slot_layout(deg, nodes, edge_ids, node0=0):
+    """Slot-major layout of the edges of ``nodes`` (sorted by degree).
+
+    ``edge_ids`` lists every edge grouped by node in ascending node order.
+    Returns the groups ``(row0, d, m, node_row)`` -- rows ``row0 : row0+d*m``
+    hold slot ``j`` of the group's ``i``-th node at ``row0 + j*m + i``, and
+    the group's nodes sit at rows ``node_row : node_row+m`` of a node array
+    whose first ``node0`` rows are not in ``nodes`` -- and the edge ids in
+    that row order.
+    """
+    start = np.concatenate([[0], np.cumsum(deg)])[:-1]
+    groups, rows = [], []
+    row0 = 0
+    for d in np.unique(deg[nodes]):
+        group = nodes[deg[nodes] == d]
+        m = group.size
+        rows.append(edge_ids[start[group][None, :] + np.arange(d)[:, None]].ravel())
+        groups.append((row0, int(d), m, node0))
+        row0 += int(d) * m
+        node0 += m
+    ids = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    return groups, ids.astype(np.int64)
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in numpy's pairwise order (8 accumulators, blocks of
+    at most 128), i.e. the order numpy's own float add reductions use."""
+    n = a.shape[0]
+    if n < 8:
+        res = a[0].copy()
+        for i in range(1, n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r = a[:8].copy()
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r += a[i:i + 8]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        res = r[0] + r[1]
+        for i in range(stop, n):
+            res += a[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(a[:n2]) + _pairwise_sum(a[n2:])
+
+
+def _slot_sum(x: np.ndarray) -> np.ndarray:
+    """Per-node sum of a (d, m, batch) slot block: slot 0 plus the pairwise
+    sum of the rest -- the summation order of ``np.add.reduceat`` over a
+    node's consecutive edges."""
+    if x.shape[0] == 1:
+        return x[0].copy()
+    return x[0] + _pairwise_sum(x[1:])
+
+
+def _rows(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Contiguous (rows, cols) view of the head of a flat work buffer."""
+    return buf[:rows * cols].reshape(rows, cols)
 
 
 def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
@@ -242,81 +326,111 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     converged)``; a frame exits as soon as its hard decision satisfies every
     check (iteration 0 checks the channel decisions alone).  Non-converged
     frames keep their final hard decisions.  Frame results do not depend on
-    how the batch is composed.
+    how the batch is composed.  ``max_iter`` must be >= 0.
     """
     B, n = llrs.shape
     if n != graph.n_vars:
         raise ValueError(f"llr length {n} != {graph.n_vars} variables")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if syndromes is None:
         syndromes = np.zeros((B, graph.n_checks), dtype=np.uint8)
     syndromes = syndromes.astype(np.uint8)
+    E = graph.n_edges
 
-    hard_out = np.zeros((B, n), dtype=np.uint8)
     iters_out = np.full(B, max_iter, dtype=np.int64)
     conv_out = np.zeros(B, dtype=bool)
 
-    llrs = np.clip(llrs, -LLR_SAT, LLR_SAT)
+    # frame-minor layout: one row per (permuted) variable, edge or check,
+    # one column per frame still decoding
+    llr = np.clip(np.asarray(llrs, dtype=np.float64), -LLR_SAT, LLR_SAT)
+    llr = np.ascontiguousarray(llr[:, graph.var_perm].T)
+    syn = np.ascontiguousarray(syndromes[:, graph.chk_perm].T)
     # frames whose idle (degree-0) checks demand parity 1 can never converge
     never = (syndromes[:, graph.idle_chk] != 0).any(axis=1) \
         if graph.idle_chk.size else np.zeros(B, dtype=bool)
-
-    syn_active_all = syndromes[:, graph.active_chk]
     active = np.arange(B)
 
-    post = llrs.copy()
-    c2v = np.zeros((B, graph.n_edges), dtype=np.float64)
-    llr_act = llrs
-    syn_act = syn_active_all
-    syn_edge = syn_active_all[:, graph.chk_pos].astype(np.int8)
-    never_act = never
+    hard_t = np.zeros((n, B), dtype=bool)
+    post = llr.copy()
+    c2v = np.zeros((E, B))
+    # work buffers for the whole call; an iteration views their head
+    buf_x = np.empty(E * B)
+    buf_y = np.empty(E * B)
+    buf_u = np.empty(E * B, dtype=np.uint8)
+    buf_s = np.empty(E * B, dtype=np.uint8)
 
     for it in range(max_iter + 1):
-        hard = (post < 0).astype(np.uint8)
-        par = np.add.reduceat(hard[:, graph.var], graph.chk_ptr, axis=1) & 1
-        ok = (par == syn_act).all(axis=1) & ~never_act
+        nb = active.size
+        hard = post < 0
+        hard_e = np.take(hard.view(np.uint8), graph.vpos, axis=0,
+                         out=_rows(buf_u, E, nb), mode="clip")
+        bad = never.copy()
+        for e0, d, m, r0 in graph.chk_groups:
+            par = np.bitwise_xor.reduce(hard_e[e0:e0 + d * m].reshape(d, m, nb), axis=0)
+            par ^= syn[r0:r0 + m]
+            bad |= par.any(axis=0)
+        ok = ~bad
         if ok.any():
             done = active[ok]
-            hard_out[done] = hard[ok]
+            hard_t[:, done] = hard[:, ok]
             iters_out[done] = it
             conv_out[done] = True
-            keep = ~ok
-            if not keep.any():
-                return hard_out, iters_out, conv_out
-            active = active[keep]
-            post = post[keep]
-            c2v = c2v[keep]
-            llr_act = llr_act[keep]
-            syn_act = syn_act[keep]
-            syn_edge = syn_edge[keep]
-            never_act = never_act[keep]
+            if ok.all():
+                break
+            active = active[bad]
+            nb = active.size
+            post = np.compress(bad, post, axis=1)
+            c2v = np.compress(bad, c2v, axis=1)
+            llr = np.compress(bad, llr, axis=1)
+            syn = np.compress(bad, syn, axis=1)
+            never = never[bad]
         if it == max_iter:
-            hard_out[active] = (post < 0).astype(np.uint8)
+            hard_t[:, active] = post < 0
             break
 
         # check-node update (tanh rule with sign/log-magnitude exclusion)
-        v2c = post[:, graph.var] - c2v
-        np.clip(v2c, -MSG_CLIP, MSG_CLIP, out=v2c)
-        th = np.tanh(0.5 * v2c)
-        neg = (th < 0).astype(np.int8)
-        mag = np.abs(th)
-        np.maximum(mag, _TINY, out=mag)
-        lt = np.log(mag)
-        lsum = np.add.reduceat(lt, graph.chk_ptr, axis=1)
-        nsum = np.add.reduceat(neg, graph.chk_ptr, axis=1)
-        excl_log = lsum[:, graph.chk_pos] - lt
-        np.minimum(excl_log, 0.0, out=excl_log)
-        parity = (nsum[:, graph.chk_pos] - neg + syn_edge) & 1
-        emag = np.exp(excl_log)
-        np.minimum(emag, _ATANH_CAP, out=emag)
-        c2v = 2.0 * np.arctanh(emag)
-        c2v[parity == 1] *= -1.0
+        x = np.take(post, graph.vpos, axis=0, out=_rows(buf_x, E, nb), mode="clip")
+        x -= c2v
+        np.clip(x, -MSG_CLIP, MSG_CLIP, out=x)
+        x *= 0.5
+        np.tanh(x, out=x)
+        neg = np.less(x, 0.0, out=_rows(buf_u, E, nb).view(bool)).view(np.uint8)
+        np.abs(x, out=x)
+        np.maximum(x, _TINY, out=x)
+        lt = np.log(x, out=x)
+        excl = _rows(buf_y, E, nb)
+        sign = _rows(buf_s, E, nb)
+        for e0, d, m, r0 in graph.chk_groups:
+            rows = slice(e0, e0 + d * m)
+            lt_g = lt[rows].reshape(d, m, nb)
+            np.subtract(_slot_sum(lt_g), lt_g, out=excl[rows].reshape(d, m, nb))
+            # outgoing sign: parity of the other edges' signs and the syndrome
+            neg_g = neg[rows].reshape(d, m, nb)
+            others = np.bitwise_xor.reduce(neg_g, axis=0)
+            others ^= syn[r0:r0 + m]
+            np.bitwise_xor(others, neg_g, out=sign[rows].reshape(d, m, nb))
+        # every log term is <= 0, so each check's rounded sum is <= each of
+        # its terms and excl <= 0 needs no clamp
+        np.exp(excl, out=excl)
+        np.minimum(excl, _ATANH_CAP, out=excl)
+        np.arctanh(excl, out=c2v)
+        # 2*atanh(.) with the sign applied: scale by +2 or -2 (both exact)
+        sign = sign.view(np.int8)
+        sign *= -4
+        sign += 2
+        np.copyto(x, sign)
+        c2v *= x
 
-        # variable-node update
-        vsum = np.add.reduceat(c2v[:, graph.var_order], graph.var_ptr, axis=1)
-        post = llr_act.copy()
-        post[:, graph.active_var] += vsum
+        # variable-node update; degree-0 variables keep post = llr
+        g = np.take(c2v, graph.vgather, axis=0, out=_rows(buf_x, E, nb), mode="clip")
+        for s0, d, m, v0 in graph.var_groups:
+            rows = slice(v0, v0 + m)
+            np.add(llr[rows], _slot_sum(g[s0:s0 + d * m].reshape(d, m, nb)),
+                   out=post[rows])
 
-    return hard_out, iters_out, conv_out
+    return (np.ascontiguousarray(hard_t[graph.var_row].T, dtype=np.uint8),
+            iters_out, conv_out)
 
 
 def spa_decode(H_ext: BitMatrix, llr: np.ndarray, max_iter: int = 100

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (EncoderPlan, MultistageDecoder, TannerGraph,
-                    bp_decode_batch, wrapped_llr)
+                    _stage_syndrome_batch, bp_decode_batch, wrapped_llr)
 from .gf2 import BitMatrix
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -89,6 +89,16 @@ class SimReport:
     seed: int
 
 
+def _check_sweep_args(max_trials: int, target_errors: int, seed: int,
+                      max_iter: int, batch: int) -> None:
+    for name, value, least in (("max_trials", max_trials, 1),
+                               ("target_errors", target_errors, 1),
+                               ("seed", seed, 0), ("max_iter", max_iter, 0),
+                               ("batch", batch, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _trial_rng(seed: int, point: int, trial: int, paired: bool) -> np.random.Generator:
     if paired:
         return np.random.default_rng([seed, trial])
@@ -108,6 +118,7 @@ def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
     decode from wrapped LLRs with the dummy pinned to 1, and count a block
     error when the decision differs from the transmitted word.
     """
+    _check_sweep_args(max_trials, target_errors, seed, max_iter, batch)
     graph = TannerGraph(H)
     n = H.cols
     k = plan.num_info
@@ -168,6 +179,7 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
     every VNR point sees the same randomness; sweeps are then paired across
     points (used for monotonicity checks).
     """
+    _check_sweep_args(max_trials, target_errors, seed, max_iter, batch)
     plan0, plan1 = plans
     n = pair.n
     k0, k1 = plan0.num_info, plan1.num_info
@@ -192,8 +204,7 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
                 zmat[b, 0] = rng.integers(-zrange, zrange + 1)
                 noise[b] = rng.normal(size=n + 1)
             c0 = plan0.encode_batch(np.zeros((bsz, m0), dtype=np.uint8), infos0)
-            s1 = ((c0.astype(np.float32) @ decoder.rows1_t).astype(np.int64) % 4 // 2
-                  ).astype(np.uint8)
+            s1 = _stage_syndrome_batch(decoder.rows1_t, c0)
             c1 = plan1.encode_batch(s1, infos1)
             x = np.empty((bsz, n + 1), dtype=np.int64)
             x[:, 0] = 3 + 4 * zmat[:, 0]

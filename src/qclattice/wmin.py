@@ -23,6 +23,10 @@ class TooLargeError(ValueError):
     """Code dimension too large for exhaustive enumeration."""
 
 
+class WitnessError(RuntimeError):
+    """A search returned a witness that is zero or violates H c = 0."""
+
+
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -160,5 +164,6 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
         if stop_at is not None and best_w <= stop_at:
             break
 
-    assert best_c is not None and not H.mul_vec(best_c).any()
+    if best_c is None or not best_c.any() or H.mul_vec(best_c).any():
+        raise WitnessError("low-weight search produced no nonzero codeword of H")
     return best_w, best_c

@@ -164,3 +164,99 @@ def tree_bitwise_map(H, syndrome, llr) -> np.ndarray:
         p0 += weight * (1 - w)
     assert (p0 + p1 > 0).all(), "no configuration matches the syndrome"
     return (p1 > p0).astype(np.uint8)
+
+
+def ref_bp_decode_batch(H, llrs, syndromes=None, max_iter: int = 100):
+    """Frozen copy of the original flooding sum-product kernel.
+
+    Kept verbatim (boolean-mask sign flips, axis-1 fancy-index gathers,
+    fresh temporaries every iteration) so that a rewritten
+    ``codec.bp_decode_batch`` can be checked bit for bit against it.  It
+    builds its own edge lists from ``H`` (a 0/1 array or BitMatrix) instead
+    of using ``codec.TannerGraph``.
+    """
+    a = np.asarray(getattr(H, "a", H), dtype=np.uint8)
+    n_checks, n_vars = a.shape
+    chk, var = np.nonzero(a)
+    chk = chk.astype(np.int64)
+    var = var.astype(np.int64)
+    n_edges = int(chk.size)
+    deg_chk = np.bincount(chk, minlength=n_checks)
+    active_chk = np.nonzero(deg_chk)[0]
+    idle_chk = np.nonzero(deg_chk == 0)[0]
+    chk_ptr = np.concatenate([[0], np.cumsum(deg_chk[active_chk])])[:-1].astype(np.int64)
+    chk_pos = np.searchsorted(active_chk, chk).astype(np.int64)
+    var_order = np.argsort(var, kind="stable").astype(np.int64)
+    deg_var = np.bincount(var, minlength=n_vars)
+    active_var = np.nonzero(deg_var)[0]
+    var_ptr = np.concatenate([[0], np.cumsum(deg_var[active_var])])[:-1].astype(np.int64)
+
+    B, n = llrs.shape
+    assert n == n_vars
+    if syndromes is None:
+        syndromes = np.zeros((B, n_checks), dtype=np.uint8)
+    syndromes = syndromes.astype(np.uint8)
+
+    hard_out = np.zeros((B, n), dtype=np.uint8)
+    iters_out = np.full(B, max_iter, dtype=np.int64)
+    conv_out = np.zeros(B, dtype=bool)
+
+    llrs = np.clip(llrs, -64.0, 64.0)
+    never = (syndromes[:, idle_chk] != 0).any(axis=1) \
+        if idle_chk.size else np.zeros(B, dtype=bool)
+
+    syn_active_all = syndromes[:, active_chk]
+    active = np.arange(B)
+
+    post = llrs.copy()
+    c2v = np.zeros((B, n_edges), dtype=np.float64)
+    llr_act = llrs
+    syn_act = syn_active_all
+    syn_edge = syn_active_all[:, chk_pos].astype(np.int8)
+    never_act = never
+
+    for it in range(max_iter + 1):
+        hard = (post < 0).astype(np.uint8)
+        par = np.add.reduceat(hard[:, var], chk_ptr, axis=1) & 1
+        ok = (par == syn_act).all(axis=1) & ~never_act
+        if ok.any():
+            done = active[ok]
+            hard_out[done] = hard[ok]
+            iters_out[done] = it
+            conv_out[done] = True
+            keep = ~ok
+            if not keep.any():
+                return hard_out, iters_out, conv_out
+            active = active[keep]
+            post = post[keep]
+            c2v = c2v[keep]
+            llr_act = llr_act[keep]
+            syn_act = syn_act[keep]
+            syn_edge = syn_edge[keep]
+            never_act = never_act[keep]
+        if it == max_iter:
+            hard_out[active] = (post < 0).astype(np.uint8)
+            break
+
+        v2c = post[:, var] - c2v
+        np.clip(v2c, -30.0, 30.0, out=v2c)
+        th = np.tanh(0.5 * v2c)
+        neg = (th < 0).astype(np.int8)
+        mag = np.abs(th)
+        np.maximum(mag, 1e-300, out=mag)
+        lt = np.log(mag)
+        lsum = np.add.reduceat(lt, chk_ptr, axis=1)
+        nsum = np.add.reduceat(neg, chk_ptr, axis=1)
+        excl_log = lsum[:, chk_pos] - lt
+        np.minimum(excl_log, 0.0, out=excl_log)
+        parity = (nsum[:, chk_pos] - neg + syn_edge) & 1
+        emag = np.exp(excl_log)
+        np.minimum(emag, 1.0 - 1e-15, out=emag)
+        c2v = 2.0 * np.arctanh(emag)
+        c2v[parity == 1] *= -1.0
+
+        vsum = np.add.reduceat(c2v[:, var_order], var_ptr, axis=1)
+        post = llr_act.copy()
+        post[:, active_var] += vsum
+
+    return hard_out, iters_out, conv_out

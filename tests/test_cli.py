@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qclattice import cli
+import qclattice
+from qclattice import cli, wmin
 
 
 def run(capsys, *argv):
@@ -93,6 +99,75 @@ class TestDistance:
                            "--stop-at", "4", "--seed", "0")
         assert code == 0
         assert "weight 4" in out
+
+
+class TestDistanceWitnessCheck:
+    # the witness check is an explicit test (not an assert), so it also
+    # holds under python -O; a bad witness is a data error
+    def test_zero_witness_is_data_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.wmin, "low_weight_search",
+                            lambda H, iters, seed, stop_at=None: (0, np.zeros(H.cols, np.uint8)))
+        code, _, err = run(capsys, "distance", "--lattice", "example1",
+                           "--matrix", "h1", "--iterations", "1")
+        assert code == 3
+        assert "not a nonzero codeword" in err
+
+    def test_non_codeword_witness_is_data_error(self, capsys, monkeypatch):
+        def fake(H, iters, seed, stop_at=None):
+            c = np.zeros(H.cols, np.uint8)
+            c[0] = 1
+            return 1, c
+        monkeypatch.setattr(cli.wmin, "low_weight_search", fake)
+        code, _, err = run(capsys, "distance", "--lattice", "example1",
+                           "--matrix", "h1", "--iterations", "1")
+        assert code == 3
+        assert "not a nonzero codeword" in err
+
+    def test_search_witness_error_is_data_error(self, capsys, monkeypatch):
+        def fail(H, iters, seed, stop_at=None):
+            raise wmin.WitnessError("low-weight search produced no nonzero codeword of H")
+        monkeypatch.setattr(cli.wmin, "low_weight_search", fail)
+        code, _, err = run(capsys, "distance", "--lattice", "example1",
+                           "--matrix", "h1", "--iterations", "1")
+        assert code == 3
+        assert "data error" in err
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = str(Path(qclattice.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "qclattice.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestBadNumbersExitTwo:
+    # each of these once gave a traceback or a silently wrong CSV row
+    @pytest.mark.parametrize("flags", [
+        ["--max-trials", "0"],
+        ["--seed", "-1"],
+        ["--max-trials", "abc"],
+        ["--iters", "abc"],
+        ["--iters", "-3"],
+    ], ids=["max-trials-0", "seed-negative", "max-trials-abc", "iters-abc",
+            "iters-negative"])
+    def test_simulate_code(self, flags, tmp_path):
+        out = tmp_path / "rows.csv"
+        proc = run_process("simulate-code", "--lattice", "example1", "--snr", "20",
+                           "--target-errors", "5", "--out", str(out), *flags)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_library_value_error_exits_two(self, capsys):
+        # --budget 0 is refused by the search library itself
+        code, _, err = run(capsys, "search", "--rows", "2", "--cols", "4",
+                           "--z", "8", "--target", "20", "--budget", "0")
+        assert code == 2
+        assert err.startswith("config error:")
 
 
 class TestSimulateCsv:

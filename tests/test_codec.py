@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (lattice_points_in_box, nearest_lattice_point,
-                     tree_bitwise_map, wide_llr)
-from qclattice import codec, codes, lattice, qc
+                     ref_bp_decode_batch, tree_bitwise_map, wide_llr)
+from qclattice import codec, codes, lattice, presets, qc
 from qclattice.gf2 import BitMatrix
 
 
@@ -218,6 +218,108 @@ class TestSpaDecode:
             h1, i1, c1 = codec.spa_decode(ext, llr_one, max_iter=30)
             assert np.array_equal(h1[1:], hb[i])
             assert (i1, c1) == (int(ib[i]), bool(cb[i]))
+
+
+def _kernel_frames(H, rng, batch, syndromes):
+    """LLRs and syndromes for a batch that mixes frames converging at
+    iteration 0, frames converging later and frames that never converge."""
+    n = H.cols
+    words = rng.integers(0, 2, (batch, n)).astype(np.uint8)
+    if syndromes == "coset":
+        syn = (words.astype(np.int64) @ H.a.T.astype(np.int64) % 2).astype(np.uint8)
+        # every fourth frame gets a random (often unachievable) syndrome
+        syn[3::4] = rng.integers(0, 2, (len(syn[3::4]), H.rows))
+    else:
+        words[:] = 0
+        syn = None
+    # frame kinds by index mod 4: clean, a few wrong bits, noisy, pure noise
+    amp = np.array([6.0, 6.0, 2.0, 0.0])[np.arange(batch) % 4, None]
+    llrs = (1.0 - 2.0 * words) * amp + rng.normal(0.0, 1.0, (batch, n))
+    for i in range(1, batch, 4):
+        flip = rng.choice(n, size=1 + i % 3, replace=False)
+        llrs[i, flip] *= -0.3
+    return llrs, syn
+
+
+def _kernel_matrix(label):
+    if label == "idle-row":
+        # SPC(3,3) plus an all-zero check and an unchecked variable
+        a = np.zeros((7, 10), np.uint8)
+        a[:6, :9] = codes.build_spc(3, 3).a
+        return BitMatrix(a)
+    name, level = label.rsplit("-", 1)
+    return getattr(presets.get_bundle(name).pair, level)
+
+
+# (matrix, syndromes): check degrees up to 34 (example1) and 48 (wimax1152);
+# the idle-row matrix has an all-zero check and an all-zero column
+KERNEL_CASES = [("example1-h0", None), ("example1-h1", "coset"),
+                ("wimax1152-h0", None), ("wimax1152-h1", "coset"),
+                ("idle-row", "coset")]
+
+
+def _same(got, want):
+    return all(g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+               for g, w in zip(got, want))
+
+
+class TestBpKernelEquivalence:
+    """The kernel is bit-identical to the frozen original (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("label,syn_kind", KERNEL_CASES,
+                             ids=[c[0] for c in KERNEL_CASES])
+    @pytest.mark.parametrize("max_iter", [0, 1, 100])
+    def test_matches_reference(self, label, syn_kind, max_iter):
+        H = _kernel_matrix(label)
+        rng = np.random.default_rng([KERNEL_CASES.index((label, syn_kind)), max_iter])
+        graph = codec.TannerGraph(H)
+        llrs, syn = _kernel_frames(H, rng, 24, syn_kind)
+        want = ref_bp_decode_batch(H, llrs, syn, max_iter)
+        assert _same(codec.bp_decode_batch(graph, llrs, syn, max_iter), want), label
+        # a batch of one, frame by frame
+        for i in (0, 1, 3):
+            one = codec.bp_decode_batch(graph, llrs[i:i + 1],
+                                        None if syn is None else syn[i:i + 1], max_iter)
+            assert _same(one, tuple(w[i:i + 1] for w in want)), (label, i)
+        # the same frames in another order
+        perm = rng.permutation(len(llrs))
+        shuffled = codec.bp_decode_batch(graph, llrs[perm],
+                                         None if syn is None else syn[perm], max_iter)
+        assert _same(shuffled, tuple(w[perm] for w in want)), label
+
+    def test_cases_cover_convergence_mix(self):
+        # the generated batches really mix early, late and no convergence
+        rng = np.random.default_rng(0)
+        H = _kernel_matrix("example1-h1")
+        llrs, syn = _kernel_frames(H, rng, 24, "coset")
+        _, iters, conv = ref_bp_decode_batch(H, llrs, syn, 100)
+        assert conv.any() and not conv.all()
+        assert (iters[conv] == 0).any() and (iters[conv] > 0).any()
+
+    def test_idle_check_with_syndrome_never_converges(self):
+        H = _kernel_matrix("idle-row")
+        syn = np.zeros((2, H.rows), np.uint8)
+        syn[1, -1] = 1
+        llrs = np.full((2, 10), 8.0)
+        hard, iters, conv = codec.bp_decode_batch(codec.TannerGraph(H), llrs, syn, 7)
+        assert conv.tolist() == [True, False]
+        assert iters.tolist() == [0, 7]
+        assert not hard.any()
+
+    @pytest.mark.parametrize("degree", list(range(1, 20)) + [33, 34, 47, 48, 129, 130, 300])
+    def test_slot_sum_matches_reduceat(self, degree):
+        # per-check sums reproduce np.add.reduceat bit for bit
+        rng = np.random.default_rng(degree)
+        m, batch = 3, 5
+        x = rng.normal(size=(degree, m, batch)) * 10.0 ** rng.integers(-6, 6, (degree, m, batch))
+        rows = x.transpose(2, 1, 0).reshape(batch, m * degree)
+        want = np.add.reduceat(rows, np.arange(0, m * degree, degree), axis=1)
+        assert np.array_equal(codec._slot_sum(x).T, want)
+
+    def test_negative_max_iter_rejected(self):
+        graph = codec.TannerGraph(codes.build_spc(2, 2))
+        with pytest.raises(ValueError, match="max_iter"):
+            codec.bp_decode_batch(graph, np.ones((1, 4)), None, max_iter=-3)
 
 
 class TestMultistage:

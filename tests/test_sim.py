@@ -98,6 +98,18 @@ class TestSweepCode:
         p = max(rep.bler, ml)
         assert abs(rep.bler - ml) <= 3 * math.sqrt(p * (1 - p) / N)
 
+    @pytest.mark.parametrize("bad", [{"max_trials": 0}, {"target_errors": 0},
+                                     {"seed": -1}, {"max_iter": -3}],
+                             ids=["max_trials", "target_errors", "seed", "max_iter"])
+    def test_bad_arguments_rejected(self, example1_bundle, bad):
+        b = example1_bundle
+        kwargs = {"max_trials": 4, "target_errors": 4, **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            sim.sweep_code(b.pair.h0, b.plan0, [9.0], **kwargs)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            sim.sweep_lattice(b.pair, b.plans, b.profile.normalized_volume, [3.0],
+                              **kwargs)
+
     def test_spa_lower_bounded_by_ml_in_deep_noise(self):
         # at SNR 6 dB the loopy-graph decoder is measurably worse than ML;
         # the ML simulation still lower-bounds it

@@ -117,3 +117,12 @@ class TestLowWeightSearch:
     def test_bad_iterations(self):
         with pytest.raises(ValueError):
             wmin.low_weight_search(codes.build_spc(2, 2), 0, seed=0)
+
+    def test_witness_violating_h_raises(self, monkeypatch):
+        # a generator whose rows are not codewords yields a witness that
+        # fails H c = 0; the explicit check (kept under python -O) refuses it
+        H = codes.build_spc(2, 2)
+        monkeypatch.setattr(wmin, "nullspace_basis",
+                            lambda H: [np.eye(H.cols, dtype=np.uint8)[0]])
+        with pytest.raises(wmin.WitnessError):
+            wmin.low_weight_search(H, 3, seed=0)
