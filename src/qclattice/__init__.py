@@ -8,9 +8,8 @@ from .codec import (EncoderPlan, LatticeWord, MultistageDecoder, decode_multista
 from .codes import (NestedPair, build_h0, build_h1_block_row, build_h1_row_sums,
                     build_spc, build_staircase, make_pair_block_row,
                     make_pair_row_sums, verify_nesting)
-from .gf2 import (BitMatrix, InconsistentSyndromeError, TriangulationPlan,
-                  nullspace_basis, rank, row_space_contains, solve_coset,
-                  triangularize)
+from .gf2 import (BitMatrix, InconsistentSyndromeError, nullspace_basis, rank,
+                  row_space_contains)
 from .lattice import (CheckFamily, LatticeProfile, balanced_check,
                       code_dimensions, dmin_bounds, is_member, make_family,
                       volume_gain)
@@ -26,7 +25,7 @@ __all__ = [
     "BUILTIN_LATTICES", "BitMatrix", "ChannelParams", "CheckFamily",
     "EncoderPlan", "InconsistentSyndromeError", "LatticeBundle",
     "LatticeProfile", "LatticeWord", "MultistageDecoder", "NestedPair",
-    "ProtoMatrix", "SimReport", "TriangulationPlan",
+    "ProtoMatrix", "SimReport",
     "apply_edits", "balanced_check", "build_h0", "build_h1_block_row",
     "build_h1_row_sums", "build_spc", "build_staircase", "code_dimensions",
     "decode_multistage", "dmin_bounds", "encode_lattice", "exact_dmin",
@@ -34,7 +33,7 @@ __all__ = [
     "low_weight_search", "make_family", "make_pair_block_row",
     "make_pair_row_sums", "nullspace_basis", "plan_level",
     "random_proto_search", "rank", "row_space_contains", "scale_shifts",
-    "scale_shifts_floor", "snr_to_sigma2", "solve_coset", "spa_decode",
-    "stage_syndrome", "sweep_code", "sweep_lattice", "triangularize",
+    "scale_shifts_floor", "snr_to_sigma2", "spa_decode",
+    "stage_syndrome", "sweep_code", "sweep_lattice",
     "verify_nesting", "vnr_to_sigma2", "volume_gain", "wrapped_llr",
 ]

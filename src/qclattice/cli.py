@@ -99,6 +99,20 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     return opts
 
 
+def _check_csv_header(out_path: str | None) -> None:
+    """Refuse to append to a non-empty CSV whose header is not CSV_HEADER."""
+    if out_path is None or not (os.path.exists(out_path) and os.path.getsize(out_path) > 0):
+        return
+    try:
+        with open(out_path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+    except (UnicodeDecodeError, csv.Error):
+        header = None
+    if header != CSV_HEADER:
+        raise DataError(f"{out_path} has a different header; expected "
+                        f"{','.join(CSV_HEADER)}")
+
+
 def _write_reports(reports: list[sim.SimReport], out_path: str | None,
                    manifest: dict) -> None:
     if out_path is None:
@@ -269,6 +283,7 @@ def cmd_simulate_code(opts: dict) -> int:
     else:
         raise ConfigError(f"unknown code {which!r}; use g0 or g1")
     label = f"{bundle.name}:{which}"
+    _check_csv_header(opts.get("out"))
     reports = sim.sweep_code(H, plan, points, max_trials=max_trials,
                              target_errors=target_errors, seed=seed,
                              max_iter=iters, label=label)
@@ -282,6 +297,7 @@ def cmd_simulate_lattice(opts: dict) -> int:
         raise ConfigError("missing key: vnr")
     points = _parse_range(str(opts["vnr"]))
     seed, max_trials, target_errors, iters = _sim_common(opts)
+    _check_csv_header(opts.get("out"))
     reports = sim.sweep_lattice(bundle.pair, bundle.plans,
                                 bundle.profile.normalized_volume, points,
                                 max_trials=max_trials, target_errors=target_errors,

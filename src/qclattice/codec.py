@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import NestedPair
-from .gf2 import BitMatrix, TriangulationPlan, solve_coset, solve_coset_many, triangularize
+from .gf2 import BitMatrix, InconsistentSyndromeError, rref
 
 LLR_SAT = 64.0      # saturation used to pin known bits
 MSG_CLIP = 30.0     # message clip inside the sum-product updates
@@ -54,46 +54,59 @@ class OddDotError(ValueError):
 # ---------------------------------------------------------------------------
 
 class EncoderPlan:
-    """Triangulation plan for one level plus cached affine encode maps."""
+    """Affine encode maps for one level, built from one RREF of ``[H | I]``.
+
+    Row operations that bring ``[H | I_m]`` to reduced row-echelon form
+    ``[R_H | T]`` give ``T H = R_H``.  The r pivot columns of ``R_H`` are
+    solved for; the other columns, ``free_cols``, carry the information
+    bits.  With them fixed, ``H c^T = s^T`` has the unique solution
+
+        c[free_cols] = info,  c[pivot_cols] = info @ R_H[:r, free_cols]^T
+                                              + s @ T[:r]^T  (mod 2).
+
+    The last m - r rows of ``T`` span the left nullspace of H: a syndrome
+    is achievable iff it is orthogonal to all of them.  Only these three
+    blocks are kept, as uint8.  Their float32 copies (sums of at most m + k
+    ones are exact) are made once, by the first encode, so a plan that never
+    encodes (a bundle built for a distance search) never holds them.
+    """
 
     def __init__(self, matrix: BitMatrix):
         self.matrix = matrix
-        self.plan: TriangulationPlan = triangularize(matrix)
-        self._info_map: np.ndarray | None = None
-        self._syn_map: np.ndarray | None = None
-
-    @property
-    def free_cols(self) -> np.ndarray:
-        return self.plan.free_cols
+        m, n = matrix.shape
+        R, pivots = rref(np.hstack([matrix.a, np.eye(m, dtype=np.uint8)]))
+        r = sum(p < n for p in pivots)
+        self.pivot_cols = np.array(pivots[:r], dtype=np.int64)
+        self.free_cols = np.setdiff1d(np.arange(n), self.pivot_cols)
+        self._blocks = tuple(b.T.copy() for b in
+                             (R[:r, self.free_cols], R[:r, n:], R[r:, n:]))
+        self._maps: tuple[np.ndarray, ...] | None = None
 
     @property
     def num_info(self) -> int:
-        return int(self.plan.free_cols.size)
-
-    def _maps(self) -> tuple[np.ndarray, np.ndarray]:
-        # solve_coset is GF(2)-linear in (syndrome, info), so the images of
-        # the unit vectors determine it; built once, reused for batches.
-        if self._info_map is None:
-            m, k = self.matrix.rows, self.num_info
-            self._info_map = solve_coset_many(
-                self.plan, self.matrix, np.zeros((k, m), dtype=np.uint8),
-                np.eye(k, dtype=np.uint8))
-            self._syn_map = solve_coset_many(
-                self.plan, self.matrix, np.eye(m, dtype=np.uint8),
-                np.zeros((m, k), dtype=np.uint8), check=False)
-        return self._info_map, self._syn_map
+        return int(self.free_cols.size)
 
     def encode_batch(self, syndromes: np.ndarray, infos: np.ndarray) -> np.ndarray:
-        """Solve for (batch, n) codewords; identical to solve_coset row-wise.
+        """Solve ``H c^T = s^T`` for (batch, n) codewords with ``c`` equal
+        to the info bits on ``free_cols``.
 
-        Syndromes must be achievable; achievability is not re-checked here
-        (the cached map reproduces solve_coset exactly on achievable input).
+        Raises :class:`InconsistentSyndromeError` if a syndrome is not
+        achievable (checked whenever any syndrome is nonzero).
         """
-        info_map, syn_map = self._maps()
-        acc = infos.astype(np.float32) @ info_map.astype(np.float32)
+        if self._maps is None:
+            self._maps = tuple(b.astype(np.float32) for b in self._blocks)
+        info_map, syn_map, left_null = self._maps
+        acc = infos.astype(np.float32) @ info_map
         if syndromes.any():
-            acc += syndromes.astype(np.float32) @ syn_map.astype(np.float32)
-        return (acc.astype(np.int64) & 1).astype(np.uint8)
+            s = syndromes.astype(np.float32)
+            if ((s @ left_null).astype(np.int64) & 1).any():
+                raise InconsistentSyndromeError(
+                    "syndrome outside the column space of the parity-check matrix")
+            acc += s @ syn_map
+        c = np.empty((infos.shape[0], self.matrix.cols), dtype=np.uint8)
+        c[:, self.free_cols] = infos & 1
+        c[:, self.pivot_cols] = acc.astype(np.int64) & 1
+        return c
 
 
 def plan_level(H: BitMatrix) -> EncoderPlan:
@@ -152,11 +165,11 @@ def encode_lattice(pair: NestedPair, plans: tuple[EncoderPlan, EncoderPlan],
     c0 and solved next; the integer parts translate the point by 4Z^n.
     """
     plan0, plan1 = plans
-    info0 = np.asarray(info0, dtype=np.uint8)
-    info1 = np.asarray(info1, dtype=np.uint8)
-    c0 = solve_coset(plan0.plan, pair.h0, np.zeros(pair.h0.rows, dtype=np.uint8), info0)
+    info0 = np.asarray(info0, dtype=np.uint8).reshape(1, -1)
+    info1 = np.asarray(info1, dtype=np.uint8).reshape(1, -1)
+    c0 = plan0.encode_batch(np.zeros((1, pair.h0.rows), dtype=np.uint8), info0)[0]
     s1 = stage_syndrome(pair.h1.a, c0)
-    c1 = solve_coset(plan1.plan, pair.h1, s1, info1)
+    c1 = plan1.encode_batch(s1.reshape(1, -1), info1)[0]
     zvec = np.asarray(zvec, dtype=np.int64)
     return LatticeWord(c0=c0, c1=c1, s1=s1, zvec=zvec, z0=int(z0),
                        x=assemble_point(c0, c1, zvec, z0))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix, rank, rref, vstack
+from .gf2 import BitMatrix, rank, vstack
 from .qc import ProtoMatrix, expand
 
 
@@ -151,13 +151,4 @@ def make_pair_row_sums(P: ProtoMatrix, groups) -> NestedPair:
 
 def verify_nesting(pair: NestedPair) -> bool:
     """True iff every row of H1 lies in the GF(2) row space of H0."""
-    R, piv = rref(pair.h0.a)
-    R = R[: len(piv)]
-    for row in pair.h1.a:
-        w = row.copy()
-        for i, p in enumerate(piv):
-            if w[p]:
-                w ^= R[i]
-        if w.any():
-            return False
-    return True
+    return rank(vstack(pair.h0, pair.h1)) == rank(pair.h0)

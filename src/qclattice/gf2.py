@@ -1,9 +1,11 @@
 """Dense GF(2) linear algebra on binary matrices.
 
 Everything downstream (code construction, coset encoding, distance search)
-works through the small kernel in this module: rank / nullspace via Gaussian
-elimination, row-space membership, and reusable approximate-triangulation
-plans for solving ``M c^T = s^T`` with prescribed values on the free columns.
+works through the one elimination kernel in this module: an in-place
+reduced row-echelon pass over rows packed into uint64 words.  ``rref``,
+``rank``, ``nullspace_basis`` and ``row_space_contains`` run on it, and so
+do the encoder maps in :mod:`qclattice.codec` and the low-weight search in
+:mod:`qclattice.wmin`.
 
 Matrices are plain uint8 numpy arrays with entries in {0, 1}, wrapped in an
 immutable :class:`BitMatrix`.
@@ -11,7 +13,7 @@ immutable :class:`BitMatrix`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,9 +23,8 @@ class InconsistentSyndromeError(ValueError):
     """Requested syndrome is outside the column space of the matrix."""
 
 
-def _as_bits(a, *, copy: bool = True) -> np.ndarray:
-    out = np.array(a, dtype=np.uint8, copy=copy) & 1
-    return out
+def _as_bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.uint8) & 1
 
 
 @dataclass(frozen=True)
@@ -89,292 +90,88 @@ def vstack(*mats: BitMatrix) -> BitMatrix:
     return BitMatrix(np.vstack([m.a for m in mats]))
 
 
+def pack(a: np.ndarray) -> np.ndarray:
+    """Rows of a binary (m, n) array as little-endian uint64 words.
+
+    Column c is bit ``c % 64`` of word ``c // 64``; padding bits are zero.
+    """
+    a = _as_bits(a)
+    m, n = a.shape
+    out = np.zeros((m, (n + 63) // 64 * 8), dtype=np.uint8)
+    out[:, : (n + 7) // 8] = np.packbits(a, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def unpack(W: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`pack`: (m, n) uint8 bits from packed rows."""
+    return np.unpackbits(W.view(np.uint8), axis=1, bitorder="little")[:, :n]
+
+
+def rref_words(W: np.ndarray, n: int) -> list[int]:
+    """In-place reduced row-echelon form of packed rows; returns the pivots.
+
+    ``W`` holds the rows of an (m, n) matrix as returned by :func:`pack`.
+    Pivots are eliminated above and below, so after the call
+    ``unpack(W, n)`` is the (unique) RREF of the matrix.
+    """
+    m = W.shape[0]
+    one = np.uint64(1)
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        col = (W[:, c >> 6] >> np.uint64(c & 63)) & one
+        below = np.flatnonzero(col[r:])
+        if below.size == 0:
+            continue
+        p = r + int(below[0])
+        if p != r:
+            W[[r, p]] = W[[p, r]]
+            col[[r, p]] = col[[p, r]]
+        col[r] = 0
+        hits = np.flatnonzero(col)
+        if hits.size:
+            W[hits] ^= W[r]
+        pivots.append(c)
+    return pivots
+
+
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(2).
 
     Returns ``(R, pivot_cols)``; pivots are eliminated above and below, so
     ``R[i, pivot_cols[i]] = 1`` is the only 1 in its column.
     """
-    R = _as_bits(a)
-    m, n = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        hits = np.nonzero(R[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        others = np.nonzero(R[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            R[others] ^= R[r]
-        pivots.append(c)
-        r += 1
-    return R, pivots
+    n = np.shape(a)[1]
+    W = pack(a)
+    pivots = rref_words(W, n)
+    return unpack(W, n), pivots
 
 
 def rank(M: BitMatrix) -> int:
     """GF(2) rank of ``M``."""
-    _, pivots = rref(M.a)
-    return len(pivots)
+    return len(rref_words(pack(M.a), M.cols))
 
 
 def nullspace_basis(M: BitMatrix) -> list[np.ndarray]:
     """Basis of the right nullspace: vectors v with ``M v^T = 0`` over GF(2).
 
     Returns ``cols - rank(M)`` vectors; empty list for full column rank.
+    Vector j is 1 on the j-th non-pivot column of the RREF R, 0 on the
+    other non-pivot columns and ``R[i, free_j]`` on pivot i.
     """
     R, pivots = rref(M.a)
-    n = M.cols
-    piv_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in piv_set:
-            continue
-        v = np.zeros(n, dtype=np.uint8)
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = R[i, f]
-        basis.append(v)
-    return basis
+    free = np.setdiff1d(np.arange(M.cols), pivots)
+    basis = np.zeros((free.size, M.cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = R[: len(pivots), free].T
+    return list(basis)
 
 
 def row_space_contains(M: BitMatrix, v: np.ndarray) -> bool:
     """True iff ``v`` is a GF(2) combination of the rows of ``M``."""
-    v = _as_bits(v, copy=False).reshape(-1)
-    if v.shape[0] != M.cols:
-        raise ValueError(f"vector length {v.shape[0]} != {M.cols} columns")
-    R, pivots = rref(M.a)
-    w = v.copy()
-    for i, p in enumerate(pivots):
-        if w[p]:
-            w ^= R[i]
-    return not w.any()
-
-
-def invert(a: np.ndarray) -> np.ndarray:
-    """Inverse of a square invertible GF(2) matrix."""
-    g = _as_bits(a, copy=False)
-    m = g.shape[0]
-    if m == 0:
-        return np.zeros((0, 0), dtype=np.uint8)
-    R, pivots = rref(np.hstack([g, np.eye(m, dtype=np.uint8)]))
-    if len(pivots) < m or pivots[:m] != list(range(m)):
-        raise ValueError("matrix is singular over GF(2)")
-    return R[:, m:].copy()
-
-
-@dataclass(frozen=True)
-class TriangulationPlan:
-    """Reusable plan for solving ``M c^T = s^T`` in near-linear time.
-
-    Row/column permutations bring the leading ``t = rows - gap`` rows of M
-    into lower-triangular position against the leading t columns.  The gap
-    rows are folded through the triangle once (``gap_fold = E T^{-1}``) and
-    reduced to a small dense system; ``dense_w`` is the invertible row-op
-    matrix of that reduction.  ``pivot_cols`` has exactly rank(M) entries;
-    ``free_cols`` are the information positions.
-    """
-
-    row_perm: np.ndarray          # all m row indices; first t are the triangle
-    col_perm: np.ndarray          # all n column indices; first t pair with rows
-    gap: int                      # g = rows not in triangular position
-    dense_w: np.ndarray           # g x g invertible row-op matrix W
-    dense_w_inv: np.ndarray       # its GF(2) inverse
-    pivot_cols: np.ndarray        # rank(M) columns: t triangular + dense pivots
-    free_cols: np.ndarray         # remaining columns (information positions)
-    gap_fold: np.ndarray = field(repr=False)    # g x t, E T^{-1}
-    dense_cols: np.ndarray = field(repr=False)  # non-triangular columns, sorted
-    dense_rref: np.ndarray = field(repr=False)  # g x len(dense_cols), W @ F
-    dense_pivot_rows: np.ndarray = field(repr=False)  # row of dense_rref per dense pivot
-
-    def __post_init__(self):
-        for name in ("row_perm", "col_perm", "dense_w", "dense_w_inv", "pivot_cols",
-                     "free_cols", "gap_fold", "dense_cols", "dense_rref",
-                     "dense_pivot_rows"):
-            getattr(self, name).setflags(write=False)
-
-    @property
-    def triangle_size(self) -> int:
-        return self.row_perm.shape[0] - self.gap
-
-
-def triangularize(M: BitMatrix) -> TriangulationPlan:
-    """Greedy approximate triangulation (transposed Richardson-Urbanke greedy).
-
-    Repeatedly selects a residual row of degree 1 (lowest index on ties) and
-    pairs it with its unique residual column.  When stuck, the lowest-index
-    minimum-degree row keeps its lowest-index column and defers the others;
-    degree-0 rows drop into the gap.  Deterministic for identical input.
-    """
-    A = M.a
-    m, n = A.shape
-    if not A.any():
-        raise ValueError("triangularize requires a nonzero matrix")
-
-    col_alive = np.ones(n, dtype=bool)
-    row_alive = np.ones(m, dtype=bool)
-    row_deg = A.sum(axis=1).astype(np.int64)
-    supports = [np.nonzero(A[i])[0] for i in range(m)]
-
-    tri_rows: list[int] = []
-    tri_cols: list[int] = []
-    gap_rows: list[int] = []
-
-    while row_alive.any():
-        alive_idx = np.nonzero(row_alive)[0]
-        degs = row_deg[alive_idx]
-        zero = alive_idx[degs == 0]
-        if zero.size:
-            gap_rows.extend(int(i) for i in zero)
-            row_alive[zero] = False
-            continue
-        ones = alive_idx[degs == 1]
-        if ones.size:
-            r = int(ones[0])
-            sup = supports[r]
-            c = int(sup[col_alive[sup]][0])
-        else:
-            r = int(alive_idx[int(np.argmin(degs))])
-            sup = supports[r]
-            live = sup[col_alive[sup]]
-            c = int(live[0])
-            deferred = live[1:]
-            col_alive[deferred] = False
-            for cc in deferred:
-                hit = np.nonzero(A[:, cc] & row_alive)[0]
-                row_deg[hit] -= 1
-        tri_rows.append(r)
-        tri_cols.append(c)
-        row_alive[r] = False
-        col_alive[c] = False
-        hit = np.nonzero(A[:, c] & row_alive)[0]
-        row_deg[hit] -= 1
-
-    t = len(tri_rows)
-    g = len(gap_rows)
-    row_perm = np.array(tri_rows + gap_rows, dtype=np.int64)
-    tri_col_arr = np.array(tri_cols, dtype=np.int64)
-    dense_cols = np.setdiff1d(np.arange(n), tri_col_arr)
-    col_perm = np.concatenate([tri_col_arr, dense_cols])
-
-    # Fold gap rows through the triangle: K = E T^{-1} where T is the t x t
-    # lower triangle and E the gap rows at triangular columns.
-    T = A[np.ix_(row_perm[:t], tri_col_arr)]
-    E = A[np.ix_(row_perm[t:], tri_col_arr)] if g else np.zeros((0, t), dtype=np.uint8)
-    K = np.zeros((g, t), dtype=np.uint8)
-    for i in range(g):
-        w = E[i].copy()
-        for j in range(t - 1, -1, -1):
-            if j + 1 < t and w[j + 1:].any():
-                w[j] ^= np.bitwise_and(w[j + 1:], T[j + 1:, j]).sum() & 1
-        K[i] = w
-
-    # Dense residual system over the non-triangular columns: F = K B + D.
-    B = A[np.ix_(row_perm[:t], dense_cols)]
-    D = A[np.ix_(row_perm[t:], dense_cols)] if g else np.zeros((0, dense_cols.size), dtype=np.uint8)
-    if g:
-        F = ((K.astype(np.int64) @ B.astype(np.int64)) & 1).astype(np.uint8) ^ D
-        R, aug_piv = rref(np.hstack([F, np.eye(g, dtype=np.uint8)]))
-        nd = dense_cols.size
-        dense_rref = R[:, :nd].copy()
-        W = R[:, nd:].copy()
-        dense_piv_local = [p for p in aug_piv if p < nd]
-        w_inv = invert(W)
-    else:
-        dense_rref = np.zeros((0, dense_cols.size), dtype=np.uint8)
-        W = np.zeros((0, 0), dtype=np.uint8)
-        w_inv = W.copy()
-        dense_piv_local = []
-
-    dense_piv_local = np.array(dense_piv_local, dtype=np.int64)
-    pivot_cols = np.concatenate([tri_col_arr, dense_cols[dense_piv_local]]) \
-        if dense_piv_local.size else tri_col_arr.copy()
-    free_mask = np.ones(n, dtype=bool)
-    free_mask[pivot_cols] = False
-    free_cols = np.nonzero(free_mask)[0]
-
-    return TriangulationPlan(
-        row_perm=row_perm,
-        col_perm=col_perm,
-        gap=g,
-        dense_w=W,
-        dense_w_inv=w_inv,
-        pivot_cols=pivot_cols,
-        free_cols=free_cols,
-        gap_fold=K,
-        dense_cols=dense_cols,
-        dense_rref=dense_rref,
-        dense_pivot_rows=dense_piv_local,
-    )
-
-
-def solve_coset_many(plan: TriangulationPlan, M: BitMatrix, S: np.ndarray,
-                     INFO: np.ndarray, check: bool = True) -> np.ndarray:
-    """Batch version of :func:`solve_coset`.
-
-    ``S`` is (batch, m) and ``INFO`` is (batch, n_free); returns (batch, n)
-    solutions.  Raises :class:`InconsistentSyndromeError` if any syndrome is
-    outside the column space.  ``check=False`` skips that test so the
-    (value-independent, GF(2)-linear) solve map can be probed on unit
-    syndromes even when they are unachievable; combinations of the probe
-    outputs then agree with direct solves on every achievable syndrome.
-    """
-    A = M.a
-    m, n = A.shape
-    S = np.atleast_2d(_as_bits(S, copy=False))
-    INFO = np.atleast_2d(_as_bits(INFO, copy=False))
-    if S.shape[1] != m:
-        raise ValueError(f"syndrome length {S.shape[1]} != {m} rows")
-    if INFO.shape[1] != plan.free_cols.size:
-        raise ValueError(f"info length {INFO.shape[1]} != {plan.free_cols.size} free columns")
-    bsz = S.shape[0]
-    t = plan.triangle_size
-    g = plan.gap
-
-    C = np.zeros((bsz, n), dtype=np.uint8)
-    C[:, plan.free_cols] = INFO
-
-    if g:
-        s_tri = S[:, plan.row_perm[:t]]
-        s_gap = S[:, plan.row_perm[t:]]
-        u = ((s_tri.astype(np.int64) @ plan.gap_fold.T.astype(np.int64)) & 1).astype(np.uint8)
-        u ^= s_gap
-        wu = ((u.astype(np.int64) @ plan.dense_w.T.astype(np.int64)) & 1).astype(np.uint8)
-        # known dense-column values feed the reduced rows
-        y_known = C[:, plan.dense_cols]
-        adj = ((y_known.astype(np.int64) @ plan.dense_rref.T.astype(np.int64)) & 1).astype(np.uint8)
-        rhs = wu ^ adj
-        npiv = plan.dense_pivot_rows.size
-        if npiv:
-            piv_cols_global = plan.pivot_cols[t:]
-            C[:, piv_cols_global] ^= rhs[:, :npiv]
-        if check and npiv < g and rhs[:, npiv:].any():
-            raise InconsistentSyndromeError(
-                "syndrome outside the column space (dense back-substitution)")
-
-    # forward substitution down the triangle
-    sup_rows = [np.nonzero(A[r])[0] for r in plan.row_perm[:t]]
-    Ci = C.astype(np.int64)
-    for i in range(t):
-        r = plan.row_perm[i]
-        c = plan.col_perm[i]
-        acc = Ci[:, sup_rows[i]].sum(axis=1)
-        val = ((acc & 1) ^ S[:, r]).astype(np.int64)
-        Ci[:, c] = val
-    return (Ci & 1).astype(np.uint8)
-
-
-def solve_coset(plan: TriangulationPlan, M: BitMatrix, s: np.ndarray,
-                info: np.ndarray) -> np.ndarray:
-    """Solve ``M c^T = s^T`` over GF(2) with ``c`` = ``info`` on free columns.
-
-    The solution is unique once the free columns are fixed.  Raises
-    :class:`InconsistentSyndromeError` when ``s`` is not achievable.
-    """
-    return solve_coset_many(plan, M, np.asarray(s).reshape(1, -1),
-                            np.asarray(info).reshape(1, -1))[0]
+    v = _as_bits(v).reshape(1, -1)
+    if v.shape[1] != M.cols:
+        raise ValueError(f"vector length {v.shape[1]} != {M.cols} columns")
+    return rank(vstack(M, BitMatrix(v))) == rank(M)

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf2 import BitMatrix, nullspace_basis, rref
+from .gf2 import BitMatrix, nullspace_basis, pack, unpack
+# the search's own name for the kernel; perfbench/tracing.py times the
+# per-iteration eliminations (the wmin.rref layer) through it
+from .gf2 import rref_words as _rref_packed
 
 MAX_EXACT_DIM = 28
 
@@ -28,16 +31,6 @@ class WitnessError(RuntimeError):
 
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _pack_rows(rows: list[np.ndarray], n: int) -> np.ndarray:
-    """Pack binary vectors into little-endian uint64 words, (len, words)."""
-    nwords = (n + 63) // 64
-    out = np.zeros((len(rows), nwords), dtype=np.uint64)
-    for i, v in enumerate(rows):
-        idx = np.nonzero(v)[0]
-        np.bitwise_or.at(out[i], idx // 64, np.uint64(1) << (idx % 64).astype(np.uint64))
-    return out
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -58,8 +51,7 @@ def exact_dmin(H: BitMatrix) -> int:
         raise TooLargeError(f"dimension k={k} exceeds {MAX_EXACT_DIM}")
     if k == 0:
         raise ValueError("code is trivial (full column rank); no nonzero codeword")
-    n = H.cols
-    masks = _pack_rows(basis, n)
+    masks = pack(np.array(basis))
 
     k_lo = min(k, 16)
     lo = np.zeros((1 << k_lo, masks.shape[1]), dtype=np.uint64)
@@ -76,36 +68,6 @@ def exact_dmin(H: BitMatrix) -> int:
             if w < best:
                 best = w
     return best
-
-
-def _rref_packed(W: np.ndarray, n: int) -> int:
-    """In-place RREF of a bit-packed matrix; returns the number of pivots.
-
-    Produces the same (unique) reduced form as :func:`qclattice.gf2.rref`,
-    an order of magnitude faster on wide matrices.
-    """
-    k = W.shape[0]
-    r = 0
-    one = np.uint64(1)
-    for c in range(n):
-        w, b = divmod(c, 64)
-        bshift = np.uint64(b)
-        col = (W[r:, w] >> bshift) & one
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            W[[r, p]] = W[[p, r]]
-        col_all = (W[:, w] >> bshift) & one
-        hits = np.nonzero(col_all)[0]
-        hits = hits[hits != r]
-        if hits.size:
-            W[hits] ^= W[r]
-        r += 1
-        if r == k:
-            break
-    return r
 
 
 def low_weight_search(H: BitMatrix, iterations: int, seed: int,
@@ -134,13 +96,9 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
 
     for _ in range(iterations):
         perm = rng.permutation(n)
-        packed = np.packbits(G0[:, perm], axis=1, bitorder="little")
-        W = np.zeros((k, (n + 63) // 64 * 8), dtype=np.uint8)
-        W[:, : packed.shape[1]] = packed
-        W = W.view(np.uint64)
-        npiv = _rref_packed(W, n)
-        R = np.unpackbits(W[:npiv].view(np.uint8), axis=1,
-                          bitorder="little")[:, :n]
+        W = pack(G0[:, perm])
+        npiv = len(_rref_packed(W, n))
+        R = unpack(W[:npiv], n)
         w_rows = R.sum(axis=1).astype(np.int64)
 
         i_best = int(np.argmin(w_rows))

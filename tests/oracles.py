@@ -260,3 +260,46 @@ def ref_bp_decode_batch(H, llrs, syndromes=None, max_iter: int = 100):
         post[:, active_var] += vsum
 
     return hard_out, iters_out, conv_out
+
+
+def ref_rref(a) -> tuple[np.ndarray, list[int]]:
+    """Frozen copy of the uint8-row GF(2) RREF that the packed-word kernel
+    in ``qclattice.gf2`` replaced; same ``(R, pivot_cols)`` contract."""
+    R = np.asarray(a, dtype=np.uint8) & 1
+    m, n = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        hits = np.nonzero(R[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        others = np.nonzero(R[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            R[others] ^= R[r]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def ref_nullspace_basis(a) -> list[np.ndarray]:
+    """Frozen copy of the loop-built nullspace basis that the vectorized
+    ``qclattice.gf2.nullspace_basis`` replaced."""
+    R, pivots = ref_rref(a)
+    n = R.shape[1]
+    piv_set = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in piv_set:
+            continue
+        v = np.zeros(n, dtype=np.uint8)
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = R[i, f]
+        basis.append(v)
+    return basis

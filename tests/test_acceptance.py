@@ -13,7 +13,7 @@ import pytest
 
 from oracles import brute_four_cycle, lattice_points_in_box
 from qclattice import codec, codes, lattice, qc, sim, wmin
-from qclattice.gf2 import InconsistentSyndromeError, rank, solve_coset_many
+from qclattice.gf2 import InconsistentSyndromeError, rank
 
 BLER_TARGET = 1e-3
 
@@ -123,8 +123,8 @@ def test_06_even_weight_and_solvability(name, example1_bundle, wimax_bundle):
     syndromes = ((words @ pair.h1.a.T.astype(np.int64)) % 4 // 2).astype(np.uint8)
     odd_dots = int(((words @ pair.h1.a.T.astype(np.int64)) % 2 != 0).sum())
     try:
-        sols = solve_coset_many(b.plan1.plan, pair.h1, syndromes,
-                                np.zeros((1000, b.plan1.num_info), np.uint8))
+        sols = b.plan1.encode_batch(syndromes,
+                                    np.zeros((1000, b.plan1.num_info), np.uint8))
         check = (sols @ pair.h1.a.T.astype(np.int64) % 2 == syndromes).all()
         inconsistent = not check
     except InconsistentSyndromeError:
@@ -132,7 +132,7 @@ def test_06_even_weight_and_solvability(name, example1_bundle, wimax_bundle):
     ok = even == 1000 and odd_dots == 0 and not inconsistent
     _report(6, ok, f"{name}: {even}/1000 codewords even weight, "
                    f"{odd_dots} odd level-1 dots, "
-                   f"solve_coset inconsistent: {inconsistent}")
+                   f"level-1 encode inconsistent: {inconsistent}")
 
 
 def test_07_distance_witness(example1_bundle):

@@ -202,6 +202,29 @@ class TestSimulateCsv:
         assert len(lines) == 5  # one header + 2 rows per run
         assert sum(1 for ln in lines if ln.startswith("kind,")) == 1
 
+    @pytest.mark.parametrize("command, grid, sweep", [
+        ("simulate-code", "--snr", "sweep_code"),
+        ("simulate-lattice", "--vnr", "sweep_lattice"),
+    ])
+    def test_foreign_header_refused(self, capsys, tmp_path, monkeypatch,
+                                    command, grid, sweep):
+        out = tmp_path / "run.csv"
+        out.write_text("a,b,c\n1,2,3\n")
+        manifest = tmp_path / "run.csv.manifest.json"
+        manifest.write_text('{"command": "earlier"}\n')
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started despite the header mismatch")
+        monkeypatch.setattr(cli.sim, sweep, no_sweep)
+        code, _, err = run(capsys, command, "--lattice", "example1", grid, "5",
+                           "--max-trials", "20", "--target-errors", "20",
+                           "--out", str(out))
+        assert code == 3
+        assert err.startswith("data error:")
+        assert len(err.strip().splitlines()) == 1
+        assert out.read_text() == "a,b,c\n1,2,3\n"
+        assert manifest.read_text() == '{"command": "earlier"}\n'
+
     def test_simulate_code(self, capsys, tmp_path):
         out = tmp_path / "code.csv"
         code, _, _ = run(capsys, "simulate-code", "--lattice", "example1",

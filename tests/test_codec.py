@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +56,7 @@ class TestStageSyndrome:
         # the level-1 syndrome of any g0 codeword is always achievable; the
         # subsequent solve must never raise
         pair = example1_bundle.pair
-        from qclattice.gf2 import nullspace_basis, solve_coset
+        from qclattice.gf2 import nullspace_basis
         basis = np.array(nullspace_basis(pair.h0))
         rng = np.random.default_rng(6)
         plan1 = example1_bundle.plan1
@@ -60,8 +64,8 @@ class TestStageSyndrome:
             c0 = (rng.integers(0, 2, basis.shape[0]).astype(np.uint8) @ basis) % 2
             s1 = codec.stage_syndrome(pair.h1.a, c0)
             assert s1.sum() % 2 == 0  # total parity even by even codeword weight
-            c1 = solve_coset(plan1.plan, pair.h1, s1,
-                             np.zeros(plan1.num_info, np.uint8))
+            c1 = plan1.encode_batch(s1.reshape(1, -1),
+                                    np.zeros((1, plan1.num_info), np.uint8))[0]
             assert np.array_equal(pair.h1.mul_vec(c1), s1)
 
 
@@ -100,6 +104,26 @@ class TestEncode:
             assert lattice.is_member(fam, w.x[1:])
             seen.add(tuple(w.x.tolist()))
         assert len(seen) == 2 * 2 * 16  # injective encoding
+
+    def test_unachievable_syndrome_refused_under_optimize(self):
+        # the achievability check is a real test, not an assert, so it
+        # still refuses under python -O
+        script = (
+            "import numpy as np\n"
+            "from qclattice import codec\n"
+            "from qclattice.gf2 import BitMatrix, InconsistentSyndromeError\n"
+            "plan = codec.plan_level(BitMatrix.from_rows([[1, 1], [1, 1]]))\n"
+            "try:\n"
+            "    plan.encode_batch(np.array([[1, 0]], np.uint8), np.zeros((1, 1), np.uint8))\n"
+            "except InconsistentSyndromeError:\n"
+            "    print('debug', __debug__, 'refused')\n")
+        env = dict(os.environ)
+        src_dir = str(Path(codec.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "debug False refused"
 
 
 class TestWrappedLlr:

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_nullspace, ref_rank, ref_solve
+from oracles import (exhaustive_nullspace, ref_nullspace_basis, ref_rank, ref_rref,
+                     ref_solve)
 from qclattice import qc
+from qclattice.codec import EncoderPlan
 from qclattice.codes import build_spc
 from qclattice.gf2 import (BitMatrix, InconsistentSyndromeError, nullspace_basis,
-                           rank, row_space_contains, rref, solve_coset,
-                           solve_coset_many, triangularize, vstack)
+                           rank, row_space_contains, rref, vstack)
 
 
 @st.composite
@@ -66,118 +67,143 @@ class TestNullspace:
         assert len(exhaustive_nullspace(M.a)) == 2 ** len(basis)
 
 
-class TestTriangularize:
-    def test_lower_triangular_identity_perms(self):
-        M = BitMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
-        plan = triangularize(M)
-        assert plan.gap == 0
-        assert plan.row_perm.tolist() == [0, 1, 2]
-        assert plan.col_perm.tolist() == [0, 1, 2]
+class TestPackedKernel:
+    """The packed-word RREF against the uint8-row kernel it replaced."""
 
-    def test_identity_input(self):
-        plan = triangularize(BitMatrix.identity(5))
-        assert plan.gap == 0
-        assert plan.row_perm.tolist() == list(range(5))
-        assert plan.free_cols.size == 0
+    @staticmethod
+    def _same_as_reference(a):
+        R, piv = rref(a)
+        R_ref, piv_ref = ref_rref(a)
+        assert piv == piv_ref
+        assert R.dtype == np.uint8 and R.shape == R_ref.shape
+        assert np.array_equal(R, R_ref)
 
-    def test_spc_3_3_small_gap(self):
-        H = build_spc(3, 3)
-        plan = triangularize(H)
-        assert plan.gap <= 1
-        assert plan.pivot_cols.size == 5  # rank
-        assert plan.free_cols.size == 4
+    @given(bit_matrices(max_rows=20, max_cols=140))
+    @settings(max_examples=80, deadline=None)
+    def test_rref_matches_reference(self, M):
+        self._same_as_reference(M.a)
 
-    def test_permuted_shape_is_triangular(self):
-        rng = np.random.default_rng(5)
-        M = BitMatrix(rng.integers(0, 2, (15, 30)).astype(np.uint8))
-        plan = triangularize(M)
-        t = plan.triangle_size
-        T = M.a[np.ix_(plan.row_perm[:t], plan.col_perm[:t])]
-        assert (np.triu(T, 1) == 0).all()
-        assert (np.diag(T) == 1).all()
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+    def test_word_boundary_widths(self, n):
+        rng = np.random.default_rng(n)
+        for m in (1, 5, 40):
+            a = (rng.random((m, n)) < 0.3).astype(np.uint8)
+            a[:, -1] = rng.integers(0, 2, m)
+            self._same_as_reference(a)
 
-    def test_deterministic(self):
-        rng = np.random.default_rng(9)
-        M = BitMatrix(rng.integers(0, 2, (10, 20)).astype(np.uint8))
-        p1, p2 = triangularize(M), triangularize(M)
-        assert p1.row_perm.tolist() == p2.row_perm.tolist()
-        assert p1.col_perm.tolist() == p2.col_perm.tolist()
-        assert p1.gap == p2.gap
+    def test_all_zero(self):
+        R, piv = rref(np.zeros((4, 70), np.uint8))
+        assert piv == [] and not R.any() and R.shape == (4, 70)
 
-    def test_example1_hqc_roundtrip(self, example1_bundle):
-        H = qc.expand(example1_bundle.proto)
-        plan = triangularize(H)
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            v = rng.integers(0, 2, H.cols).astype(np.uint8)
-            s = H.mul_vec(v)
-            info = rng.integers(0, 2, plan.free_cols.size).astype(np.uint8)
-            c = solve_coset(plan, H, s, info)
-            assert np.array_equal(H.mul_vec(c), s)
-            assert np.array_equal(c[plan.free_cols], info)
+    def test_more_rows_than_columns(self):
+        a = np.random.default_rng(8).integers(0, 2, (90, 7)).astype(np.uint8)
+        self._same_as_reference(a)
+
+    @given(bit_matrices(max_rows=12, max_cols=70))
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_matches_reference(self, M):
+        basis = nullspace_basis(M)
+        ref = ref_nullspace_basis(M.a)
+        assert len(basis) == len(ref)
+        for v, w in zip(basis, ref):
+            assert v.dtype == np.uint8 and np.array_equal(v, w)
+
+    def test_wimax_hqc_nullspace_matches_reference(self, wimax_bundle):
+        H = qc.expand(wimax_bundle.proto)
+        assert np.array_equal(np.array(nullspace_basis(H)),
+                              np.array(ref_nullspace_basis(H.a)))
+
+
+def _encode_one(plan, s, info):
+    return plan.encode_batch(np.asarray(s, np.uint8).reshape(1, -1),
+                             np.asarray(info, np.uint8).reshape(1, -1))[0]
 
 
 class TestSolveCoset:
+    """Coset solves ``M c^T = s^T`` with prescribed free columns, through
+    the affine maps of :class:`qclattice.codec.EncoderPlan`."""
+
     def test_zero_syndrome_zero_info(self):
         M = build_spc(3, 3)
-        plan = triangularize(M)
-        c = solve_coset(plan, M, np.zeros(M.rows, np.uint8),
-                        np.zeros(plan.free_cols.size, np.uint8))
+        plan = EncoderPlan(M)
+        c = _encode_one(plan, np.zeros(M.rows), np.zeros(plan.num_info))
         assert not c.any()
 
     def test_single_check(self):
         M = BitMatrix.from_rows([[1, 1]])
-        plan = triangularize(M)
-        c = solve_coset(plan, M, np.array([1], np.uint8), np.array([1], np.uint8))
+        plan = EncoderPlan(M)
+        c = _encode_one(plan, [1], [1])
         assert M.mul_vec(c).tolist() == [1]
         assert c[plan.free_cols[0]] == 1
 
     def test_random_20x40(self):
         rng = np.random.default_rng(23)
         M = BitMatrix(rng.integers(0, 2, (20, 40)).astype(np.uint8))
-        plan = triangularize(M)
+        plan = EncoderPlan(M)
         for _ in range(20):
             s = M.mul_vec(rng.integers(0, 2, 40).astype(np.uint8))
-            info = rng.integers(0, 2, plan.free_cols.size).astype(np.uint8)
-            c = solve_coset(plan, M, s, info)
+            info = rng.integers(0, 2, plan.num_info).astype(np.uint8)
+            c = _encode_one(plan, s, info)
             assert np.array_equal(M.mul_vec(c), s)
             assert np.array_equal(c[plan.free_cols], info)
 
     def test_inconsistent_raises(self):
         M = BitMatrix.from_rows([[1, 1], [1, 1]])
-        plan = triangularize(M)
+        plan = EncoderPlan(M)
         with pytest.raises(InconsistentSyndromeError):
-            solve_coset(plan, M, np.array([1, 0], np.uint8),
-                        np.zeros(plan.free_cols.size, np.uint8))
+            _encode_one(plan, [1, 0], np.zeros(plan.num_info))
 
     @given(bit_matrices(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_dense_oracle(self, M, seed):
-        # fixing the free columns makes the solution unique, so checking the
-        # equations plus the free values is equivalent to comparing against
-        # any dense-elimination solve
+        # fixing the free columns makes the solution unique; ref_solve leaves
+        # the non-pivot columns of the same RREF at zero, so with zero info
+        # the two solves agree bit for bit
         rng = np.random.default_rng(seed)
-        plan = triangularize(M) if M.a.any() else None
-        if plan is None:
-            return
-        v = rng.integers(0, 2, M.cols).astype(np.uint8)
-        s = M.mul_vec(v)
-        assert ref_solve(M.a, s) is not None
-        info = rng.integers(0, 2, plan.free_cols.size).astype(np.uint8)
-        c = solve_coset(plan, M, s, info)
+        plan = EncoderPlan(M)
+        s = M.mul_vec(rng.integers(0, 2, M.cols).astype(np.uint8))
+        assert np.array_equal(_encode_one(plan, s, np.zeros(plan.num_info)),
+                              ref_solve(M.a, s))
+        info = rng.integers(0, 2, plan.num_info).astype(np.uint8)
+        c = _encode_one(plan, s, info)
         assert np.array_equal(M.mul_vec(c), s)
         assert np.array_equal(c[plan.free_cols], info)
+        s_any = rng.integers(0, 2, M.rows).astype(np.uint8)
+        if ref_solve(M.a, s_any) is None:
+            with pytest.raises(InconsistentSyndromeError):
+                _encode_one(plan, s_any, info)
+        else:
+            assert np.array_equal(M.mul_vec(_encode_one(plan, s_any, info)), s_any)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
         M = BitMatrix(rng.integers(0, 2, (12, 25)).astype(np.uint8))
-        plan = triangularize(M)
+        plan = EncoderPlan(M)
         S = np.array([M.mul_vec(rng.integers(0, 2, 25).astype(np.uint8))
                       for _ in range(8)])
-        INFO = rng.integers(0, 2, (8, plan.free_cols.size)).astype(np.uint8)
-        batch = solve_coset_many(plan, M, S, INFO)
+        INFO = rng.integers(0, 2, (8, plan.num_info)).astype(np.uint8)
+        batch = plan.encode_batch(S, INFO)
         for i in range(8):
-            assert np.array_equal(batch[i], solve_coset(plan, M, S[i], INFO[i]))
+            assert np.array_equal(batch[i], _encode_one(plan, S[i], INFO[i]))
+
+    @pytest.mark.parametrize("M, k", [(BitMatrix.identity(5), 0), (build_spc(3, 3), 4)],
+                             ids=["identity5", "spc3x3"])
+    def test_info_bit_count(self, M, k):
+        plan = EncoderPlan(M)
+        assert plan.num_info == k == M.cols - rank(M)
+        assert sorted(plan.free_cols.tolist()) == plan.free_cols.tolist()
+
+    def test_example1_hqc_roundtrip(self, example1_bundle):
+        H = qc.expand(example1_bundle.proto)
+        plan = EncoderPlan(H)
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            v = rng.integers(0, 2, H.cols).astype(np.uint8)
+            s = H.mul_vec(v)
+            info = rng.integers(0, 2, plan.num_info).astype(np.uint8)
+            c = _encode_one(plan, s, info)
+            assert np.array_equal(H.mul_vec(c), s)
+            assert np.array_equal(c[plan.free_cols], info)
 
 
 class TestRowSpaceContains:
@@ -185,6 +211,11 @@ class TestRowSpaceContains:
         rng = np.random.default_rng(2)
         M = BitMatrix(rng.integers(0, 2, (6, 10)).astype(np.uint8))
         assert row_space_contains(M, M.a[0])
+
+    def test_int64_vector(self):
+        # a default-integer vector is converted, not refused
+        M = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        assert row_space_contains(M, np.array([1, 1, 0]))
 
     def test_all_ones_not_in_single_row(self):
         M = BitMatrix.from_rows([[1, 1, 0, 1]])
