@@ -3,8 +3,12 @@
 Subcommands: info, build, search, distance, simulate-code, simulate-lattice.
 Every flag can also be supplied as ``key=value`` in a flat config file given
 with --config; explicit flags override config values.  Simulation commands
-append rows to a stable-schema CSV and write a JSON manifest (resolved
-config + seed + version) next to it.
+append rows to a stable-schema CSV and write a JSON manifest next to it.
+The manifest's top-level keys describe the latest run (command, resolved
+config with the seed, version, Python/numpy/BLAS versions, git revision or
+null, and ``csv_rows``, the first and last CSV data row it wrote, counted
+from 1 after the header); ``runs`` keeps one such record per run appended
+to the CSV.
 
 Exit codes: 0 success, 2 config error (including bad numeric options and
 any ValueError raised by the library), 3 data error.
@@ -15,7 +19,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
+import platform
+import subprocess
 import sys
 
 import numpy as np
@@ -37,21 +44,28 @@ class DataError(Exception):
 
 
 def _parse_range(spec: str) -> list[float]:
-    """Parse 'a:step:b' (inclusive grid) or a comma list 'a,b,c'."""
+    """Parse 'a:step:b' (inclusive grid a + i*step) or a comma list 'a,b,c'.
+
+    Refuses a grid that is empty or has a non-finite value.
+    """
     try:
         if ":" in spec:
             a, step, b = (float(x) for x in spec.split(":"))
-            if step <= 0:
+            if not (step > 0 and all(map(math.isfinite, (a, step, b)))):
                 raise ValueError
             out = []
-            x = a
-            while x <= b + 1e-9:
-                out.append(round(x, 9))
-                x += step
-            return out
-        return [float(x) for x in spec.split(",")]
+            i = 0
+            while a + i * step <= b + 1e-9:
+                out.append(round(a + i * step, 9))
+                i += 1
+        else:
+            out = [float(x) for x in spec.split(",")]
+        if not out or not all(math.isfinite(x) for x in out):
+            raise ValueError
+        return out
     except ValueError:
-        raise ConfigError(f"bad range {spec!r}; expected 'a:step:b' or 'a,b,...'")
+        raise ConfigError(f"bad range {spec!r}; expected 'a:step:b' or 'a,b,...' "
+                          "with at least one point, all finite")
 
 
 def _int_opt(opts: dict, key: str, default: int | None) -> int | None:
@@ -113,8 +127,35 @@ def _check_csv_header(out_path: str | None) -> None:
                         f"{','.join(CSV_HEADER)}")
 
 
+def _prior_runs(out_path: str | None) -> list[dict]:
+    """Check that ``out_path`` can be appended to; return the run records
+    of its manifest (none if absent).
+
+    Refuses a CSV with a foreign header (see :func:`_check_csv_header`) and
+    a manifest that is not a JSON object with a list of runs, so the rows
+    it describes never lose their provenance.  A manifest from before run
+    records were kept becomes one record.
+    """
+    _check_csv_header(out_path)
+    path = None if out_path is None else out_path + ".manifest.json"
+    if path is None or not os.path.exists(path):
+        return []
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"cannot read manifest {path}: {e}")
+    if not isinstance(doc, dict) or not isinstance(doc.get("runs", []), list):
+        raise DataError(f"{path} is not a qclattice manifest")
+    return doc["runs"] if "runs" in doc else [doc]
+
+
 def _write_reports(reports: list[sim.SimReport], out_path: str | None,
-                   manifest: dict) -> None:
+                   manifest: dict, runs: list[dict]) -> None:
+    """Write the rows to stdout, or append them to ``out_path`` and rewrite
+    its manifest: the top-level keys describe this run, with the span of
+    CSV data rows it wrote, and ``runs`` holds the records of the earlier
+    runs (``runs``, dropped if the CSV was empty) followed by this one."""
     if out_path is None:
         writer = csv.writer(sys.stdout)
         writer.writerow(CSV_HEADER)
@@ -122,15 +163,24 @@ def _write_reports(reports: list[sim.SimReport], out_path: str | None,
             writer.writerow(_report_row(r))
         return
     new_file = not (os.path.exists(out_path) and os.path.getsize(out_path) > 0)
+    done = 0
+    if new_file:
+        runs = []
+    else:
+        with open(out_path, newline="") as fh:
+            done = sum(1 for _ in csv.reader(fh)) - 1
     with open(out_path, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(CSV_HEADER)
         for r in reports:
             writer.writerow(_report_row(r))
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    record = dict(manifest, csv_rows=[done + 1, done + len(reports)])
+    path = out_path + ".manifest.json"
+    with open(path + ".tmp", "w") as fh:
+        json.dump(dict(record, runs=[*runs, record]), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(path + ".tmp", path)    # the earlier records survive a crash
     print(f"wrote {len(reports)} rows to {out_path}")
 
 
@@ -140,9 +190,30 @@ def _report_row(r: sim.SimReport) -> list:
             r.integer_errors, f"{r.iterations_mean:.4g}", r.seed]
 
 
+def _git_rev() -> str | None:
+    """Git revision of the checkout this package runs from; None outside one."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
+                              text=True, timeout=30,
+                              cwd=os.path.dirname(os.path.abspath(__file__)))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _blas() -> str | None:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):    # a numpy without the dict report
+        return None
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def _manifest(command: str, opts: dict) -> dict:
     clean = {k: v for k, v in opts.items() if v is not None}
-    return {"command": command, "config": clean, "version": __version__}
+    return {"command": command, "config": clean, "version": __version__,
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": _blas(), "git_rev": _git_rev()}
 
 
 def _get_bundle(name: str | None) -> presets.LatticeBundle:
@@ -283,11 +354,11 @@ def cmd_simulate_code(opts: dict) -> int:
     else:
         raise ConfigError(f"unknown code {which!r}; use g0 or g1")
     label = f"{bundle.name}:{which}"
-    _check_csv_header(opts.get("out"))
+    runs = _prior_runs(opts.get("out"))
     reports = sim.sweep_code(H, plan, points, max_trials=max_trials,
                              target_errors=target_errors, seed=seed,
                              max_iter=iters, label=label)
-    _write_reports(reports, opts.get("out"), _manifest("simulate-code", opts))
+    _write_reports(reports, opts.get("out"), _manifest("simulate-code", opts), runs)
     return 0
 
 
@@ -297,12 +368,12 @@ def cmd_simulate_lattice(opts: dict) -> int:
         raise ConfigError("missing key: vnr")
     points = _parse_range(str(opts["vnr"]))
     seed, max_trials, target_errors, iters = _sim_common(opts)
-    _check_csv_header(opts.get("out"))
+    runs = _prior_runs(opts.get("out"))
     reports = sim.sweep_lattice(bundle.pair, bundle.plans,
                                 bundle.profile.normalized_volume, points,
                                 max_trials=max_trials, target_errors=target_errors,
                                 seed=seed, max_iter=iters, label=bundle.name)
-    _write_reports(reports, opts.get("out"), _manifest("simulate-lattice", opts))
+    _write_reports(reports, opts.get("out"), _manifest("simulate-lattice", opts), runs)
     return 0
 
 

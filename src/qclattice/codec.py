@@ -17,14 +17,20 @@ realized exactly by folding the syndrome column into per-check sign flips
 (a +/-1 tanh factor), with all real messages clipped to +/-30; input LLRs
 saturate at +/-64.
 
+The channel LLRs come from a closed form of the wrapped-Gaussian sums
+(:func:`wrapped_llr`): two exps and one log per value.
+
 The BP kernel works frame-minor: every message array is (edges, frames)
 with one contiguous row per edge, edges laid out slot-major within groups
 of equal-degree checks (see :class:`TannerGraph`).  Gathers are whole-row
-``np.take(..., axis=0)`` copies, per-check and per-variable sums are adds
-of contiguous slot blocks in the summation order of ``np.add.reduceat``,
-and each iteration updates a few preallocated buffers in place.  The
-results are bit-identical to the straightforward (frames, edges) form with
-``reduceat`` sums, which ``tests/oracles.py`` keeps as the reference.
+``np.take(..., axis=0)`` copies, and each iteration updates a few
+preallocated buffers in place.  The check update works in the product
+domain: t = tanh(x/2) once per edge, each edge's product over the other
+edges of its check from prefix and suffix products over the check's slots
+(the syndrome enters as a +/-1 factor), then 2 atanh -- two transcendentals
+per edge.  Per-variable sums are adds of contiguous slot blocks in the
+summation order of ``np.add.reduceat``.  ``tests/oracles.py`` keeps the
+earlier log-domain kernel and the earlier LLR code as references.
 
 LLR sign convention: positive favors bit 0.
 """
@@ -41,8 +47,7 @@ from .gf2 import BitMatrix, InconsistentSyndromeError, rref
 
 LLR_SAT = 64.0      # saturation used to pin known bits
 MSG_CLIP = 30.0     # message clip inside the sum-product updates
-_TINY = 1e-300
-_ATANH_CAP = 1.0 - 1e-15
+_ATANH_CAP = 1.0 - 1e-15   # |excl| cap for atanh: only a degree-1 check reaches 1
 
 
 class OddDotError(ValueError):
@@ -179,50 +184,114 @@ def encode_lattice(pair: NestedPair, plans: tuple[EncoderPlan, EncoderPlan],
 # wrapped-Gaussian LLRs for the mod-2 channel
 # ---------------------------------------------------------------------------
 
+def _check_sigma(sigma: float) -> float:
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    return sigma
+
+
+def _fold(y: np.ndarray) -> np.ndarray:
+    """Distance e = |y - 2 round(y/2)| in [0, 1] from y to 2Z, as a new
+    array of at least one dimension (the subtraction is exact)."""
+    y = np.atleast_1d(y)
+    e = np.rint(y * 0.5)
+    e *= -2.0
+    e += y
+    return np.abs(e, out=e)
+
+
+def _wrapped_sums(e: np.ndarray, sigma: float,
+                  window: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(S(e), S(1 - e))``, where for e in [0, 1] and a = 1/(2 sigma^2)
+
+        sum_{|k| <= w} exp(-(e - 2k)^2 a) = exp(-e^2 a) S(e),
+        S(e) = 1 + sum_{k=1..w} c_k q^k + d_k p^k,
+        p = exp(-4 e a),  q = exp(-4 (1-e) a),
+        c_k = exp(-4 k (k-1) a),  d_k = exp(-4 k^2 a),
+
+    and S(1 - e) is the same sum with p and q swapped.  Two exps per value;
+    the powers go by Horner's rule.  Every term is at most its coefficient
+    and S >= 1, so nothing overflows, and coefficients below e^-45 are
+    dropped: together they cannot move S by a relative 1e-18.  The window
+    w defaults to max(3, ceil(6 sigma)).
+    """
+    w = max(3, math.ceil(6 * sigma)) if window is None else int(window)
+    if w < 0:
+        raise ValueError(f"window must be >= 0, got {w}")
+    a = 1.0 / (2.0 * sigma * sigma)
+    c = [math.exp(-4.0 * k * (k - 1) * a) for k in range(1, w + 1)
+         if 4.0 * k * (k - 1) * a <= 45.0]
+    d = [math.exp(-4.0 * k * k * a) for k in range(1, w + 1)
+         if 4.0 * k * k * a <= 45.0]
+    p = np.multiply(e, -4.0 * a)
+    np.exp(p, out=p)
+    q = np.subtract(1.0, e)
+    q *= -4.0 * a
+    np.exp(q, out=q)
+    s0 = np.ones_like(p)
+    s1 = np.ones_like(p)
+    h = np.empty_like(p)
+    for x, coef, s in ((q, c, s0), (p, d, s0), (p, c, s1), (q, d, s1)):
+        if coef:
+            np.multiply(x, coef[-1], out=h)
+            for ck in coef[-2::-1]:
+                h += ck
+                h *= x
+            s += h
+    return s0, s1
+
+
 def wrapped_llr(y, sigma: float, window: int | None = None) -> np.ndarray:
     """Log-likelihood ratio of bit 0 (even integers) vs bit 1 (odd) under
     Gaussian noise wrapped mod 2.
 
         llr_i = ln sum_k exp(-(y_i-2k)^2/2s^2) - ln sum_k exp(-(y_i-1-2k)^2/2s^2)
 
-    The sums run over |k - round(y_i/2)| <= max(3, ceil(6 sigma)), which is
-    accurate to better than 1e-9 relative error against a much wider window.
-    Positive output favors bit 0.
+    Each sum runs over the 2w+1 integers of its parity nearest to y_i,
+    w = max(3, ceil(6 sigma)) unless ``window`` is given, which is accurate
+    to better than 1e-9 relative error against a much wider window.  In
+    closed form, with e = |y_i - 2 round(y_i/2)| and a = 1/(2 sigma^2),
+
+        llr_i = (1 - 2e) a + ln S(e) - ln S(1 - e)
+
+    (see :func:`_wrapped_sums`): two exps and one log per value.  Positive
+    output favors bit 0.  Raises ``ValueError`` unless sigma is positive
+    and finite.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    sigma = _check_sigma(sigma)
     y = np.asarray(y, dtype=np.float64)
-    w = window if window is not None else max(3, math.ceil(6 * sigma))
-    kc = np.rint(y / 2.0)
-    inv = 1.0 / (2.0 * sigma * sigma)
-    num = None
-    den = None
-    for dk in range(-w, w + 1):
-        shift = 2.0 * (kc + dk)
-        t0 = -((y - shift) ** 2) * inv
-        t1 = -((y - 1.0 - shift) ** 2) * inv
-        num = t0 if num is None else np.logaddexp(num, t0)
-        den = t1 if den is None else np.logaddexp(den, t1)
-    return num - den
+    e = _fold(y)
+    s0, s1 = _wrapped_sums(e, sigma, window)
+    a = 1.0 / (2.0 * sigma * sigma)
+    s0 /= s1
+    np.log(s0, out=s0)
+    np.multiply(e, -2.0 * a, out=s1)
+    s1 += a
+    s0 += s1
+    return s0.reshape(y.shape)
 
 
 def wrapped_log_density(y, sigma: float, bit: int, window: int | None = None) -> np.ndarray:
     """Log density of the wrapped channel output given a transmitted bit.
 
-    The density of (bit + noise) mod 2 on [0, 2); used by oracles and the
-    normalization test.
+    The density of (bit + noise) mod 2 on [0, 2), summed over the same
+    window as :func:`wrapped_llr`: with e the distance from y - bit to 2Z,
+    -e^2 a + ln S(e) - ln(2 pi sigma^2)/2.  Used by oracles and the
+    normalization test.  Raises ``ValueError`` unless sigma is positive and
+    finite.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    y = np.asarray(y, dtype=np.float64)
-    w = window if window is not None else max(3, math.ceil(6 * sigma))
-    kc = np.rint((y - bit) / 2.0)
-    inv = 1.0 / (2.0 * sigma * sigma)
-    out = None
-    for dk in range(-w, w + 1):
-        t = -((y - bit - 2.0 * (kc + dk)) ** 2) * inv
-        out = t if out is None else np.logaddexp(out, t)
-    return out - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
+    sigma = _check_sigma(sigma)
+    y = np.asarray(y, dtype=np.float64) - bit
+    e = _fold(y)
+    s0, _ = _wrapped_sums(e, sigma, window)
+    a = 1.0 / (2.0 * sigma * sigma)
+    np.log(s0, out=s0)
+    e *= e
+    e *= a
+    s0 -= e
+    s0 -= 0.5 * math.log(2.0 * math.pi * sigma * sigma)
+    return s0.reshape(y.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +393,27 @@ def _slot_sum(x: np.ndarray) -> np.ndarray:
     return x[0] + _pairwise_sum(x[1:])
 
 
+def _exclusive_products(t: np.ndarray, sgn: np.ndarray, out: np.ndarray) -> None:
+    """For a (d, m, batch) slot block ``t`` of m checks, write to ``out``
+    each edge's signed product ``sgn * prod(t over the check's other
+    edges)``: prefix products forward, then suffix products backward
+    (``t`` is overwritten with them).  Messages are clipped to +/-30, so
+    |t| <= tanh(15) < _ATANH_CAP and a product over one or more edges needs
+    no cap; a degree-1 check has an empty product, which is capped here.
+    """
+    d = t.shape[0]
+    if d == 1:
+        np.multiply(sgn, _ATANH_CAP, out=out[0])
+        return
+    np.multiply(sgn, t[0], out=out[1])
+    for j in range(2, d):
+        np.multiply(out[j - 1], t[j - 1], out=out[j])
+    for j in range(d - 2, 0, -1):
+        out[j] *= t[j + 1]
+        t[j] *= t[j + 1]
+    np.multiply(sgn, t[1], out=out[0])
+
+
 def _rows(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Contiguous (rows, cols) view of the head of a flat work buffer."""
     return buf[:rows * cols].reshape(rows, cols)
@@ -359,6 +449,7 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     llr = np.clip(np.asarray(llrs, dtype=np.float64), -LLR_SAT, LLR_SAT)
     llr = np.ascontiguousarray(llr[:, graph.var_perm].T)
     syn = np.ascontiguousarray(syndromes[:, graph.chk_perm].T)
+    sgn = 1.0 - 2.0 * syn      # the syndrome as a +/-1 tanh factor
     # frames whose idle (degree-0) checks demand parity 1 can never converge
     never = (syndromes[:, graph.idle_chk] != 0).any(axis=1) \
         if graph.idle_chk.size else np.zeros(B, dtype=bool)
@@ -371,7 +462,6 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     buf_x = np.empty(E * B)
     buf_y = np.empty(E * B)
     buf_u = np.empty(E * B, dtype=np.uint8)
-    buf_s = np.empty(E * B, dtype=np.uint8)
 
     for it in range(max_iter + 1):
         nb = active.size
@@ -397,43 +487,26 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
             c2v = np.compress(bad, c2v, axis=1)
             llr = np.compress(bad, llr, axis=1)
             syn = np.compress(bad, syn, axis=1)
+            sgn = np.compress(bad, sgn, axis=1)
             never = never[bad]
         if it == max_iter:
             hard_t[:, active] = post < 0
             break
 
-        # check-node update (tanh rule with sign/log-magnitude exclusion)
-        x = np.take(post, graph.vpos, axis=0, out=_rows(buf_x, E, nb), mode="clip")
-        x -= c2v
-        np.clip(x, -MSG_CLIP, MSG_CLIP, out=x)
-        x *= 0.5
-        np.tanh(x, out=x)
-        neg = np.less(x, 0.0, out=_rows(buf_u, E, nb).view(bool)).view(np.uint8)
-        np.abs(x, out=x)
-        np.maximum(x, _TINY, out=x)
-        lt = np.log(x, out=x)
+        # check-node update in the product domain: t = tanh(x/2) per edge,
+        # exclusive products per check, then 2 atanh
+        t = np.take(post, graph.vpos, axis=0, out=_rows(buf_x, E, nb), mode="clip")
+        t -= c2v
+        np.clip(t, -MSG_CLIP, MSG_CLIP, out=t)
+        t *= 0.5
+        np.tanh(t, out=t)
         excl = _rows(buf_y, E, nb)
-        sign = _rows(buf_s, E, nb)
         for e0, d, m, r0 in graph.chk_groups:
             rows = slice(e0, e0 + d * m)
-            lt_g = lt[rows].reshape(d, m, nb)
-            np.subtract(_slot_sum(lt_g), lt_g, out=excl[rows].reshape(d, m, nb))
-            # outgoing sign: parity of the other edges' signs and the syndrome
-            neg_g = neg[rows].reshape(d, m, nb)
-            others = np.bitwise_xor.reduce(neg_g, axis=0)
-            others ^= syn[r0:r0 + m]
-            np.bitwise_xor(others, neg_g, out=sign[rows].reshape(d, m, nb))
-        # every log term is <= 0, so each check's rounded sum is <= each of
-        # its terms and excl <= 0 needs no clamp
-        np.exp(excl, out=excl)
-        np.minimum(excl, _ATANH_CAP, out=excl)
+            _exclusive_products(t[rows].reshape(d, m, nb),
+                                sgn[r0:r0 + m], excl[rows].reshape(d, m, nb))
         np.arctanh(excl, out=c2v)
-        # 2*atanh(.) with the sign applied: scale by +2 or -2 (both exact)
-        sign = sign.view(np.int8)
-        sign *= -4
-        sign += 2
-        np.copyto(x, sign)
-        c2v *= x
+        c2v *= 2.0
 
         # variable-node update; degree-0 variables keep post = llr
         g = np.take(c2v, graph.vgather, axis=0, out=_rows(buf_x, E, nb), mode="clip")

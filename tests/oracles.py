@@ -88,6 +88,27 @@ def wide_llr(y: float, sigma: float, half_width: int = 60) -> float:
     return math.log(num) - math.log(den)
 
 
+def ref_wrapped_llr(y, sigma: float, window: int | None = None) -> np.ndarray:
+    """Frozen copy of the original ``codec.wrapped_llr``: a chain of 2w+1
+    ``np.logaddexp`` calls per hypothesis over |k - round(y/2)| <= w, kept so
+    that the closed-form kernel can be checked against it."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    y = np.asarray(y, dtype=np.float64)
+    w = window if window is not None else max(3, math.ceil(6 * sigma))
+    kc = np.rint(y / 2.0)
+    inv = 1.0 / (2.0 * sigma * sigma)
+    num = None
+    den = None
+    for dk in range(-w, w + 1):
+        shift = 2.0 * (kc + dk)
+        t0 = -((y - shift) ** 2) * inv
+        t1 = -((y - 1.0 - shift) ** 2) * inv
+        num = t0 if num is None else np.logaddexp(num, t0)
+        den = t1 if den is None else np.logaddexp(den, t1)
+    return num - den
+
+
 def wrapped_logpdf(y, sigma: float, bit: int, half_width: int = 60):
     """Log density of (bit + noise) mod 2 at y, direct sum."""
     y = np.asarray(y, dtype=np.float64)

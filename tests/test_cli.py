@@ -170,6 +170,26 @@ class TestBadNumbersExitTwo:
         assert err.startswith("config error:")
 
 
+class TestBadGrid:
+    # an empty grid once gave exit 0 and a header-only CSV; a NaN point was
+    # refused only by accident, deep inside the LLR code
+    @pytest.mark.parametrize("grid", ["1:1:0", "nan", "0:inf:1", "4,inf"])
+    def test_refused(self, grid, tmp_path):
+        out = tmp_path / "rows.csv"
+        proc = run_process("simulate-code", "--lattice", "example1", "--snr", grid,
+                           "--target-errors", "5", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_points_are_a_plus_i_step(self):
+        # adding float steps drifted: point 96 came out as 100000.959999999
+        got = cli._parse_range("100000:0.01:100010")
+        assert got == [round(100000 + i * 0.01, 9) for i in range(1001)]
+        assert got[96] == 100000.96
+
+
 class TestSimulateCsv:
     def test_lattice_csv_schema_and_manifest(self, capsys, tmp_path):
         out = tmp_path / "run.csv"
@@ -201,6 +221,40 @@ class TestSimulateCsv:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 5  # one header + 2 rows per run
         assert sum(1 for ln in lines if ln.startswith("kind,")) == 1
+
+    def test_append_keeps_every_run(self, capsys, tmp_path):
+        out = tmp_path / "run.csv"
+        for seed in ("1", "2"):
+            code, _, _ = run(capsys, "simulate-code", "--lattice", "example1",
+                             "--snr", "12,13", "--seed", seed,
+                             "--max-trials", "10", "--target-errors", "10",
+                             "--out", str(out))
+            assert code == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert [r["config"]["seed"] for r in manifest["runs"]] == [1, 2]
+        assert [r["csv_rows"] for r in manifest["runs"]] == [[1, 2], [3, 4]]
+        assert manifest["config"]["seed"] == 2 and manifest["csv_rows"] == [3, 4]
+        for rec in manifest["runs"]:
+            assert rec["command"] == "simulate-code"
+            assert rec["python"] and rec["numpy"] == np.__version__
+            assert "blas" in rec and "git_rev" in rec
+        rows = out.read_text().strip().split("\n")[1:]
+        assert [r.rsplit(",", 1)[1] for r in rows] == ["1", "1", "2", "2"]
+
+    def test_unreadable_manifest_refused(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "run.csv"
+        manifest = tmp_path / "run.csv.manifest.json"
+        manifest.write_text("not json")
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started despite the unreadable manifest")
+        monkeypatch.setattr(cli.sim, "sweep_code", no_sweep)
+        code, _, err = run(capsys, "simulate-code", "--lattice", "example1",
+                           "--snr", "5", "--out", str(out))
+        assert code == 3
+        assert err.startswith("data error:")
+        assert manifest.read_text() == "not json"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, grid, sweep", [
         ("simulate-code", "--snr", "sweep_code"),

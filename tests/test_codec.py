@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (lattice_points_in_box, nearest_lattice_point,
-                     ref_bp_decode_batch, tree_bitwise_map, wide_llr)
+                     ref_bp_decode_batch, ref_wrapped_llr, tree_bitwise_map,
+                     wide_llr)
 from qclattice import codec, codes, lattice, presets, qc
 from qclattice.gf2 import BitMatrix
 
@@ -166,6 +167,48 @@ class TestWrappedLlr:
         assert a == pytest.approx(b, rel=1e-9)
 
 
+# both presets' stage-0 and stage-1 sigma lie in this list
+ORACLE_SIGMAS = [0.05, 0.147, 0.294, 0.335, 0.5, 1.0, 2.5]
+
+
+class TestClosedFormLlr:
+    """The closed-form kernel against the frozen logaddexp chain."""
+
+    @staticmethod
+    def _points(seed):
+        # random points on a 2^-20 grid, where the chain's own y - 1 is
+        # exact (elsewhere it rounds where y - 1 changes binade, e.g. on
+        # (-512, -511), by up to 2a ulp(512)), as a (B, n) batch, plus
+        # exact integers and half-integers
+        rng = np.random.default_rng(seed)
+        wide = np.rint(rng.uniform(-1e3, 1e3, (6, 50)) * 2.0 ** 20) / 2.0 ** 20
+        near = np.rint(rng.uniform(-3.0, 3.0, (6, 50)) * 2.0 ** 20) / 2.0 ** 20
+        grid = np.arange(-1000.0, 1000.5, 0.5)
+        return np.concatenate([wide, near]), grid
+
+    @pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+    @pytest.mark.parametrize("window", [None, 40])
+    def test_matches_logaddexp_chain(self, sigma, window):
+        batch, grid = self._points(ORACLE_SIGMAS.index(sigma))
+        for y in (batch, grid):
+            got = codec.wrapped_llr(y, sigma, window=window)
+            want = ref_wrapped_llr(y, sigma, window=window)
+            assert got.shape == y.shape
+            assert np.abs(got - want).max() <= 1e-12, (sigma, window)
+
+    def test_negative_window_refused(self):
+        with pytest.raises(ValueError, match="window"):
+            codec.wrapped_llr(np.array([0.3]), 0.5, window=-1)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf"),
+                                       0.0, -0.5])
+    @pytest.mark.parametrize("func", ["wrapped_llr", "wrapped_log_density"])
+    def test_bad_sigma_refused(self, func, sigma):
+        args = (np.array([0.3, 1.2]), sigma) + ((0,) if func == "wrapped_log_density" else ())
+        with pytest.raises(ValueError, match="sigma"):
+            getattr(codec, func)(*args)
+
+
 def _ext(H, syndrome):
     return BitMatrix(np.hstack([np.asarray(syndrome, np.uint8)[:, None], H.a]))
 
@@ -266,6 +309,18 @@ def _kernel_frames(H, rng, batch, syndromes):
 
 
 def _kernel_matrix(label):
+    if label == "edge-degrees":
+        # checks of degree 1, 2 and 31 (the ends of the prefix and suffix
+        # products) among checks of degree 4 to 9
+        a = np.zeros((8, 40), np.uint8)
+        a[0, 5] = 1
+        a[1, [6, 7]] = 1
+        a[2, :31] = 1
+        for i, cols in enumerate([range(0, 8), range(8, 16), range(16, 24),
+                                  range(24, 32), range(32, 40)]):
+            a[3 + i, list(cols)[i:]] = 1
+        a[3:, 39] = 1
+        return BitMatrix(a)
     if label == "idle-row":
         # SPC(3,3) plus an all-zero check and an unchecked variable
         a = np.zeros((7, 10), np.uint8)
@@ -276,10 +331,11 @@ def _kernel_matrix(label):
 
 
 # (matrix, syndromes): check degrees up to 34 (example1) and 48 (wimax1152);
-# the idle-row matrix has an all-zero check and an all-zero column
+# the idle-row matrix has an all-zero check and an all-zero column, and the
+# edge-degrees matrix has checks of degree 1, 2 and 31
 KERNEL_CASES = [("example1-h0", None), ("example1-h1", "coset"),
                 ("wimax1152-h0", None), ("wimax1152-h1", "coset"),
-                ("idle-row", "coset")]
+                ("idle-row", "coset"), ("edge-degrees", "coset")]
 
 
 def _same(got, want):
@@ -319,6 +375,14 @@ class TestBpKernelEquivalence:
         _, iters, conv = ref_bp_decode_batch(H, llrs, syn, 100)
         assert conv.any() and not conv.all()
         assert (iters[conv] == 0).any() and (iters[conv] > 0).any()
+
+    def test_messages_stay_finite(self):
+        # a degree-1 check has an empty exclusive product (|excl| = 1); it is
+        # capped below 1, so atanh never gives inf and post - c2v never nan
+        H = _kernel_matrix("edge-degrees")
+        llrs, syn = _kernel_frames(H, np.random.default_rng(5), 24, "coset")
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            codec.bp_decode_batch(codec.TannerGraph(H), llrs, syn, 100)
 
     def test_idle_check_with_syndrome_never_converges(self):
         H = _kernel_matrix("idle-row")
