@@ -24,6 +24,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -43,16 +44,25 @@ class DataError(Exception):
     pass
 
 
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_range(spec: str) -> list[float]:
     """Parse 'a:step:b' (inclusive grid a + i*step) or a comma list 'a,b,c'.
 
-    Refuses a grid that is empty or has a non-finite value.
+    Refuses a grid that is empty, has a non-finite value or has more than
+    MAX_GRID_POINTS points.
     """
     try:
         if ":" in spec:
             a, step, b = (float(x) for x in spec.split(":"))
             if not (step > 0 and all(map(math.isfinite, (a, step, b)))):
                 raise ValueError
+            # the loop below would build every point before any check
+            span = (b + 1e-9 - a) / step
+            if span >= MAX_GRID_POINTS:
+                raise ConfigError(f"range {spec!r} has more than {MAX_GRID_POINTS} "
+                                  "points, the most a sweep accepts")
             out = []
             i = 0
             while a + i * step <= b + 1e-9:
@@ -322,12 +332,16 @@ def cmd_distance(opts: dict) -> int:
     iters = _int_opt(opts, "iterations", 10000)
     seed = _int_opt(opts, "seed", 0)
     stop = _int_opt(opts, "stop_at", None)
+    t0 = time.perf_counter()
     try:
         w, witness = wmin.low_weight_search(H, iters, seed, stop_at=stop)
     except wmin.WitnessError as e:
         raise DataError(f"{label}: {e}")
+    wall = time.perf_counter() - t0
     if not witness.any() or H.mul_vec(witness).any():
         raise DataError(f"{label}: witness of weight {w} is not a nonzero codeword")
+    print(f"{label}: search took {wall:.2f} s (budget {iters} iterations)",
+          file=sys.stderr)
     print(f"{label}: found codeword weight {w} "
           f"(iterations <= {iters}, seed {seed}); upper bound on d_min")
     return 0

@@ -1,11 +1,14 @@
 """Dense GF(2) linear algebra on binary matrices.
 
 Everything downstream (code construction, coset encoding, distance search)
-works through the one elimination kernel in this module: an in-place
-reduced row-echelon pass over rows packed into uint64 words.  ``rref``,
-``rank``, ``nullspace_basis`` and ``row_space_contains`` run on it, and so
-do the encoder maps in :mod:`qclattice.codec` and the low-weight search in
-:mod:`qclattice.wmin`.
+works through the one elimination kernel in this module,
+:func:`rref_words`: an in-place reduced row-echelon pass over rows packed
+into little-endian uint64 words whose padding bits (columns n and up) are
+zero.  It eliminates 8 columns at a time with the Method of Four Russians:
+one table of XOR combinations of up to 8 pivot rows per chunk, applied to
+every row in one gather-XOR.  ``rref``, ``rank``, ``nullspace_basis`` and
+``row_space_contains`` run on it, and so do the encoder maps in
+:mod:`qclattice.codec` and the low-weight search in :mod:`qclattice.wmin`.
 
 Matrices are plain uint8 numpy arrays with entries in {0, 1}, wrapped in an
 immutable :class:`BitMatrix`.
@@ -95,7 +98,9 @@ def pack(a: np.ndarray) -> np.ndarray:
 
     Column c is bit ``c % 64`` of word ``c // 64``; padding bits are zero.
     """
-    a = _as_bits(a)
+    # row-major bits: packbits along rows of a transposed view ran about
+    # 4x slower than a copy followed by packbits
+    a = np.ascontiguousarray(a, dtype=np.uint8) & 1
     m, n = a.shape
     out = np.zeros((m, (n + 63) // 64 * 8), dtype=np.uint8)
     out[:, : (n + 7) // 8] = np.packbits(a, axis=1, bitorder="little")
@@ -107,33 +112,105 @@ def unpack(W: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(W.view(np.uint8), axis=1, bitorder="little")[:, :n]
 
 
+def _pext_table() -> np.ndarray:
+    """``T[mask, k]``: the bits of byte ``k`` at the set bits of ``mask``,
+    packed into the low bits in ascending order (a byte-wide ``pext``)."""
+    mask = np.arange(256)[:, None]
+    key = np.arange(256)[None, :]
+    out = np.zeros((256, 256), dtype=np.intp)
+    below = np.zeros_like(mask)
+    for b in range(8):
+        mb = (mask >> b) & 1
+        out |= ((key >> b) & mb) << below
+        below = below + mb
+    return out.astype(np.uint8)
+
+
+_PEXT = _pext_table()
+# The nonzero bytes in a fixed scrambled order: a chunk's distinct keys
+# taken in this order reach rank 8 after about 10 values, where ascending
+# order would meet the small values, which span only the low bits, first.
+_SCRAMBLE = np.random.default_rng(0).permutation(np.arange(1, 256))
+
+
 def rref_words(W: np.ndarray, n: int) -> list[int]:
     """In-place reduced row-echelon form of packed rows; returns the pivots.
 
     ``W`` holds the rows of an (m, n) matrix as returned by :func:`pack`.
     Pivots are eliminated above and below, so after the call
     ``unpack(W, n)`` is the (unique) RREF of the matrix.
+
+    The elimination runs over 8-column chunks (the Method of Four Russians,
+    after M4RI): byte j of a row's uint8 view holds columns 8j..8j+7 and is
+    the row's key for chunk j.  A pure-Python pass over the distinct keys
+    of the rows not yet used as pivots picks P <= 8 rows whose keys span
+    theirs; the chunk's pivots are the lowest bits of that span's echelon
+    basis.  A table of the 2^P XOR combinations of those rows, indexed by
+    key, then clears the pivot bits of every row in one gather-XOR (above
+    and below at once, and the chosen rows themselves become zero), and
+    the reduced pivot rows are written to rows r..r+P-1.  Rows at or past
+    the rank come out zero on the first n columns.
+
+    Columns n and up are padding: they never become pivots, and the bits
+    there after the call are only defined (zero) when they were zero on
+    entry, which :func:`pack` guarantees.
     """
     m = W.shape[0]
-    one = np.uint64(1)
+    Wb = W.view(np.uint8)
+    row_ids = np.arange(m)
     pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
+    r = 0
+    for j in range((n + 7) // 8):
         if r == m:
             break
-        col = (W[:, c >> 6] >> np.uint64(c & 63)) & one
-        below = np.flatnonzero(col[r:])
-        if below.size == 0:
+        keys = Wb[:, j]
+        rest = keys[r:]
+        if n - 8 * j < 8:
+            rest = rest & ((1 << (n - 8 * j)) - 1)
+        present = _SCRAMBLE[np.bincount(rest, minlength=256)[_SCRAMBLE] > 0]
+        if present.size == 0:
             continue
-        p = r + int(below[0])
-        if p != r:
-            W[[r, p]] = W[[p, r]]
-            col[[r, p]] = col[[p, r]]
-        col[r] = 0
-        hits = np.flatnonzero(col)
-        if hits.size:
-            W[hits] ^= W[r]
-        pivots.append(c)
+        bound = min(int(np.bitwise_or.reduce(present)).bit_count(), m - r)
+        basis: dict[int, int] = {}          # lowest bit -> reduced key
+        chosen: list[int] = []
+        for v in present.tolist():
+            x = v
+            while x:
+                low = x & -x
+                b = basis.get(low)
+                if b is None:
+                    basis[low] = x
+                    chosen.append(v)
+                    break
+                x ^= b
+            if len(chosen) == bound:
+                break
+        P = len(chosen)
+        pmask = sum(basis)
+        # any row holding a chosen key will do as its pivot row
+        slot = np.empty(256, dtype=np.intp)
+        slot[rest] = row_ids[r:]
+        src = slot[chosen].tolist()
+        w0 = j >> 3
+        T = np.zeros((1 << P, W.shape[1] - w0), dtype=W.dtype)
+        for i in range(P):
+            T[1 << i: 2 << i] = T[: 1 << i] ^ W[src[i], w0:]
+        # combination c of the chosen rows has key byte T[c] (byte j & 7 of
+        # its first word) and pivot pattern _PEXT[pmask, key]; that map is
+        # one-to-one, so invert it into key -> combination
+        pext = _PEXT[pmask]
+        inv = np.empty(1 << P, dtype=np.intp)
+        inv[pext[T.view(np.uint8)[:, j & 7]]] = np.arange(1 << P)
+        combo = inv[pext]
+        W[:, w0:] ^= np.take(T, combo[keys], axis=0)
+        src_set = set(src)
+        moved = [t for t in range(r, r + P) if t not in src_set]
+        if moved:
+            W[sorted(s for s in src_set if s >= r + P)] = W[moved]
+        pbits = [b for b in range(8) if pmask >> b & 1]
+        W[r: r + P, w0:] = T[combo[[1 << b for b in pbits]]]
+        pivots += [8 * j + b for b in pbits]
+        r += P
     return pivots
 
 

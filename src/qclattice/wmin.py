@@ -8,6 +8,9 @@ given by a parity-check matrix:
 * :func:`low_weight_search` is an information-set-decoding style randomized
   search (random column permutation, elimination, scan of single rows and
   row pairs of the systematic generator).  It certifies an upper bound only.
+  The pivot columns of the eliminated generator are an identity, so two
+  distinct rows overlap only on the non-pivot columns; the pair scan takes
+  its overlaps (one float32 matmul) over those columns alone.
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
         raise ValueError("code is trivial (full column rank); nothing to search")
     G0 = np.array(basis, dtype=np.uint8)
     k, n = G0.shape
+    # column permutations become row gathers on a transposed copy
+    G0T = np.ascontiguousarray(G0.T)
     rng = np.random.default_rng(seed)
 
     best_w = n + 1
@@ -96,9 +101,9 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
 
     for _ in range(iterations):
         perm = rng.permutation(n)
-        W = pack(G0[:, perm])
-        npiv = len(_rref_packed(W, n))
-        R = unpack(W[:npiv], n)
+        W = pack(G0T[perm].T)
+        pivots = _rref_packed(W, n)
+        R = unpack(W[: len(pivots)], n)
         w_rows = R.sum(axis=1).astype(np.int64)
 
         i_best = int(np.argmin(w_rows))
@@ -108,7 +113,10 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
             c[perm] = R[i_best]
             best_c = c
         if R.shape[0] >= 2:
-            Rf = R.astype(np.float32)
+            free = np.ones(n, dtype=bool)
+            free[pivots] = False
+            Rf = R[:, free].astype(np.float32)
+            # exact for i != j; the diagonal is masked out below
             overlap = Rf @ Rf.T
             pair_w = w_rows[:, None] + w_rows[None, :] - 2 * overlap.astype(np.int64)
             np.fill_diagonal(pair_w, n + 1)

@@ -324,3 +324,87 @@ def ref_nullspace_basis(a) -> list[np.ndarray]:
             v[p] = R[i, f]
         basis.append(v)
     return basis
+
+
+def ref_rref_words(W: np.ndarray, n: int) -> list[int]:
+    """Frozen copy of the column-at-a-time packed-word RREF that the
+    chunked kernel ``qclattice.gf2.rref_words`` replaced; same in-place
+    contract on rows packed as little-endian uint64 words."""
+    m = W.shape[0]
+    one = np.uint64(1)
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        col = (W[:, c >> 6] >> np.uint64(c & 63)) & one
+        below = np.flatnonzero(col[r:])
+        if below.size == 0:
+            continue
+        p = r + int(below[0])
+        if p != r:
+            W[[r, p]] = W[[p, r]]
+            col[[r, p]] = col[[p, r]]
+        col[r] = 0
+        hits = np.flatnonzero(col)
+        if hits.size:
+            W[hits] ^= W[r]
+        pivots.append(c)
+    return pivots
+
+
+def _ref_pack(a: np.ndarray) -> np.ndarray:
+    m, n = a.shape
+    out = np.zeros((m, (n + 63) // 64 * 8), dtype=np.uint8)
+    out[:, : (n + 7) // 8] = np.packbits(a, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _ref_unpack(W: np.ndarray, n: int) -> np.ndarray:
+    return np.unpackbits(W.view(np.uint8), axis=1, bitorder="little")[:, :n]
+
+
+def ref_low_weight_search(H, iterations: int, seed: int,
+                          stop_at: int | None = None) -> tuple[int, np.ndarray]:
+    """Frozen copy of ``qclattice.wmin.low_weight_search`` before the chunked
+    kernel: the generator and every iteration's RREF come from the frozen
+    column-at-a-time kernel, and the pair overlaps run over all n columns.
+    Returns ``(weight, witness)``."""
+    n = H.a.shape[1]
+    W = _ref_pack(H.a)
+    pivots = ref_rref_words(W, n)
+    R = _ref_unpack(W, n)
+    free = np.setdiff1d(np.arange(n), pivots)
+    G0 = np.zeros((free.size, n), dtype=np.uint8)
+    G0[np.arange(free.size), free] = 1
+    G0[:, pivots] = R[: len(pivots), free].T
+    rng = np.random.default_rng(seed)
+    best_w = n + 1
+    best_c = None
+    for _ in range(iterations):
+        perm = rng.permutation(n)
+        W = _ref_pack(G0[:, perm])
+        npiv = len(ref_rref_words(W, n))
+        R = _ref_unpack(W[:npiv], n)
+        w_rows = R.sum(axis=1).astype(np.int64)
+        i_best = int(np.argmin(w_rows))
+        if w_rows[i_best] < best_w:
+            best_w = int(w_rows[i_best])
+            c = np.zeros(n, dtype=np.uint8)
+            c[perm] = R[i_best]
+            best_c = c
+        if R.shape[0] >= 2:
+            Rf = R.astype(np.float32)
+            overlap = Rf @ Rf.T
+            pair_w = w_rows[:, None] + w_rows[None, :] - 2 * overlap.astype(np.int64)
+            np.fill_diagonal(pair_w, n + 1)
+            ij = int(np.argmin(pair_w))
+            i, j = divmod(ij, R.shape[0])
+            if pair_w[i, j] < best_w and pair_w[i, j] > 0:
+                best_w = int(pair_w[i, j])
+                c = np.zeros(n, dtype=np.uint8)
+                c[perm] = R[i] ^ R[j]
+                best_c = c
+        if stop_at is not None and best_w <= stop_at:
+            break
+    return best_w, best_c

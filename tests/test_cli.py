@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +101,15 @@ class TestDistance:
         assert code == 0
         assert "weight 4" in out
 
+    def test_wall_time_on_stderr_only(self, capsys):
+        code, out, err = run(capsys, "distance", "--lattice", "example1",
+                             "--matrix", "hqc", "--iterations", "3", "--seed", "1")
+        assert code == 0
+        assert out == ("example1:hqc: found codeword weight 16 "
+                       "(iterations <= 3, seed 1); upper bound on d_min\n")
+        assert re.fullmatch(r"example1:hqc: search took \d+\.\d\d s "
+                            r"\(budget 3 iterations\)\n", err)
+
 
 class TestDistanceWitnessCheck:
     # the witness check is an explicit test (not an assert), so it also
@@ -133,13 +143,13 @@ class TestDistanceWitnessCheck:
         assert "data error" in err
 
 
-def run_process(*argv):
+def run_process(*argv, timeout=120):
     """Run the CLI in a fresh interpreter, as a user would."""
     src = str(Path(qclattice.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "qclattice.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 class TestBadNumbersExitTwo:
@@ -182,6 +192,21 @@ class TestBadGrid:
         assert proc.stderr.startswith("config error:")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_huge_grid_refused_before_it_is_built(self, tmp_path):
+        # 0:1e-9:1000 once built a 1e12-point list until it was killed
+        out = tmp_path / "rows.csv"
+        proc = run_process("simulate-code", "--lattice", "example1",
+                           "--snr", "0:1e-9:1000", "--out", str(out), timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_grid_size_limit(self):
+        assert len(cli._parse_range(f"0:1:{cli.MAX_GRID_POINTS - 1}")) == cli.MAX_GRID_POINTS
+        with pytest.raises(cli.ConfigError):
+            cli._parse_range(f"0:1:{cli.MAX_GRID_POINTS}")
 
     def test_points_are_a_plus_i_step(self):
         # adding float steps drifted: point 96 came out as 100000.959999999

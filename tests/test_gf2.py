@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (exhaustive_nullspace, ref_nullspace_basis, ref_rank, ref_rref,
-                     ref_solve)
+                     ref_rref_words, ref_solve)
 from qclattice import qc
 from qclattice.codec import EncoderPlan
 from qclattice.codes import build_spc
-from qclattice.gf2 import (BitMatrix, InconsistentSyndromeError, nullspace_basis,
-                           rank, row_space_contains, rref, vstack)
+from qclattice.gf2 import (BitMatrix, InconsistentSyndromeError, nullspace_basis, pack,
+                           rank, row_space_contains, rref, rref_words, unpack, vstack)
 
 
 @st.composite
@@ -68,7 +68,8 @@ class TestNullspace:
 
 
 class TestPackedKernel:
-    """The packed-word RREF against the uint8-row kernel it replaced."""
+    """The packed-word RREF against the uint8-row kernel and the
+    column-at-a-time packed kernel it replaced."""
 
     @staticmethod
     def _same_as_reference(a):
@@ -77,13 +78,24 @@ class TestPackedKernel:
         assert piv == piv_ref
         assert R.dtype == np.uint8 and R.shape == R_ref.shape
         assert np.array_equal(R, R_ref)
+        TestPackedKernel._same_as_frozen(a)
+
+    @staticmethod
+    def _same_as_frozen(a):
+        # the 8-column chunked kernel against the frozen column-at-a-time
+        # one: identical packed words (padding included) and pivots
+        n = np.shape(a)[1]
+        W = pack(a)
+        W_ref = W.copy()
+        assert rref_words(W, n) == ref_rref_words(W_ref, n)
+        assert np.array_equal(W, W_ref)
 
     @given(bit_matrices(max_rows=20, max_cols=140))
     @settings(max_examples=80, deadline=None)
     def test_rref_matches_reference(self, M):
         self._same_as_reference(M.a)
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 128, 129])
     def test_word_boundary_widths(self, n):
         rng = np.random.default_rng(n)
         for m in (1, 5, 40):
@@ -112,6 +124,59 @@ class TestPackedKernel:
         H = qc.expand(wimax_bundle.proto)
         assert np.array_equal(np.array(nullspace_basis(H)),
                               np.array(ref_nullspace_basis(H.a)))
+
+    def test_duplicate_rows_and_chunk_ranks(self):
+        # chunk 0 has rank 0, chunk 1 rank 1, chunk 2 rank 8 and chunk 3
+        # rank 2 with every bit used; half the rows are repeats
+        rng = np.random.default_rng(5)
+        m = 40
+        a = np.zeros((m, 40), dtype=np.uint8)
+        a[:, 8:16] = rng.integers(0, 2, (m, 1)) * np.array([1, 0, 1, 1, 0, 0, 1, 0])
+        a[:, 16:24] = rng.integers(0, 2, (m, 8))
+        pair = rng.integers(0, 2, (m, 2))
+        a[:, 24:32] = np.hstack([pair, pair, pair, pair])
+        a[:, 32:] = rng.integers(0, 2, (m, 8))
+        a[m // 2:] = a[rng.integers(0, m // 2, m - m // 2)]
+        self._same_as_reference(a)
+        self._same_as_reference(a[rng.permutation(m)])
+        self._same_as_reference(np.repeat(a[:3], 10, axis=0))
+
+    @pytest.mark.parametrize("name", ["example1", "wimax1152"])
+    def test_preset_h_identity(self, name, example1_bundle, wimax_bundle):
+        # the [H | I] eliminations under the bundles' encoder plans, and the
+        # plans' blocks as cut from the reference RREF
+        bundle = example1_bundle if name == "example1" else wimax_bundle
+        for H, plan in zip((bundle.pair.h0, bundle.pair.h1), bundle.plans):
+            HI = np.hstack([H.a, np.eye(H.rows, dtype=np.uint8)])
+            self._same_as_reference(HI)
+            R, pivots = ref_rref(HI)
+            n, r = H.cols, sum(p < H.cols for p in pivots)
+            free = np.setdiff1d(np.arange(n), pivots[:r])
+            assert np.array_equal(plan.pivot_cols, pivots[:r])
+            assert np.array_equal(plan.free_cols, free)
+            for got, want in zip(plan._blocks, (R[:r, free], R[:r, n:], R[r:, n:])):
+                assert np.array_equal(got, want.T)
+
+    def test_permuted_wimax_generator(self, wimax_bundle):
+        G = np.array(nullspace_basis(qc.expand(wimax_bundle.proto)), dtype=np.uint8)
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(G.shape[1])
+            self._same_as_frozen(G[:, perm])
+
+    def test_padding_bits_never_pivot(self):
+        # set padding bits change nothing on the first n columns
+        rng = np.random.default_rng(11)
+        for m, n in ((30, 13), (10, 70), (65, 127), (5, 1)):
+            a = (rng.random((m, n)) < 0.4).astype(np.uint8)
+            W = pack(a)
+            W_ref = W.copy()
+            pad = np.unpackbits(W.view(np.uint8), axis=1, bitorder="little")
+            pad[:, n:] = rng.integers(0, 2, (m, pad.shape[1] - n))
+            W_pad = np.packbits(pad, axis=1, bitorder="little").view("<u8").copy()
+            piv = rref_words(W_pad, n)
+            assert piv == ref_rref_words(W_ref, n)
+            assert all(c < n for c in piv)
+            assert np.array_equal(unpack(W_pad, n), unpack(W_ref, n))
 
 
 def _encode_one(plan, s, info):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_nullspace
+from oracles import exhaustive_nullspace, ref_low_weight_search
 from qclattice import codes, qc, wmin
 from qclattice.gf2 import BitMatrix
 
@@ -109,6 +109,20 @@ class TestLowWeightSearch:
                 continue
             found, _ = wmin.low_weight_search(H, 10_000, seed=9, stop_at=exact)
             assert found == exact
+
+    @pytest.mark.parametrize("name,stop_at", [("example1", 20), ("wimax1152", 155)])
+    def test_matches_frozen_search(self, name, stop_at, example1_bundle, wimax_bundle):
+        # the chunked kernel and the pair scan over non-pivot columns leave
+        # every seed's search path as it was; each stop_at ends some seed
+        # early (example1 seed 2 after one iteration, wimax seed 3 after 3)
+        bundle = example1_bundle if name == "example1" else wimax_bundle
+        H = qc.expand(bundle.proto)
+        for seed in range(4):
+            for stop in (None, stop_at):
+                w, c = wmin.low_weight_search(H, 5, seed, stop_at=stop)
+                w_ref, c_ref = ref_low_weight_search(H, 5, seed, stop_at=stop)
+                assert w == w_ref
+                assert np.array_equal(c, c_ref)
 
     def test_trivial_code_raises(self):
         with pytest.raises(ValueError):
