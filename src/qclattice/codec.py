@@ -32,6 +32,12 @@ per edge.  Per-variable sums are adds of contiguous slot blocks in the
 summation order of ``np.add.reduceat``.  ``tests/oracles.py`` keeps the
 earlier log-domain kernel and the earlier LLR code as references.
 
+A batch is decoded in frame tiles of about ``_TILE_EDGE_FRAMES`` edge-frames
+each (2^19, so one float64 (edges, tile) array is about 4 MB): the work
+arrays are O(edges * tile) whatever the batch size, and each tile's results
+are written straight into the (batch, ...) outputs.  Frames are decoded
+independently, so the results do not depend on the tiling.
+
 LLR sign convention: positive favors bit 0.
 """
 
@@ -48,6 +54,7 @@ from .gf2 import BitMatrix, InconsistentSyndromeError, rref
 LLR_SAT = 64.0      # saturation used to pin known bits
 MSG_CLIP = 30.0     # message clip inside the sum-product updates
 _ATANH_CAP = 1.0 - 1e-15   # |excl| cap for atanh: only a degree-1 check reaches 1
+_TILE_EDGE_FRAMES = 1 << 19  # BP work per frame tile: edges * frames
 
 
 class OddDotError(ValueError):
@@ -430,6 +437,11 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     check (iteration 0 checks the channel decisions alone).  Non-converged
     frames keep their final hard decisions.  Frame results do not depend on
     how the batch is composed.  ``max_iter`` must be >= 0.
+
+    The batch runs as ceil(batch * edges / ``_TILE_EDGE_FRAMES``) equal
+    tiles of consecutive frames (the last one may be shorter), so the work
+    memory is O(edges * tile) for any batch size; the results are those of
+    one call over the whole batch, since frames are independent.
     """
     B, n = llrs.shape
     if n != graph.n_vars:
@@ -439,10 +451,31 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     if syndromes is None:
         syndromes = np.zeros((B, graph.n_checks), dtype=np.uint8)
     syndromes = syndromes.astype(np.uint8)
-    E = graph.n_edges
 
-    iters_out = np.full(B, max_iter, dtype=np.int64)
-    conv_out = np.zeros(B, dtype=bool)
+    hard = np.empty((B, n), dtype=np.uint8)
+    iters = np.full(B, max_iter, dtype=np.int64)
+    conv = np.zeros(B, dtype=bool)
+    tiles = max(1, -(-B * graph.n_edges // _TILE_EDGE_FRAMES))
+    size = max(1, -(-B // tiles))
+    # work buffers shared by the tiles; an iteration views their head
+    bufs = (np.empty(graph.n_edges * size), np.empty(graph.n_edges * size),
+            np.empty(graph.n_edges * size, dtype=np.uint8))
+    for lo in range(0, B, size):
+        rows = slice(lo, lo + size)
+        _bp_tile(graph, llrs[rows], syndromes[rows], max_iter, bufs,
+                 hard[rows], iters[rows], conv[rows])
+    return hard, iters, conv
+
+
+def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
+             max_iter: int, bufs: tuple[np.ndarray, np.ndarray, np.ndarray],
+             hard_out: np.ndarray, iters_out: np.ndarray,
+             conv_out: np.ndarray) -> None:
+    """Decode one tile of :func:`bp_decode_batch` into its output views
+    (``iters_out`` arrives filled with max_iter, ``conv_out`` with False)."""
+    B, n = llrs.shape
+    E = graph.n_edges
+    buf_x, buf_y, buf_u = bufs
 
     # frame-minor layout: one row per (permuted) variable, edge or check,
     # one column per frame still decoding
@@ -458,10 +491,6 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     hard_t = np.zeros((n, B), dtype=bool)
     post = llr.copy()
     c2v = np.zeros((E, B))
-    # work buffers for the whole call; an iteration views their head
-    buf_x = np.empty(E * B)
-    buf_y = np.empty(E * B)
-    buf_u = np.empty(E * B, dtype=np.uint8)
 
     for it in range(max_iter + 1):
         nb = active.size
@@ -515,8 +544,7 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
             np.add(llr[rows], _slot_sum(g[s0:s0 + d * m].reshape(d, m, nb)),
                    out=post[rows])
 
-    return (np.ascontiguousarray(hard_t[graph.var_row].T, dtype=np.uint8),
-            iters_out, conv_out)
+    hard_out[:] = hard_t[graph.var_row].T
 
 
 def spa_decode(H_ext: BitMatrix, llr: np.ndarray, max_iter: int = 100

@@ -116,9 +116,15 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
             free = np.ones(n, dtype=bool)
             free[pivots] = False
             Rf = R[:, free].astype(np.float32)
-            # exact for i != j; the diagonal is masked out below
-            overlap = Rf @ Rf.T
-            pair_w = w_rows[:, None] + w_rows[None, :] - 2 * overlap.astype(np.int64)
+            # pair weights w_i + w_j - 2 overlap_ij, made in place in the
+            # float32 overlap matrix: every value is an integer of magnitude
+            # at most 2n < 2^24, so each step is exact and the argmin is
+            # that of the same sums in integers
+            pair_w = Rf @ Rf.T
+            pair_w *= -2.0
+            w_f = w_rows.astype(np.float32)
+            pair_w += w_f[:, None]
+            pair_w += w_f[None, :]
             np.fill_diagonal(pair_w, n + 1)
             ij = int(np.argmin(pair_w))
             i, j = divmod(ij, R.shape[0])

@@ -183,6 +183,7 @@ def _snr_at_target(H, plan, label, coarse_grid, seed):
     return snr, {p: (r.trials, r.bler) for p, r in fine_pts.items()}
 
 
+@pytest.mark.slow
 def test_08_component_gap(example1_bundle):
     b = example1_bundle
     snr0, pts0 = _snr_at_target(b.pair.h0, b.plan0, "example1:g0",
@@ -195,6 +196,7 @@ def test_08_component_gap(example1_bundle):
                    f"g1 {snr1:.2f} dB {pts1}; gap {gap:.2f} dB (< 6 required)")
 
 
+@pytest.mark.slow
 def test_09_waterfall_monotonic(example1_bundle):
     b = example1_bundle
     grid = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -207,6 +209,7 @@ def test_09_waterfall_monotonic(example1_bundle):
                    + ", ".join(f"{g}dB={v:.4g}" for g, v in zip(grid, blers)))
 
 
+@pytest.mark.slow
 def test_10_scaled_comparison(example1_bundle, wimax_bundle):
     points = [2.0, 2.5]
     r_ex = sim.sweep_lattice(example1_bundle.pair, example1_bundle.plans,

@@ -343,6 +343,25 @@ def _same(got, want):
                for g, w in zip(got, want))
 
 
+def _tiling(n_edges, batch):
+    """(tiles, tile size, last tile size) of a batch, by the rule that
+    bp_decode_batch documents."""
+    tiles = max(1, math.ceil(batch * n_edges / codec._TILE_EDGE_FRAMES))
+    size = math.ceil(batch / tiles)
+    return tiles, size, batch - (tiles - 1) * size
+
+
+def _multi_tile_batch(n_edges):
+    """A batch of about 2.5 tiles whose last tile is shorter than the rest."""
+    batch = 5 * codec._TILE_EDGE_FRAMES // (2 * n_edges)
+    tiles, size, last = _tiling(n_edges, batch)
+    while last == size:
+        batch += 1
+        tiles, size, last = _tiling(n_edges, batch)
+    assert tiles >= 3 and 0 < last < size, (batch, tiles, size, last)
+    return batch
+
+
 class TestBpKernelEquivalence:
     """The kernel is bit-identical to the frozen original (tests/oracles.py)."""
 
@@ -363,6 +382,33 @@ class TestBpKernelEquivalence:
             assert _same(one, tuple(w[i:i + 1] for w in want)), (label, i)
         # the same frames in another order
         perm = rng.permutation(len(llrs))
+        shuffled = codec.bp_decode_batch(graph, llrs[perm],
+                                         None if syn is None else syn[perm], max_iter)
+        assert _same(shuffled, tuple(w[perm] for w in want)), label
+
+    @pytest.mark.parametrize("label,syn_kind",
+                             [("wimax1152-h0", None), ("wimax1152-h1", "coset")])
+    @pytest.mark.parametrize("max_iter", [0, 1, 100])
+    def test_tiles_match_small_batches(self, label, syn_kind, max_iter):
+        # a batch of several tiles decodes exactly as the same frames in
+        # 24-frame calls (one tile each) and in shuffled order
+        H = _kernel_matrix(label)
+        graph = codec.TannerGraph(H)
+        batch = _multi_tile_batch(graph.n_edges)
+        assert _tiling(graph.n_edges, 24)[0] == 1
+        rng = np.random.default_rng([len(KERNEL_CASES), max_iter])
+        llrs, syn = _kernel_frames(H, rng, batch, syn_kind)
+        got = codec.bp_decode_batch(graph, llrs, syn, max_iter)
+        chunks = [codec.bp_decode_batch(graph, llrs[i:i + 24],
+                                        None if syn is None else syn[i:i + 24], max_iter)
+                  for i in range(0, batch, 24)]
+        want = tuple(np.concatenate(parts) for parts in zip(*chunks))
+        assert _same(got, want), label
+        if max_iter == 100:   # the last tile mixes converged and failed frames
+            tiles, size, _ = _tiling(graph.n_edges, batch)
+            last = want[2][(tiles - 1) * size:]
+            assert last.any() and not last.all()
+        perm = rng.permutation(batch)
         shuffled = codec.bp_decode_batch(graph, llrs[perm],
                                          None if syn is None else syn[perm], max_iter)
         assert _same(shuffled, tuple(w[perm] for w in want)), label
@@ -392,6 +438,19 @@ class TestBpKernelEquivalence:
         hard, iters, conv = codec.bp_decode_batch(codec.TannerGraph(H), llrs, syn, 7)
         assert conv.tolist() == [True, False]
         assert iters.tolist() == [0, 7]
+        assert not hard.any()
+
+    def test_idle_check_frame_in_a_later_tile(self):
+        H = _kernel_matrix("idle-row")
+        graph = codec.TannerGraph(H)
+        batch = _multi_tile_batch(graph.n_edges)
+        never = batch - 2          # past the first tile
+        assert never >= _tiling(graph.n_edges, batch)[1]
+        syn = np.zeros((batch, H.rows), np.uint8)
+        syn[never, -1] = 1
+        hard, iters, conv = codec.bp_decode_batch(graph, np.full((batch, 10), 8.0), syn, 7)
+        assert np.flatnonzero(~conv).tolist() == [never]
+        assert np.flatnonzero(iters).tolist() == [never] and iters[never] == 7
         assert not hard.any()
 
     @pytest.mark.parametrize("degree", list(range(1, 20)) + [33, 34, 47, 48, 129, 130, 300])
