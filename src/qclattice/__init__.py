@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .codec import (EncoderPlan, LatticeWord, MultistageDecoder, decode_multistage,
-                    encode_lattice, plan_level, spa_decode, stage_syndrome,
-                    wrapped_llr)
+                    encode_lattice, spa_decode, stage_syndrome, wrapped_llr)
 from .codes import (NestedPair, build_h0, build_h1_block_row, build_h1_row_sums,
                     build_spc, build_staircase, make_pair_block_row,
                     make_pair_row_sums, verify_nesting)
@@ -31,7 +30,7 @@ __all__ = [
     "decode_multistage", "dmin_bounds", "encode_lattice", "exact_dmin",
     "example1", "expand", "get_bundle", "has_four_cycle", "is_member",
     "low_weight_search", "make_family", "make_pair_block_row",
-    "make_pair_row_sums", "nullspace_basis", "plan_level",
+    "make_pair_row_sums", "nullspace_basis",
     "random_proto_search", "rank", "row_space_contains", "scale_shifts",
     "scale_shifts_floor", "snr_to_sigma2", "spa_decode",
     "stage_syndrome", "sweep_code", "sweep_lattice",

@@ -5,10 +5,12 @@ Every flag can also be supplied as ``key=value`` in a flat config file given
 with --config; explicit flags override config values.  Simulation commands
 append rows to a stable-schema CSV and write a JSON manifest next to it.
 The manifest's top-level keys describe the latest run (command, resolved
-config with the seed, version, Python/numpy/BLAS versions, git revision or
-null, and ``csv_rows``, the first and last CSV data row it wrote, counted
-from 1 after the header); ``runs`` keeps one such record per run appended
-to the CSV.
+config with the seed, version, Python/numpy/BLAS versions, git revision and
+``git_dirty`` (true when tracked files differ from that revision; both null
+outside a git checkout), ``src_sha256`` over the package's source files,
+and ``csv_rows``, the first and last CSV data row it wrote, counted from 1
+after the header); ``runs`` keeps one such record per run appended to the
+CSV.
 
 Exit codes: 0 success, 2 config error (including bad numeric options and
 any ValueError raised by the library), 3 data error.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -200,15 +203,41 @@ def _report_row(r: sim.SimReport) -> list:
             r.integer_errors, f"{r.iterations_mean:.4g}", r.seed]
 
 
-def _git_rev() -> str | None:
-    """Git revision of the checkout this package runs from; None outside one."""
+_PKG_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def _git(where: str, *args: str) -> str | None:
     try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                              text=True, timeout=30,
-                              cwd=os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(["git", *args], capture_output=True, text=True,
+                              timeout=30, cwd=where)
     except (OSError, subprocess.SubprocessError):
         return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def _git_state(where: str = _PKG_DIR) -> tuple[str | None, bool | None]:
+    """``(revision, dirty)`` of the git checkout holding ``where``: the HEAD
+    commit, and whether a tracked file differs from it (so that HEAD alone
+    does not describe the code that ran); ``(None, None)`` outside one."""
+    rev = _git(where, "rev-parse", "HEAD")
+    if rev is None:
+        return None, None
+    status = _git(where, "status", "--porcelain", "--untracked-files=no")
+    return rev.strip(), None if status is None else bool(status.strip())
+
+
+def _src_digest(pkg: str = _PKG_DIR) -> str:
+    """SHA-256 over the package's ``.py`` and ``.txt`` files (each one's path
+    relative to ``pkg``, a NUL byte, then its bytes, in sorted path order):
+    names the code that ran with or without git."""
+    h = hashlib.sha256()
+    paths = sorted(os.path.relpath(os.path.join(d, f), pkg)
+                   for d, _, files in os.walk(pkg) for f in files
+                   if f.endswith((".py", ".txt")))
+    for rel in paths:
+        with open(os.path.join(pkg, rel), "rb") as fh:
+            h.update(rel.replace(os.sep, "/").encode() + b"\0" + fh.read())
+    return h.hexdigest()
 
 
 def _blas() -> str | None:
@@ -221,9 +250,11 @@ def _blas() -> str | None:
 
 def _manifest(command: str, opts: dict) -> dict:
     clean = {k: v for k, v in opts.items() if v is not None}
+    rev, dirty = _git_state()
     return {"command": command, "config": clean, "version": __version__,
             "python": platform.python_version(), "numpy": np.__version__,
-            "blas": _blas(), "git_rev": _git_rev()}
+            "blas": _blas(), "git_rev": rev, "git_dirty": dirty,
+            "src_sha256": _src_digest()}
 
 
 def _get_bundle(name: str | None) -> presets.LatticeBundle:

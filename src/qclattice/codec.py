@@ -121,11 +121,6 @@ class EncoderPlan:
         return c
 
 
-def plan_level(H: BitMatrix) -> EncoderPlan:
-    """Reusable encoder plan; the plan's free columns are the info positions."""
-    return EncoderPlan(H)
-
-
 def stage_syndrome(level1_rows: np.ndarray, c0: np.ndarray) -> np.ndarray:
     """Level-1 syndrome of a level-0 codeword: s_j = ((h_j . c0) mod 4) / 2.
 

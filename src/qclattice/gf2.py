@@ -9,6 +9,9 @@ one table of XOR combinations of up to 8 pivot rows per chunk, applied to
 every row in one gather-XOR.  ``rref``, ``rank``, ``nullspace_basis`` and
 ``row_space_contains`` run on it, and so do the encoder maps in
 :mod:`qclattice.codec` and the low-weight search in :mod:`qclattice.wmin`.
+The kernel also takes a stack of packed matrices and runs one chunk loop
+for all of them; the search eliminates a block of permuted generators that
+way, and everything else passes one matrix.
 
 Matrices are plain uint8 numpy arrays with entries in {0, 1}, wrapped in an
 immutable :class:`BitMatrix`.
@@ -131,87 +134,158 @@ _PEXT = _pext_table()
 # taken in this order reach rank 8 after about 10 values, where ascending
 # order would meet the small values, which span only the low bits, first.
 _SCRAMBLE = np.random.default_rng(0).permutation(np.arange(1, 256))
+_UNIT = 1 << np.arange(8)
+_ARANGE = np.arange(256)
+_BITS = [np.flatnonzero(v >> np.arange(8) & 1) for v in range(256)]
 
 
-def rref_words(W: np.ndarray, n: int) -> list[int]:
+def _table(W: np.ndarray, src: np.ndarray, w0: int) -> np.ndarray:
+    """``T[b, c]``: the XOR of rows ``src[b, i]`` of the stack's flattened
+    rows over the set bits i of c, from word ``w0`` on, built by doubling."""
+    B, P = src.shape
+    rows = W.reshape(-1, W.shape[2])[src, w0:]
+    T = np.zeros((B, 1 << P, rows.shape[2]), dtype=W.dtype)
+    for i in range(P):
+        np.bitwise_xor(T[:, : 1 << i], rows[:, i, None], out=T[:, 1 << i: 2 << i])
+    return T
+
+
+def _pick_one(W, keys, unused, home, j):
+    """Chunk j of a stack of one: a pure-Python pass over the distinct keys
+    of the unused rows picks the pivot rows.  Returns ``(T, combo, P)`` as
+    :func:`_pick_stack` does, or None when no unused row has a bit in the
+    chunk."""
+    keys, unused, home = keys[0], unused[0], home[0]
+    idx = unused.nonzero()[0]
+    rest = keys[idx]
+    present = _SCRAMBLE[np.bincount(rest, minlength=256)[_SCRAMBLE] > 0]
+    if present.size == 0:
+        return None
+    bound = int(np.bitwise_or.reduce(present)).bit_count()
+    basis: dict[int, int] = {}          # lowest bit -> reduced key
+    chosen: list[int] = []
+    for v in present.tolist():
+        x = v
+        while x:
+            low = x & -x
+            b = basis.get(low)
+            if b is None:
+                basis[low] = x
+                chosen.append(v)
+                break
+            x ^= b
+        if len(chosen) == bound:
+            break
+    P = len(chosen)
+    pmask = sum(basis)
+    # any unused row holding a chosen key will do as its pivot row
+    slot = np.empty(256, dtype=np.intp)
+    slot[rest] = idx
+    src = slot[chosen]
+    unused[src] = False
+    T = _table(W, src[None], j >> 3)
+    # combination c of the chosen rows has key byte T[c] (byte j & 7 of its
+    # first word) and pivot pattern _PEXT[pmask, key]; that map is
+    # one-to-one, so invert it into key -> combination
+    pext = _PEXT[pmask]
+    inv = np.empty(1 << P, dtype=np.intp)
+    inv[pext[T[0].view(np.uint8)[:, j & 7]]] = _ARANGE[: 1 << P]
+    combo = inv[pext][keys]
+    # chosen row i becomes the row of the i-th pivot bit: it takes the
+    # combination of that bit's reduced row, less itself
+    unit = _UNIT[:P]
+    combo[src] = inv[unit] ^ unit
+    home[_BITS[pmask]] = src
+    return T, combo[None], P
+
+
+def _pick_stack(W, keys, unused, home, j):
+    """Chunk j of a larger stack: Gauss-Jordan on all (B, m) keys at once,
+    one masked step per bit b.  Each matrix takes its first unused row with
+    bit b as that bit's pivot row and clears bit b from its other rows.
+    The high byte of ``state`` tracks each row's combination of pivot rows,
+    bit b standing for the pivot row of bit b.  Each bit's pivot row goes
+    to ``home`` (left at -1 without one); returns ``(T, combo, P)``: the
+    stacked combination table, each row's flat index into it and the
+    number of new pivots, or None when no matrix has an unused row with a
+    bit in the chunk."""
+    B, m = keys.shape
+    ar = np.arange(B)
+    state = keys.astype(np.uint16)
+    top = 0
+    for b in range(8):
+        col = (state & (1 << b)).astype(bool)
+        cand = col & unused
+        p = cand.argmax(axis=1)
+        has = cand[ar, p]
+        if not has.any():
+            continue
+        top = b + 1
+        home[has, b] = p[has]
+        unused[ar, p] ^= has            # row p is unused where has is set
+        col[ar, p] = False              # the pivot row keeps its key
+        step = (state[ar, p] | (1 << (8 + b))) * has
+        state ^= col * step[:, None]
+    if top == 0:
+        return None
+    # rows of a bit without a pivot are never indexed: any row will do
+    T = _table(W, home[:, :top] + (ar * m)[:, None], j >> 3)
+    return T, (state >> 8) + (ar << top)[:, None], int(np.count_nonzero(home >= 0))
+
+
+def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
     """In-place reduced row-echelon form of packed rows; returns the pivots.
 
-    ``W`` holds the rows of an (m, n) matrix as returned by :func:`pack`.
-    Pivots are eliminated above and below, so after the call
-    ``unpack(W, n)`` is the (unique) RREF of the matrix.
+    ``W`` holds the rows of an (m, n) matrix as returned by :func:`pack`,
+    or a stack ``(B, m, words)`` of B such matrices, which are eliminated
+    together (a 2-D ``W`` is a stack of one).  Pivots are eliminated above
+    and below, so after the call ``unpack(W[b], n)`` is the (unique) RREF
+    of matrix b.  Returns the pivot columns of a 2-D ``W``, or a list of
+    each matrix's pivot columns for a stack.
 
     The elimination runs over 8-column chunks (the Method of Four Russians,
     after M4RI): byte j of a row's uint8 view holds columns 8j..8j+7 and is
-    the row's key for chunk j.  A pure-Python pass over the distinct keys
-    of the rows not yet used as pivots picks P <= 8 rows whose keys span
-    theirs; the chunk's pivots are the lowest bits of that span's echelon
-    basis.  A table of the 2^P XOR combinations of those rows, indexed by
-    key, then clears the pivot bits of every row in one gather-XOR (above
-    and below at once, and the chosen rows themselves become zero), and
-    the reduced pivot rows are written to rows r..r+P-1.  Rows at or past
-    the rank come out zero on the first n columns.
+    the row's key for chunk j.  Each matrix picks P <= 8 of its rows not yet
+    used as pivots whose keys span those of the others; the chunk's pivots
+    are the lowest bits of that span's echelon basis.  A stack of one picks
+    them in a pure-Python pass over the distinct keys; a larger stack runs
+    8 masked bit steps on all its keys at once.  Each matrix gets a table
+    of the XOR combinations of its picked rows, and one gather-XOR over the
+    whole stack then clears the pivot bits of every row (above and below
+    at once); each picked row becomes the reduced row of one pivot in
+    place.  One reorder at the end moves the pivot rows to the top in
+    column order; rows at or past the rank come out zero on the first n
+    columns.
 
     Columns n and up are padding: they never become pivots, and the bits
     there after the call are only defined (zero) when they were zero on
     entry, which :func:`pack` guarantees.
     """
-    m = W.shape[0]
-    Wb = W.view(np.uint8)
-    row_ids = np.arange(m)
-    pivots: list[int] = []
-    r = 0
+    W3 = W if W.ndim == 3 else W[None]
+    B, m, _ = W3.shape
+    Wb = W3.view(np.uint8)
+    pick = _pick_one if B == 1 else _pick_stack
+    unused = np.ones((B, m), dtype=bool)
+    home = np.full((B, 8 * ((n + 7) // 8)), -1, dtype=np.intp)  # column -> pivot row
+    left = B * m                        # rows not yet pivots
     for j in range((n + 7) // 8):
-        if r == m:
+        if left == 0:
             break
-        keys = Wb[:, j]
-        rest = keys[r:]
+        keys = Wb[:, :, j]
         if n - 8 * j < 8:
-            rest = rest & ((1 << (n - 8 * j)) - 1)
-        present = _SCRAMBLE[np.bincount(rest, minlength=256)[_SCRAMBLE] > 0]
-        if present.size == 0:
+            keys = keys & ((1 << (n - 8 * j)) - 1)
+        picked = pick(W3, keys, unused, home[:, 8 * j: 8 * j + 8], j)
+        if picked is None:
             continue
-        bound = min(int(np.bitwise_or.reduce(present)).bit_count(), m - r)
-        basis: dict[int, int] = {}          # lowest bit -> reduced key
-        chosen: list[int] = []
-        for v in present.tolist():
-            x = v
-            while x:
-                low = x & -x
-                b = basis.get(low)
-                if b is None:
-                    basis[low] = x
-                    chosen.append(v)
-                    break
-                x ^= b
-            if len(chosen) == bound:
-                break
-        P = len(chosen)
-        pmask = sum(basis)
-        # any row holding a chosen key will do as its pivot row
-        slot = np.empty(256, dtype=np.intp)
-        slot[rest] = row_ids[r:]
-        src = slot[chosen].tolist()
-        w0 = j >> 3
-        T = np.zeros((1 << P, W.shape[1] - w0), dtype=W.dtype)
-        for i in range(P):
-            T[1 << i: 2 << i] = T[: 1 << i] ^ W[src[i], w0:]
-        # combination c of the chosen rows has key byte T[c] (byte j & 7 of
-        # its first word) and pivot pattern _PEXT[pmask, key]; that map is
-        # one-to-one, so invert it into key -> combination
-        pext = _PEXT[pmask]
-        inv = np.empty(1 << P, dtype=np.intp)
-        inv[pext[T.view(np.uint8)[:, j & 7]]] = np.arange(1 << P)
-        combo = inv[pext]
-        W[:, w0:] ^= np.take(T, combo[keys], axis=0)
-        src_set = set(src)
-        moved = [t for t in range(r, r + P) if t not in src_set]
-        if moved:
-            W[sorted(s for s in src_set if s >= r + P)] = W[moved]
-        pbits = [b for b in range(8) if pmask >> b & 1]
-        W[r: r + P, w0:] = T[combo[[1 << b for b in pbits]]]
-        pivots += [8 * j + b for b in pbits]
-        r += P
-    return pivots
+        T, combo, new = picked
+        left -= new
+        W3[:, :, j >> 3:] ^= np.take(T.reshape(-1, T.shape[2]), combo, axis=0)
+    pivots = []
+    for b in range(B):
+        cols = np.flatnonzero(home[b] >= 0)
+        W3[b] = W3[b, np.concatenate([home[b, cols], np.flatnonzero(unused[b])])]
+        pivots.append(cols.tolist())
+    return pivots if W.ndim == 3 else pivots[0]
 
 
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -41,8 +41,8 @@ def _bundle(name: str, proto: qc.ProtoMatrix, pair: codes.NestedPair,
     profile = lattice.volume_gain(k, pair.n + 1, d2min, d=design_d)
     return LatticeBundle(name=name, proto=proto, pair=pair, family=fam,
                          profile=profile,
-                         plan0=codec.plan_level(pair.h0),
-                         plan1=codec.plan_level(pair.h1))
+                         plan0=codec.EncoderPlan(pair.h0),
+                         plan1=codec.EncoderPlan(pair.h1))
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,14 @@ given by a parity-check matrix:
   The pivot columns of the eliminated generator are an identity, so two
   distinct rows overlap only on the non-pivot columns; the pair scan takes
   its overlaps (one float32 matmul) over those columns alone.
+
+The search eliminates its permutations a block at a time: one call of the
+stacked kernel :func:`qclattice.gf2.rref_words` row-reduces up to
+``_BLOCK`` permuted generators together, which shares the kernel's
+per-chunk numpy overhead across the block.  Each RREF is unique and the
+permutations are drawn in the same order from the same generator, so every
+seed's search path is the one of a search that eliminates one permutation
+at a time.
 """
 
 from __future__ import annotations
@@ -19,10 +27,12 @@ import numpy as np
 
 from .gf2 import BitMatrix, nullspace_basis, pack, unpack
 # the search's own name for the kernel; perfbench/tracing.py times the
-# per-iteration eliminations (the wmin.rref layer) through it
+# block eliminations (the wmin.rref layer) through it
 from .gf2 import rref_words as _rref_packed
 
 MAX_EXACT_DIM = 28
+# permutations per call of the stacked elimination
+_BLOCK = 16
 
 
 class TooLargeError(ValueError):
@@ -73,6 +83,27 @@ def exact_dmin(H: BitMatrix) -> int:
     return best
 
 
+def _eliminated(G0T: np.ndarray, iterations: int, rng: np.random.Generator,
+                grow: bool):
+    """Yield ``(perm, W, pivots)`` for each iteration in order: the column
+    permutation, the packed RREF of the permuted generator (whose transpose
+    is ``G0T``) and its pivots.  Permutations are drawn and eliminated a
+    block at a time; with ``grow`` the blocks grow 1, 2, 4, ... up to
+    ``_BLOCK``, otherwise all but the last hold ``_BLOCK``."""
+    n, k = G0T.shape
+    size = 1 if grow else _BLOCK
+    left = iterations
+    while left:
+        size = min(size, left)
+        perms = [rng.permutation(n) for _ in range(size)]
+        W = np.empty((size, k, (n + 63) // 64), dtype=np.uint64)
+        for b, perm in enumerate(perms):
+            W[b] = pack(G0T[perm].T)
+        yield from zip(perms, W, _rref_packed(W, n))
+        left -= size
+        size = min(2 * size, _BLOCK)
+
+
 def low_weight_search(H: BitMatrix, iterations: int, seed: int,
                       stop_at: int | None = None) -> tuple[int, np.ndarray]:
     """Randomized low-weight codeword search on the nullspace of ``H``.
@@ -82,11 +113,22 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     Returns ``(weight, witness)`` for the best codeword found; the witness
     always satisfies ``H c^T = 0``.  Deterministic for a given seed.
 
-    ``stop_at`` ends the search as soon as a codeword of weight <= stop_at
-    is found, which lets design loops prune candidates early.
+    ``stop_at`` (at least 1) ends the search as soon as a codeword of weight
+    <= stop_at is found, which lets design loops prune candidates early.
+
+    The iterations run in blocks: a block's permutations are drawn in
+    iteration order, eliminated in one stacked call and then scanned in
+    order, with ``stop_at`` checked after each.  Blocks hold ``_BLOCK``
+    permutations; under ``stop_at`` they grow 1, 2, 4, ... up to
+    ``_BLOCK``, so an early exit leaves fewer eliminations unused than it
+    has used.  The result is bit-identical to eliminating one permutation
+    per iteration.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if stop_at is not None and stop_at < 1:
+        raise ValueError(f"stop_at must be >= 1 (a nonzero codeword has weight "
+                         f">= 1), got {stop_at}")
     basis = nullspace_basis(H)
     if not basis:
         raise ValueError("code is trivial (full column rank); nothing to search")
@@ -99,10 +141,7 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     best_w = n + 1
     best_c: np.ndarray | None = None
 
-    for _ in range(iterations):
-        perm = rng.permutation(n)
-        W = pack(G0T[perm].T)
-        pivots = _rref_packed(W, n)
+    for perm, W, pivots in _eliminated(G0T, iterations, rng, stop_at is not None):
         R = unpack(W[: len(pivots)], n)
         w_rows = R.sum(axis=1).astype(np.int64)
 
@@ -139,3 +178,4 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     if best_c is None or not best_c.any() or H.mul_vec(best_c).any():
         raise WitnessError("low-weight search produced no nonzero codeword of H")
     return best_w, best_c
+

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -111,6 +112,17 @@ class TestDistance:
                             r"\(budget 3 iterations\)\n", err)
 
 
+    @pytest.mark.parametrize("stop", ["0", "-1"])
+    def test_stop_at_below_one_is_config_error(self, capsys, stop):
+        # no nonzero codeword weighs less than 1, so such a stop_at could
+        # only run out the whole iteration budget
+        code, out, err = run(capsys, "distance", "--lattice", "example1",
+                             "--stop-at", stop)
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and "stop_at" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestDistanceWitnessCheck:
     # the witness check is an explicit test (not an assert), so it also
     # holds under python -O; a bad witness is a data error
@@ -150,6 +162,54 @@ def run_process(*argv, timeout=120):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "qclattice.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _git_in(where, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+                    *args], cwd=where, check=True, capture_output=True)
+
+
+class TestProvenance:
+    def test_manifest_names_the_source(self, capsys, tmp_path):
+        out = tmp_path / "run.csv"
+        code, _, _ = run(capsys, "simulate-code", "--lattice", "example1",
+                         "--snr", "12", "--seed", "1", "--max-trials", "5",
+                         "--target-errors", "5", "--out", str(out))
+        assert code == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        for rec in (manifest, *manifest["runs"]):
+            assert rec["src_sha256"] == cli._src_digest()
+            assert rec["git_dirty"] in (True, False, None)
+            assert (rec["git_rev"] is None) == (rec["git_dirty"] is None)
+
+    def test_digest_is_sha256_over_py_and_txt(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        (pkg / "data").mkdir(parents=True)
+        files = {"a.py": b"x = 1\n", "data/t.txt": b"1 2\n", "b.py": b""}
+        for rel, body in files.items():
+            (pkg / rel).write_bytes(body)
+        (pkg / "notes.md").write_text("not source")
+        want = hashlib.sha256()
+        for rel in sorted(files):
+            want.update(rel.encode() + b"\0" + files[rel])
+        assert cli._src_digest(str(pkg)) == want.hexdigest()
+        (pkg / "notes.md").write_text("still not source")
+        assert cli._src_digest(str(pkg)) == want.hexdigest()
+        (pkg / "data/t.txt").write_bytes(b"1 3\n")
+        assert cli._src_digest(str(pkg)) != want.hexdigest()
+
+    def test_git_state_marks_a_dirty_tree(self, tmp_path):
+        assert cli._git_state(str(tmp_path)) == (None, None)
+        _git_in(tmp_path, "init", "-q")
+        (tmp_path / "m.py").write_text("x = 1\n")
+        _git_in(tmp_path, "add", "m.py")
+        _git_in(tmp_path, "commit", "-q", "-m", "one")
+        rev, dirty = cli._git_state(str(tmp_path))
+        assert re.fullmatch(r"[0-9a-f]{40}", rev) and dirty is False
+        (tmp_path / "untracked.txt").write_text("ignored")
+        assert cli._git_state(str(tmp_path)) == (rev, False)
+        (tmp_path / "m.py").write_text("x = 2\n")
+        assert cli._git_state(str(tmp_path)) == (rev, True)
 
 
 class TestBadNumbersExitTwo:

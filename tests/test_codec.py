@@ -22,13 +22,13 @@ def toy_setup():
     P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
     pair = codes.make_pair_block_row(P, 0)
     fam = lattice.make_family(pair)
-    plans = (codec.plan_level(pair.h0), codec.plan_level(pair.h1))
+    plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
     return pair, fam, plans
 
 
 class TestPlanLevel:
     def test_identity_no_free_columns(self):
-        plan = codec.plan_level(BitMatrix.identity(6))
+        plan = codec.EncoderPlan(BitMatrix.identity(6))
         assert plan.num_info == 0
 
     def test_example1_free_counts(self, example1_bundle):
@@ -113,7 +113,7 @@ class TestEncode:
             "import numpy as np\n"
             "from qclattice import codec\n"
             "from qclattice.gf2 import BitMatrix, InconsistentSyndromeError\n"
-            "plan = codec.plan_level(BitMatrix.from_rows([[1, 1], [1, 1]]))\n"
+            "plan = codec.EncoderPlan(BitMatrix.from_rows([[1, 1], [1, 1]]))\n"
             "try:\n"
             "    plan.encode_batch(np.array([[1, 0]], np.uint8), np.zeros((1, 1), np.uint8))\n"
             "except InconsistentSyndromeError:\n"

@@ -179,6 +179,80 @@ class TestPackedKernel:
             assert np.array_equal(unpack(W_pad, n), unpack(W_ref, n))
 
 
+class TestStackedKernel:
+    """A stack ``(B, m, words)`` eliminated in one call against each matrix
+    eliminated alone and against the frozen column-at-a-time kernel: same
+    pivots and the same words, padding words included."""
+
+    @staticmethod
+    def _same_as_alone(a):
+        n = a.shape[2]
+        W = np.stack([pack(x) for x in a])
+        W_one = W.copy()
+        W_ref = W.copy()
+        pivots = rref_words(W, n)
+        assert len(pivots) == len(a)
+        for b in range(len(a)):
+            assert pivots[b] == rref_words(W_one[b], n) == ref_rref_words(W_ref[b], n)
+            assert np.array_equal(W[b], W_one[b])
+            assert np.array_equal(W[b], W_ref[b])
+
+    def test_mixed_ranks_duplicates_and_zero(self):
+        rng = np.random.default_rng(21)
+        m, n = 24, 50
+        full = rng.integers(0, 2, (m, n))
+        low = rng.integers(0, 2, (m, 4)) @ rng.integers(0, 2, (4, n)) % 2
+        dup = np.repeat(rng.integers(0, 2, (3, n)), 8, axis=0)
+        sparse = (rng.random((m, n)) < 0.05).astype(np.uint8)
+        stack = np.stack([full, low, np.zeros((m, n)), dup, sparse, full[::-1]])
+        self._same_as_alone(stack.astype(np.uint8))
+
+    def test_more_rows_than_columns(self):
+        rng = np.random.default_rng(22)
+        a = rng.integers(0, 2, (5, 40, 11)).astype(np.uint8)
+        a[1, 20:] = a[1, :20]
+        self._same_as_alone(a)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 63, 64, 65])
+    def test_word_boundary_widths(self, n):
+        rng = np.random.default_rng(100 + n)
+        for m in (3, 30):
+            a = (rng.random((4, m, n)) < 0.3).astype(np.uint8)
+            a[:, :, -1] = rng.integers(0, 2, (4, m))
+            self._same_as_alone(a)
+
+    def test_one_matrix_full_rank_chunks_early(self):
+        # matrix 0 has full rank after its first 2 chunks; the others stay
+        # zero for 5 chunks and then run to the end
+        rng = np.random.default_rng(23)
+        m, n = 12, 90
+        a = np.zeros((3, m, n), dtype=np.uint8)
+        a[0] = rng.integers(0, 2, (m, n))
+        a[0, :, :m] = np.eye(m, dtype=np.uint8)
+        a[1:, :, 40:] = rng.integers(0, 2, (2, m, n - 40))
+        a[2, m // 2:] = a[2, : m - m // 2]
+        self._same_as_alone(a)
+
+    def test_stack_of_one(self):
+        a = np.random.default_rng(24).integers(0, 2, (1, 20, 70)).astype(np.uint8)
+        self._same_as_alone(a)
+
+    def test_permuted_wimax_generators(self, wimax_bundle):
+        # a block of the low-weight search
+        G = np.array(nullspace_basis(qc.expand(wimax_bundle.proto)), dtype=np.uint8)
+        rng = np.random.default_rng(25)
+        self._same_as_alone(np.stack([G[:, rng.permutation(G.shape[1])]
+                                      for _ in range(3)]))
+
+    @given(st.integers(2, 5), st.integers(1, 20), st.integers(1, 80),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_stacks(self, B, m, n, seed):
+        rng = np.random.default_rng(seed)
+        a = (rng.random((B, m, n)) < rng.random((B, 1, 1))).astype(np.uint8)
+        self._same_as_alone(a)
+
+
 def _encode_one(plan, s, info):
     return plan.encode_batch(np.asarray(s, np.uint8).reshape(1, -1),
                              np.asarray(info, np.uint8).reshape(1, -1))[0]

@@ -89,7 +89,7 @@ class TestSweepCode:
         # exhaustive-codebook ML on the same noise stream; at SNR 9 dB the
         # sum-product decoder matches ML within 3 Monte Carlo sigma
         H = codes.build_spc(3, 3)
-        plan = codec.plan_level(H)
+        plan = codec.EncoderPlan(H)
         N, seed = 4000, 31
         rep = sim.sweep_code(H, plan, [9.0], max_trials=N, target_errors=N,
                              seed=seed, label="spc33")[0]
@@ -114,7 +114,7 @@ class TestSweepCode:
         # at SNR 6 dB the loopy-graph decoder is measurably worse than ML;
         # the ML simulation still lower-bounds it
         H = codes.build_spc(3, 3)
-        plan = codec.plan_level(H)
+        plan = codec.EncoderPlan(H)
         N, seed = 2000, 31
         rep = sim.sweep_code(H, plan, [6.0], max_trials=N, target_errors=N,
                              seed=seed, label="spc33")[0]
@@ -152,7 +152,7 @@ def toy():
     P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
     pair = codes.make_pair_block_row(P, 0)
     fam = lattice.make_family(pair)
-    plans = (codec.plan_level(pair.h0), codec.plan_level(pair.h1))
+    plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
     nv = 4.0 ** (2 - 0.2 - 0.2)  # k0 = k1 = 1, N = 5
     return pair, fam, plans, nv
 

@@ -3,9 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import exhaustive_nullspace, ref_low_weight_search
 from qclattice import codes, qc, wmin
 from qclattice.gf2 import BitMatrix
+
+
+def _record_blocks(monkeypatch) -> list[int]:
+    """Stack sizes of the search's eliminations, in call order."""
+    sizes: list[int] = []
+    kernel = wmin._rref_packed
+    monkeypatch.setattr(wmin, "_rref_packed",
+                        lambda W, n: sizes.append(W.shape[0]) or kernel(W, n))
+    return sizes
+
 
 HAMMING_7_4 = BitMatrix.from_rows([
     [1, 0, 1, 0, 1, 0, 1],
@@ -110,23 +121,60 @@ class TestLowWeightSearch:
             found, _ = wmin.low_weight_search(H, 10_000, seed=9, stop_at=exact)
             assert found == exact
 
-    @pytest.mark.parametrize("name,stop_at", [("example1", 20), ("wimax1152", 155)])
-    def test_matches_frozen_search(self, name, stop_at, example1_bundle, wimax_bundle):
-        # the chunked kernel and the pair scan over non-pivot columns leave
-        # every seed's search path as it was; each stop_at ends some seed
-        # early (example1 seed 2 after one iteration, wimax seed 3 after 3)
+    @pytest.mark.parametrize("name,iterations,stop_at",
+                             [("example1", 21, 20), ("wimax1152", 5, 155)],
+                             ids=["example1-20", "wimax1152-155"])
+    def test_matches_frozen_search(self, name, iterations, stop_at, example1_bundle,
+                                   wimax_bundle):
+        # the chunked kernel, the pair scan over non-pivot columns and the
+        # block eliminations leave every seed's search path as it was; 21
+        # iterations span a full block and part of the next; each stop_at
+        # ends some seed early (example1 seed 2 after one iteration, wimax
+        # seed 3 after 3)
         bundle = example1_bundle if name == "example1" else wimax_bundle
         H = qc.expand(bundle.proto)
         for seed in range(4):
             for stop in (None, stop_at):
-                w, c = wmin.low_weight_search(H, 5, seed, stop_at=stop)
-                w_ref, c_ref = ref_low_weight_search(H, 5, seed, stop_at=stop)
+                w, c = wmin.low_weight_search(H, iterations, seed, stop_at=stop)
+                w_ref, c_ref = ref_low_weight_search(H, iterations, seed, stop_at=stop)
                 assert w == w_ref
                 assert np.array_equal(c, c_ref)
+
+    def test_full_blocks_without_stop_at(self, example1_bundle, monkeypatch):
+        sizes = _record_blocks(monkeypatch)
+        wmin.low_weight_search(qc.expand(example1_bundle.proto), 21, seed=0)
+        assert sizes == [wmin._BLOCK, 21 - wmin._BLOCK]
+
+    # (seed, stop_at, iteration that first reaches it, stack sizes) on the
+    # wimax1152 H_qc: past the first, each stop falls inside a block of the
+    # growing sequence 1, 2, 4, 8, 16 and leaves its later eliminations unused
+    @pytest.mark.parametrize("seed,stop_at,stops_after,sizes", [
+        (0, 156, 1, [1]), (3, 162, 2, [1, 2]), (3, 142, 6, [1, 2, 4]),
+        (4, 152, 9, [1, 2, 4, 8]), (3, 132, 19, [1, 2, 4, 8, 16])])
+    def test_stop_inside_growing_blocks(self, seed, stop_at, stops_after, sizes,
+                                        wimax_bundle, monkeypatch):
+        H = qc.expand(wimax_bundle.proto)
+        ref_calls = []
+        ref_kernel = oracles.ref_rref_words
+        monkeypatch.setattr(oracles, "ref_rref_words",
+                            lambda W, n: ref_calls.append(1) or ref_kernel(W, n))
+        w_ref, c_ref = ref_low_weight_search(H, 100, seed, stop_at=stop_at)
+        # one elimination for the generator, then one per iteration
+        assert len(ref_calls) - 1 == stops_after
+        got_sizes = _record_blocks(monkeypatch)
+        w, c = wmin.low_weight_search(H, 100, seed, stop_at=stop_at)
+        assert w == w_ref <= stop_at
+        assert np.array_equal(c, c_ref)
+        assert got_sizes == sizes
 
     def test_trivial_code_raises(self):
         with pytest.raises(ValueError):
             wmin.low_weight_search(BitMatrix.identity(5), 10, seed=0)
+
+    @pytest.mark.parametrize("stop_at", [0, -1])
+    def test_stop_at_below_one_refused(self, stop_at):
+        with pytest.raises(ValueError, match="stop_at"):
+            wmin.low_weight_search(codes.build_spc(2, 2), 10, seed=0, stop_at=stop_at)
 
     def test_bad_iterations(self):
         with pytest.raises(ValueError):
