@@ -222,7 +222,10 @@ def _git_state(where: str = _PKG_DIR) -> tuple[str | None, bool | None]:
     rev = _git(where, "rev-parse", "HEAD")
     if rev is None:
         return None, None
-    status = _git(where, "status", "--porcelain", "--untracked-files=no")
+    # --no-optional-locks: a read-only query that never takes index.lock
+    # nor refreshes .git/index in the checkout it describes
+    status = _git(where, "--no-optional-locks", "status", "--porcelain",
+                  "--untracked-files=no")
     return rev.strip(), None if status is None else bool(status.strip())
 
 

@@ -178,4 +178,3 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     if best_c is None or not best_c.any() or H.mul_vec(best_c).any():
         raise WitnessError("low-weight search produced no nonzero codeword of H")
     return best_w, best_c
-

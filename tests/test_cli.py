@@ -211,6 +211,20 @@ class TestProvenance:
         (tmp_path / "m.py").write_text("x = 2\n")
         assert cli._git_state(str(tmp_path)) == (rev, True)
 
+    def test_git_state_leaves_the_index_alone(self, tmp_path):
+        # a rewritten file with unchanged content has stale stat data, which
+        # a plain `git status` refreshes by rewriting .git/index
+        _git_in(tmp_path, "init", "-q")
+        (tmp_path / "m.py").write_text("x = 1\n")
+        _git_in(tmp_path, "add", "m.py")
+        _git_in(tmp_path, "commit", "-q", "-m", "one")
+        index = (tmp_path / ".git" / "index").read_bytes()
+        (tmp_path / "m.py").write_text("x = 1\n")
+        os.utime(tmp_path / "m.py", ns=(10 ** 18, 10 ** 18))
+        assert cli._git_state(str(tmp_path))[1] is False
+        assert (tmp_path / ".git" / "index").read_bytes() == index
+        assert not (tmp_path / ".git" / "index.lock").exists()
+
 
 class TestBadNumbersExitTwo:
     # each of these once gave a traceback or a silently wrong CSV row
