@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .codec import (EncoderPlan, LatticeWord, MultistageDecoder, decode_multistage,
-                    encode_lattice, spa_decode, stage_syndrome, wrapped_llr)
+from .codec import (EncoderPlan, LatticeWord, MultistageDecoder, encode_lattice,
+                    stage_syndrome, wrapped_llr)
 from .codes import (NestedPair, build_h0, build_h1_block_row, build_h1_row_sums,
                     build_spc, build_staircase, make_pair_block_row,
                     make_pair_row_sums, verify_nesting)
@@ -15,24 +15,23 @@ from .lattice import (CheckFamily, LatticeProfile, balanced_check,
 from .presets import BUILTIN_LATTICES, LatticeBundle, example1, get_bundle, wimax1152
 from .qc import (ProtoMatrix, apply_edits, expand, has_four_cycle,
                  random_proto_search, scale_shifts, scale_shifts_floor)
-from .sim import (ChannelParams, SimReport, snr_to_sigma2, sweep_code,
-                  sweep_lattice, vnr_to_sigma2)
+from .sim import SimReport, snr_to_sigma2, sweep_code, sweep_lattice, vnr_to_sigma2
 from .wmin import exact_dmin, low_weight_search
 
 __all__ = [
     "__version__",
-    "BUILTIN_LATTICES", "BitMatrix", "ChannelParams", "CheckFamily",
+    "BUILTIN_LATTICES", "BitMatrix", "CheckFamily",
     "EncoderPlan", "InconsistentSyndromeError", "LatticeBundle",
     "LatticeProfile", "LatticeWord", "MultistageDecoder", "NestedPair",
     "ProtoMatrix", "SimReport",
     "apply_edits", "balanced_check", "build_h0", "build_h1_block_row",
     "build_h1_row_sums", "build_spc", "build_staircase", "code_dimensions",
-    "decode_multistage", "dmin_bounds", "encode_lattice", "exact_dmin",
+    "dmin_bounds", "encode_lattice", "exact_dmin",
     "example1", "expand", "get_bundle", "has_four_cycle", "is_member",
     "low_weight_search", "make_family", "make_pair_block_row",
     "make_pair_row_sums", "nullspace_basis",
     "random_proto_search", "rank", "row_space_contains", "scale_shifts",
-    "scale_shifts_floor", "snr_to_sigma2", "spa_decode",
+    "scale_shifts_floor", "snr_to_sigma2",
     "stage_syndrome", "sweep_code", "sweep_lattice",
     "verify_nesting", "vnr_to_sigma2", "volume_gain", "wrapped_llr",
 ]

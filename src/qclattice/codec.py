@@ -28,9 +28,10 @@ preallocated buffers in place.  The check update works in the product
 domain: t = tanh(x/2) once per edge, each edge's product over the other
 edges of its check from prefix and suffix products over the check's slots
 (the syndrome enters as a +/-1 factor), then 2 atanh -- two transcendentals
-per edge.  Per-variable sums are adds of contiguous slot blocks in the
-summation order of ``np.add.reduceat``.  ``tests/oracles.py`` keeps the
-earlier log-domain kernel and the earlier LLR code as references.
+per edge.  Per-variable sums are plain sums over contiguous slot blocks,
+whose order may differ from the frozen log-domain kernel's, so messages may
+differ from it in the last ulp.  ``tests/oracles.py`` keeps that kernel and
+the earlier LLR code as references.
 
 A batch is decoded in frame tiles of about ``_TILE_EDGE_FRAMES`` edge-frames
 each (2^19, so one float64 (edges, tile) array is about 4 MB): the work
@@ -274,28 +275,6 @@ def wrapped_llr(y, sigma: float, window: int | None = None) -> np.ndarray:
     return s0.reshape(y.shape)
 
 
-def wrapped_log_density(y, sigma: float, bit: int, window: int | None = None) -> np.ndarray:
-    """Log density of the wrapped channel output given a transmitted bit.
-
-    The density of (bit + noise) mod 2 on [0, 2), summed over the same
-    window as :func:`wrapped_llr`: with e the distance from y - bit to 2Z,
-    -e^2 a + ln S(e) - ln(2 pi sigma^2)/2.  Used by oracles and the
-    normalization test.  Raises ``ValueError`` unless sigma is positive and
-    finite.
-    """
-    sigma = _check_sigma(sigma)
-    y = np.asarray(y, dtype=np.float64) - bit
-    e = _fold(y)
-    s0, _ = _wrapped_sums(e, sigma, window)
-    a = 1.0 / (2.0 * sigma * sigma)
-    np.log(s0, out=s0)
-    e *= e
-    e *= a
-    s0 -= e
-    s0 -= 0.5 * math.log(2.0 * math.pi * sigma * sigma)
-    return s0.reshape(y.shape)
-
-
 # ---------------------------------------------------------------------------
 # flooding sum-product decoder (batched, syndrome-aware)
 # ---------------------------------------------------------------------------
@@ -359,40 +338,6 @@ def _slot_layout(deg, nodes, edge_ids, node0=0):
         node0 += m
     ids = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
     return groups, ids.astype(np.int64)
-
-
-def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in numpy's pairwise order (8 accumulators, blocks of
-    at most 128), i.e. the order numpy's own float add reductions use."""
-    n = a.shape[0]
-    if n < 8:
-        res = a[0].copy()
-        for i in range(1, n):
-            res += a[i]
-        return res
-    if n <= 128:
-        r = a[:8].copy()
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            r += a[i:i + 8]
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        res = r[0] + r[1]
-        for i in range(stop, n):
-            res += a[i]
-        return res
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_sum(a[:n2]) + _pairwise_sum(a[n2:])
-
-
-def _slot_sum(x: np.ndarray) -> np.ndarray:
-    """Per-node sum of a (d, m, batch) slot block: slot 0 plus the pairwise
-    sum of the rest -- the summation order of ``np.add.reduceat`` over a
-    node's consecutive edges."""
-    if x.shape[0] == 1:
-        return x[0].copy()
-    return x[0] + _pairwise_sum(x[1:])
 
 
 def _exclusive_products(t: np.ndarray, sgn: np.ndarray, out: np.ndarray) -> None:
@@ -536,48 +481,15 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
         g = np.take(c2v, graph.vgather, axis=0, out=_rows(buf_x, E, nb), mode="clip")
         for s0, d, m, v0 in graph.var_groups:
             rows = slice(v0, v0 + m)
-            np.add(llr[rows], _slot_sum(g[s0:s0 + d * m].reshape(d, m, nb)),
+            np.add(llr[rows], g[s0:s0 + d * m].reshape(d, m, nb).sum(axis=0),
                    out=post[rows])
 
     hard_out[:] = hard_t[graph.var_row].T
 
 
-def spa_decode(H_ext: BitMatrix, llr: np.ndarray, max_iter: int = 100
-               ) -> tuple[np.ndarray, int, bool]:
-    """Decode one frame against an extended matrix [syndrome column | H].
-
-    Column 0 is the dummy coordinate, treated as known bit 1: its channel
-    LLR is ignored and its effect on each check is folded in exactly (the
-    pinned tanh factor is a sign flip wherever the syndrome column has a 1).
-    Returns ``(hard, iterations, converged)`` with ``hard[0] = 1``;
-    non-convergence is reported via the flag, never an error.
-    """
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (H_ext.cols,):
-        raise ValueError(f"llr length {llr.shape} != {H_ext.cols} columns")
-    graph = TannerGraph(BitMatrix(H_ext.a[:, 1:]))
-    syn = H_ext.a[:, 0].reshape(1, -1)
-    hard, iters, conv = bp_decode_batch(graph, llr[1:].reshape(1, -1), syn,
-                                        max_iter=max_iter)
-    full = np.empty(H_ext.cols, dtype=np.uint8)
-    full[0] = 1
-    full[1:] = hard[0]
-    return full, int(iters[0]), bool(conv[0])
-
-
 # ---------------------------------------------------------------------------
 # multistage decoding
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StageDiag:
-    """Per-stage convergence report of one multistage decode."""
-
-    stage0_iterations: int
-    stage0_converged: bool
-    stage1_iterations: int
-    stage1_converged: bool
-
 
 class MultistageDecoder:
     """Reusable multistage decoder for one nested pair."""
@@ -615,29 +527,3 @@ class MultistageDecoder:
         z = np.rint((Y - ext0 - 2.0 * ext1) / 4.0).astype(np.int64)
         diag = {"it0": it0, "conv0": cv0, "it1": it1, "conv1": cv1, "s1": s1}
         return c0, c1, z, diag
-
-
-def decode_multistage(y: np.ndarray, sigma: float, fam, pair: NestedPair,
-                      level1_rows: np.ndarray | None = None,
-                      max_iter: int = 100,
-                      decoder: MultistageDecoder | None = None
-                      ) -> tuple[LatticeWord, StageDiag]:
-    """Multistage decode of one received point of length n+1.
-
-    Stage 0 decodes the level-0 code on the mod-2 channel; its codeword is
-    subtracted and the residual halved for stage 1 at sigma/2 (driven by the
-    derived level-1 syndrome); rounding recovers the integer part.  Stage
-    failures fall back to hard decisions and are reported in the diag.
-    """
-    if decoder is None:
-        decoder = MultistageDecoder(pair, level1_rows, max_iter)
-    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    c0, c1, z, diag = decoder.decode_batch(y, sigma)
-    word = LatticeWord(c0=c0[0], c1=c1[0], s1=diag["s1"][0],
-                       zvec=z[0, 1:], z0=int(z[0, 0]),
-                       x=assemble_point(c0[0], c1[0], z[0, 1:], int(z[0, 0])))
-    sd = StageDiag(stage0_iterations=int(diag["it0"][0]),
-                   stage0_converged=bool(diag["conv0"][0]),
-                   stage1_iterations=int(diag["it1"][0]),
-                   stage1_converged=bool(diag["conv1"][0]))
-    return word, sd

@@ -36,13 +36,13 @@ class LatticeBundle:
 def _bundle(name: str, proto: qc.ProtoMatrix, pair: codes.NestedPair,
             design_d: tuple[int, int]) -> LatticeBundle:
     fam = lattice.make_family(pair)
-    k = lattice.code_dimensions(pair)
+    plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
+    # each plan's RREF already gives its level's rank: k_l = n - rank(H_l)
+    k = (plan0.num_info, plan1.num_info)
     d2min = lattice.dmin_bounds(*design_d)[0]
     profile = lattice.volume_gain(k, pair.n + 1, d2min, d=design_d)
     return LatticeBundle(name=name, proto=proto, pair=pair, family=fam,
-                         profile=profile,
-                         plan0=codec.EncoderPlan(pair.h0),
-                         plan1=codec.EncoderPlan(pair.h1))
+                         profile=profile, plan0=plan0, plan1=plan1)
 
 
 @lru_cache(maxsize=None)

@@ -8,11 +8,16 @@ Two channels:
   point given as the volume-to-noise ratio VNR = V^(2/N) / (2*pi*e*sigma^2)
   (0 dB is the Poltyrev limit).
 
-Every trial draws from its own counter-derived stream (master seed, point
-index, trial index), so results are independent of batch size and identical
-whether trials run serially or in parallel.  Stopping follows serial
-semantics: a point ends at the exact trial where the target error count is
-reached, or at max_trials.
+Both sweeps run on one driver, ``_sweep``.  It checks the arguments, gives
+every trial its own stream (:func:`trial_stream`, keyed by master seed,
+point index and trial index), runs the trials in batches, counts errors by
+stage and builds the reports.  Each sweep supplies only a ``step(rngs,
+sigma)`` that runs one batch, a trial per stream, and returns two per-frame
+arrays: the first failing stage (-1 for none, 0 for level 0, 1 for level 1,
+2 for integer rounding) and the BP iterations.  Results are therefore
+independent of batch size and identical whether trials run serially or in
+parallel.  Stopping follows serial semantics: a point ends at the exact
+trial where the target error count is reached, or at max_trials.
 """
 
 from __future__ import annotations
@@ -52,27 +57,6 @@ def sigma2_to_vnr(sigma2: float, normalized_volume: float) -> float:
 
 
 @dataclass(frozen=True)
-class ChannelParams:
-    """One operating point; the dB values are mutually consistent."""
-
-    sigma2: float
-    snr_db: float
-    vnr_db: float | None = None
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float,
-                    normalized_volume: float | None = None) -> "ChannelParams":
-        s2 = snr_to_sigma2(snr_db)
-        vnr = sigma2_to_vnr(s2, normalized_volume) if normalized_volume else None
-        return cls(sigma2=s2, snr_db=snr_db, vnr_db=vnr)
-
-    @classmethod
-    def from_vnr_db(cls, vnr_db: float, normalized_volume: float) -> "ChannelParams":
-        s2 = vnr_to_sigma2(vnr_db, normalized_volume)
-        return cls(sigma2=s2, snr_db=sigma2_to_snr(s2), vnr_db=vnr_db)
-
-
-@dataclass(frozen=True)
 class SimReport:
     """One sweep point: operating parameter, counts, stage attribution."""
 
@@ -99,10 +83,48 @@ def _check_sweep_args(max_trials: int, target_errors: int, seed: int,
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _trial_rng(seed: int, point: int, trial: int, paired: bool) -> np.random.Generator:
-    if paired:
-        return np.random.default_rng([seed, trial])
-    return np.random.default_rng([seed, point, trial])
+def trial_stream(seed: int, point: int, trial: int,
+                 paired: bool = False) -> np.random.Generator:
+    """The random stream of one trial, keyed by (seed, point, trial), or by
+    (seed, trial) when ``paired``, so that every point sees the same draws."""
+    return np.random.default_rng([seed, trial] if paired else [seed, point, trial])
+
+
+def _sweep(kind: str, label: str, points_db, sigma_of, step, *,
+           max_trials: int, target_errors: int, seed: int, max_iter: int,
+           batch: int, paired: bool = False) -> list[SimReport]:
+    """Run ``step`` (see the module docstring) over batches of trials at
+    each point until max_trials or target_errors, cutting the last batch at
+    the target-hitting trial; ``sigma_of(x_db)`` gives a point's noise
+    standard deviation."""
+    _check_sweep_args(max_trials, target_errors, seed, max_iter, batch)
+    reports = []
+    for pt, x_db in enumerate(points_db):
+        sigma = sigma_of(x_db)
+        trials = errors = 0
+        stages = np.zeros(3, dtype=np.int64)
+        iter_sum = 0.0
+        while trials < max_trials and errors < target_errors:
+            bsz = min(batch, max_trials - trials)
+            stage, iters = step([trial_stream(seed, pt, trials + b, paired)
+                                 for b in range(bsz)], sigma)
+            # serial stop semantics: cut the batch at the target-hitting trial
+            cum = np.cumsum(stage >= 0)
+            if errors + cum[-1] >= target_errors:
+                stop_at = int(np.nonzero(errors + cum >= target_errors)[0][0]) + 1
+            else:
+                stop_at = bsz
+            errors += int(cum[stop_at - 1])
+            stages += np.bincount(stage[:stop_at] + 1, minlength=4)[1:]
+            iter_sum += float(iters[:stop_at].sum())
+            trials += stop_at
+        e0, e1, ez = (int(e) for e in stages)
+        reports.append(SimReport(
+            kind=kind, label=label, x_db=float(x_db), trials=trials,
+            block_errors=errors, bler=errors / trials,
+            stage0_errors=e0, stage1_errors=e1, integer_errors=ez,
+            iterations_mean=iter_sum / trials, seed=seed))
+    return reports
 
 
 def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
@@ -118,46 +140,29 @@ def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
     decode from wrapped LLRs with the dummy pinned to 1, and count a block
     error when the decision differs from the transmitted word.
     """
-    _check_sweep_args(max_trials, target_errors, seed, max_iter, batch)
     graph = TannerGraph(H)
     n = H.cols
     k = plan.num_info
-    m = H.rows
-    zero_syn = np.zeros((1, m), dtype=np.uint8)
-    reports = []
-    for pt, snr_db in enumerate(snr_points_db):
-        sigma = math.sqrt(snr_to_sigma2(snr_db))
-        trials = errors = 0
-        iter_sum = 0.0
-        while trials < max_trials and errors < target_errors:
-            bsz = min(batch, max_trials - trials)
-            infos = np.empty((bsz, k), dtype=np.uint8)
-            noise = np.empty((bsz, n + 1), dtype=np.float64)
-            for b in range(bsz):
-                rng = _trial_rng(seed, pt, trials + b, False)
-                infos[b] = rng.integers(0, 2, k)
-                noise[b] = rng.normal(size=n + 1)
-            cw = plan.encode_batch(np.repeat(zero_syn, bsz, axis=0), infos)
-            sent = np.concatenate([np.ones((bsz, 1), dtype=np.uint8), cw], axis=1)
-            y = np.mod(sent + sigma * noise, 2.0)
-            llr = wrapped_llr(y[:, 1:], sigma)
-            hard, iters, _ = bp_decode_batch(graph, llr, None, max_iter)
-            errs = (hard != cw).any(axis=1)
-            # serial stop semantics: cut the batch at the target-hitting trial
-            cum = np.cumsum(errs)
-            if errors + cum[-1] >= target_errors:
-                stop_at = int(np.nonzero(errors + cum >= target_errors)[0][0]) + 1
-            else:
-                stop_at = bsz
-            errors += int(cum[stop_at - 1])
-            iter_sum += float(iters[:stop_at].sum())
-            trials += stop_at
-        reports.append(SimReport(
-            kind="code", label=label, x_db=float(snr_db), trials=trials,
-            block_errors=errors, bler=errors / trials,
-            stage0_errors=errors, stage1_errors=0, integer_errors=0,
-            iterations_mean=iter_sum / trials, seed=seed))
-    return reports
+    zero_syn = np.zeros((1, H.rows), dtype=np.uint8)
+
+    def step(rngs, sigma):
+        bsz = len(rngs)
+        infos = np.empty((bsz, k), dtype=np.uint8)
+        noise = np.empty((bsz, n + 1), dtype=np.float64)
+        for b, rng in enumerate(rngs):
+            infos[b] = rng.integers(0, 2, k)
+            noise[b] = rng.normal(size=n + 1)
+        cw = plan.encode_batch(np.repeat(zero_syn, bsz, axis=0), infos)
+        sent = np.concatenate([np.ones((bsz, 1), dtype=np.uint8), cw], axis=1)
+        y = np.mod(sent + sigma * noise, 2.0)
+        llr = wrapped_llr(y[:, 1:], sigma)
+        hard, iters, _ = bp_decode_batch(graph, llr, None, max_iter)
+        return np.where((hard != cw).any(axis=1), 0, -1), iters
+
+    return _sweep("code", label, snr_points_db,
+                  lambda db: math.sqrt(snr_to_sigma2(db)), step,
+                  max_trials=max_trials, target_errors=target_errors,
+                  seed=seed, max_iter=max_iter, batch=batch)
 
 
 def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
@@ -179,59 +184,38 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
     every VNR point sees the same randomness; sweeps are then paired across
     points (used for monotonicity checks).
     """
-    _check_sweep_args(max_trials, target_errors, seed, max_iter, batch)
     plan0, plan1 = plans
     n = pair.n
     k0, k1 = plan0.num_info, plan1.num_info
     decoder = MultistageDecoder(pair, max_iter=max_iter)
     m0 = pair.h0.rows
-    reports = []
-    for pt, vnr_db in enumerate(vnr_points_db):
-        sigma = math.sqrt(vnr_to_sigma2(vnr_db, normalized_volume))
-        trials = errors = e0 = e1 = ez = 0
-        iter_sum = 0.0
-        while trials < max_trials and errors < target_errors:
-            bsz = min(batch, max_trials - trials)
-            infos0 = np.empty((bsz, k0), dtype=np.uint8)
-            infos1 = np.empty((bsz, k1), dtype=np.uint8)
-            zmat = np.empty((bsz, n + 1), dtype=np.int64)
-            noise = np.empty((bsz, n + 1), dtype=np.float64)
-            for b in range(bsz):
-                rng = _trial_rng(seed, pt, trials + b, paired_noise)
-                infos0[b] = rng.integers(0, 2, k0)
-                infos1[b] = rng.integers(0, 2, k1)
-                zmat[b, 1:] = rng.integers(-zrange, zrange + 1, n)
-                zmat[b, 0] = rng.integers(-zrange, zrange + 1)
-                noise[b] = rng.normal(size=n + 1)
-            c0 = plan0.encode_batch(np.zeros((bsz, m0), dtype=np.uint8), infos0)
-            s1 = _stage_syndrome_batch(decoder.rows1_t, c0)
-            c1 = plan1.encode_batch(s1, infos1)
-            x = np.empty((bsz, n + 1), dtype=np.int64)
-            x[:, 0] = 3 + 4 * zmat[:, 0]
-            x[:, 1:] = c0.astype(np.int64) + 2 * c1.astype(np.int64) + 4 * zmat[:, 1:]
-            y = x + sigma * noise
 
-            d0, d1, dz, diag = decoder.decode_batch(y, sigma)
-            bad0 = (d0 != c0).any(axis=1)
-            bad1 = (d1 != c1).any(axis=1)
-            badz = (dz != zmat).any(axis=1)
-            errs = bad0 | bad1 | badz
+    def step(rngs, sigma):
+        bsz = len(rngs)
+        infos0 = np.empty((bsz, k0), dtype=np.uint8)
+        infos1 = np.empty((bsz, k1), dtype=np.uint8)
+        zmat = np.empty((bsz, n + 1), dtype=np.int64)
+        noise = np.empty((bsz, n + 1), dtype=np.float64)
+        for b, rng in enumerate(rngs):
+            infos0[b] = rng.integers(0, 2, k0)
+            infos1[b] = rng.integers(0, 2, k1)
+            zmat[b, 1:] = rng.integers(-zrange, zrange + 1, n)
+            zmat[b, 0] = rng.integers(-zrange, zrange + 1)
+            noise[b] = rng.normal(size=n + 1)
+        c0 = plan0.encode_batch(np.zeros((bsz, m0), dtype=np.uint8), infos0)
+        s1 = _stage_syndrome_batch(decoder.rows1_t, c0)
+        c1 = plan1.encode_batch(s1, infos1)
+        x = np.empty((bsz, n + 1), dtype=np.int64)
+        x[:, 0] = 3 + 4 * zmat[:, 0]
+        x[:, 1:] = c0.astype(np.int64) + 2 * c1.astype(np.int64) + 4 * zmat[:, 1:]
+        y = x + sigma * noise
 
-            cum = np.cumsum(errs)
-            if errors + cum[-1] >= target_errors:
-                stop_at = int(np.nonzero(errors + cum >= target_errors)[0][0]) + 1
-            else:
-                stop_at = bsz
-            sl = slice(0, stop_at)
-            errors += int(cum[stop_at - 1])
-            e0 += int(bad0[sl].sum())
-            e1 += int((bad1[sl] & ~bad0[sl]).sum())
-            ez += int((badz[sl] & ~bad0[sl] & ~bad1[sl]).sum())
-            iter_sum += float((diag["it0"][sl] + diag["it1"][sl]).sum())
-            trials += stop_at
-        reports.append(SimReport(
-            kind="lattice", label=label, x_db=float(vnr_db), trials=trials,
-            block_errors=errors, bler=errors / trials,
-            stage0_errors=e0, stage1_errors=e1, integer_errors=ez,
-            iterations_mean=iter_sum / trials, seed=seed))
-    return reports
+        d0, d1, dz, diag = decoder.decode_batch(y, sigma)
+        bad = [(d0 != c0).any(axis=1), (d1 != c1).any(axis=1),
+               (dz != zmat).any(axis=1)]
+        return np.select(bad, [0, 1, 2], -1), diag["it0"] + diag["it1"]
+
+    return _sweep("lattice", label, vnr_points_db,
+                  lambda db: math.sqrt(vnr_to_sigma2(db, normalized_volume)), step,
+                  max_trials=max_trials, target_errors=target_errors,
+                  seed=seed, max_iter=max_iter, batch=batch, paired=paired_noise)

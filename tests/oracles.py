@@ -1,7 +1,9 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written from scratch (plain loops, direct
-definitions) rather than calling the library's own code paths.
+definitions) rather than calling the library's own code paths, except
+:func:`wrapped_log_density`, which builds a density from the library's
+closed-form wrapped sums so that tests can check those sums.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ import itertools
 import math
 
 import numpy as np
+
+from qclattice.codec import _fold, _wrapped_sums
 
 
 def ref_rank(a) -> int:
@@ -116,6 +120,26 @@ def wrapped_logpdf(y, sigma: float, bit: int, half_width: int = 60):
     for k in range(-half_width, half_width + 1):
         total += np.exp(-((y - bit - 2 * k) ** 2) / (2 * sigma * sigma))
     return np.log(total) - 0.5 * math.log(2 * math.pi * sigma * sigma)
+
+
+def wrapped_log_density(y, sigma: float, bit: int, window: int | None = None) -> np.ndarray:
+    """Log density of the wrapped channel output given a transmitted bit.
+
+    The density of (bit + noise) mod 2 on [0, 2), summed over the same
+    window as ``codec.wrapped_llr``: with e the distance from y - bit to 2Z,
+    -e^2 a + ln S(e) - ln(2 pi sigma^2)/2, where a = 1/(2 sigma^2) and S is
+    ``codec._wrapped_sums``.
+    """
+    y = np.asarray(y, dtype=np.float64) - bit
+    e = _fold(y)
+    s0, _ = _wrapped_sums(e, sigma, window)
+    a = 1.0 / (2.0 * sigma * sigma)
+    np.log(s0, out=s0)
+    e *= e
+    e *= a
+    s0 -= e
+    s0 -= 0.5 * math.log(2.0 * math.pi * sigma * sigma)
+    return s0.reshape(y.shape)
 
 
 def ml_decode_wrapped(codebook: np.ndarray, y: np.ndarray, sigma: float) -> int:

@@ -235,7 +235,7 @@ def test_10_scaled_comparison(example1_bundle, wimax_bundle):
     reps4 = np.array(lattice_points_in_box(fam.rows, fam.m1, 0, 3), np.int64)
     ml_err = 0
     for trial in range(M):
-        rng = np.random.default_rng([seed, 0, trial])
+        rng = sim.trial_stream(seed, 0, trial)
         i0 = rng.integers(0, 2, 1).astype(np.uint8)
         i1 = rng.integers(0, 2, 1).astype(np.uint8)
         zv = rng.integers(-2, 3, 4)

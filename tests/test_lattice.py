@@ -86,10 +86,13 @@ class TestMembership:
 
 class TestDimensions:
     def test_example1(self, example1_bundle):
-        assert lattice.code_dimensions(example1_bundle.pair) == (68, 132)
+        # the preset takes k from its encoder plans' ranks
+        b = example1_bundle
+        assert b.profile.k == lattice.code_dimensions(b.pair) == (68, 132)
 
     def test_wimax(self, wimax_bundle):
-        assert lattice.code_dimensions(wimax_bundle.pair) == (564, 1034)
+        b = wimax_bundle
+        assert b.profile.k == lattice.code_dimensions(b.pair) == (564, 1034)
 
     def test_h0_equals_h1(self, toy_pair):
         k0, k1 = lattice.code_dimensions(toy_pair)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import lattice_points_in_box, wrapped_logpdf
+from oracles import lattice_points_in_box, wrapped_log_density, wrapped_logpdf
 from qclattice import codec, codes, lattice, qc, sim
 from qclattice.gf2 import nullspace_basis
 
@@ -29,27 +30,20 @@ class TestConversions:
             assert sim.sigma2_to_snr(sim.snr_to_sigma2(db)) == pytest.approx(db, abs=1e-12)
             assert sim.sigma2_to_vnr(sim.vnr_to_sigma2(db, 2.7), 2.7) == pytest.approx(db, abs=1e-12)
 
-    def test_channel_params_consistency(self):
-        cp = sim.ChannelParams.from_snr_db(4.2, normalized_volume=3.0)
-        assert sim.snr_to_sigma2(cp.snr_db) == pytest.approx(cp.sigma2, rel=1e-12)
-        assert sim.vnr_to_sigma2(cp.vnr_db, 3.0) == pytest.approx(cp.sigma2, rel=1e-12)
-        cp2 = sim.ChannelParams.from_vnr_db(cp.vnr_db, 3.0)
-        assert cp2.sigma2 == pytest.approx(cp.sigma2, rel=1e-12)
-
 
 class TestFolding:
     def test_wrapped_density_normalizes(self):
         # the mod-2 folded density must integrate to 1 over one period
         for sigma in (0.2, 0.5, 1.0):
             def pdf(y, s=sigma):
-                return float(np.exp(codec.wrapped_log_density(np.array([y]), s, 0))[0])
+                return float(np.exp(wrapped_log_density(np.array([y]), s, 0))[0])
             val, _ = quad(pdf, 0.0, 2.0, limit=200)
             assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_density_matches_reference(self):
         y = np.linspace(0.01, 1.99, 23)
         for sigma in (0.3, 0.8):
-            got = codec.wrapped_log_density(y, sigma, 1)
+            got = wrapped_log_density(y, sigma, 1)
             ref = wrapped_logpdf(y, sigma, 1)
             assert np.allclose(got, ref, rtol=1e-9)
 
@@ -133,7 +127,7 @@ def _ml_bler_spc33(plan, H, seed, snr_db, trials):
     sigma = math.sqrt(sim.snr_to_sigma2(snr_db))
     errors = 0
     for trial in range(trials):
-        rng = np.random.default_rng([seed, 0, trial])
+        rng = sim.trial_stream(seed, 0, trial)
         info = rng.integers(0, 2, plan.num_info).astype(np.uint8)
         noise = rng.normal(size=10)
         cw = plan.encode_batch(np.zeros((1, H.rows), np.uint8), info.reshape(1, -1))[0]
@@ -195,7 +189,7 @@ class TestSweepLattice:
         assert len(reps_mod4) == 4
         ml_errors = 0
         for trial in range(M):
-            rng = np.random.default_rng([seed, 0, trial])
+            rng = sim.trial_stream(seed, 0, trial)
             i0 = rng.integers(0, 2, 1).astype(np.uint8)
             i1 = rng.integers(0, 2, 1).astype(np.uint8)
             zv = rng.integers(-2, 3, 4)
@@ -215,6 +209,19 @@ class TestSweepLattice:
         assert rep.bler >= ml - noise3          # optimal decoder lower-bounds
         assert rep.bler <= 12 * ml + noise3     # but the gap stays bounded
 
+    @pytest.mark.parametrize("paired", [False, True], ids=["keyed", "paired"])
+    def test_batch_invariant_with_mid_batch_stop(self, toy, paired):
+        pair, fam, plans, nv = toy
+        kw = dict(max_trials=2000, target_errors=19, seed=5, label="toy",
+                  paired_noise=paired)
+        reps = [sim.sweep_lattice(pair, plans, nv, [5.0, 6.0], batch=b, **kw)
+                for b in (1, 7, 256)]
+        assert reps[0] == reps[1] == reps[2]
+        for r in reps[0]:
+            assert r.block_errors == 19 and r.trials < 2000
+            assert r.stage0_errors == 19    # here every error starts at level 0
+            assert r.trials % 7 and r.trials % 256   # the stop cuts a batch
+
     def test_paired_noise_mode(self, toy):
         pair, fam, plans, nv = toy
         reps = sim.sweep_lattice(pair, plans, nv, [5.0, 7.0, 9.0],
@@ -222,3 +229,65 @@ class TestSweepLattice:
                                  label="toy", paired_noise=True)
         blers = [r.bler for r in reps]
         assert blers == sorted(blers, reverse=True)
+
+
+def _scripted(rng):
+    """A scripted trial outcome drawn from the trial's own stream: stage -1
+    (5 in 8), 0, 1 or 2 (1 in 8 each), and 0..49 BP iterations."""
+    s, it = rng.integers(0, 8), rng.integers(0, 50)
+    return (int(s) if s < 3 else -1), int(it)
+
+
+def _scripted_step(rngs, sigma):
+    out = np.array([_scripted(rng) for rng in rngs], dtype=np.int64).reshape(-1, 2)
+    return out[:, 0], out[:, 1]
+
+
+def _scripted_sweep(batch, points=(1.0, 2.0), paired=False, **kw):
+    kw = {"max_trials": 400, "target_errors": 60, "seed": 3, **kw}
+    return sim._sweep("lattice", "scripted", list(points), lambda db: 1.0,
+                      _scripted_step, max_iter=0, batch=batch, paired=paired, **kw)
+
+
+class TestSweepDriver:
+    """The driver with a scripted step, which makes stage-1 and integer
+    errors that no seeded sweep here produces; the serial outcome is
+    replayed trial by trial from ``sim.trial_stream``."""
+
+    @staticmethod
+    def _replay(seed, point, target, max_trials, paired=False):
+        outcomes = []
+        while len(outcomes) < max_trials and sum(s >= 0 for s, _ in outcomes) < target:
+            outcomes.append(_scripted(sim.trial_stream(seed, point, len(outcomes), paired)))
+        return np.array(outcomes).reshape(-1, 2)
+
+    def _check(self, rep, out):
+        stages, iters = out[:, 0], out[:, 1]
+        assert rep.trials == len(out)
+        assert rep.block_errors == int((stages >= 0).sum())
+        assert (rep.stage0_errors, rep.stage1_errors, rep.integer_errors) == \
+            tuple(int((stages == s).sum()) for s in range(3))
+        assert rep.iterations_mean == float(iters.sum()) / len(out)
+        assert rep.bler == rep.block_errors / rep.trials
+
+    def test_stop_lands_on_the_target_trial(self):
+        reps = {b: _scripted_sweep(b) for b in (1, 5, 64)}
+        assert reps[1] == reps[5] == reps[64]
+        for pt, rep in enumerate(reps[1]):
+            out = self._replay(3, pt, 60, 400)
+            self._check(rep, out)
+            assert rep.block_errors == 60 and out[-1, 0] >= 0
+            assert rep.stage1_errors > 0 and rep.integer_errors > 0
+            assert rep.trials % 5 and rep.trials % 64   # the stop cuts a batch
+
+    def test_max_trials_ends_a_point(self):
+        reps = {b: _scripted_sweep(b, max_trials=37) for b in (1, 5, 64)}
+        assert reps[1] == reps[5] == reps[64]
+        for pt, rep in enumerate(reps[1]):
+            self._check(rep, self._replay(3, pt, 60, 37))
+            assert rep.trials == 37 and rep.block_errors < 60
+
+    def test_paired_points_share_their_streams(self):
+        a, b = _scripted_sweep(5, paired=True)
+        self._check(a, self._replay(3, 0, 60, 400, paired=True))
+        assert a == dataclasses.replace(b, x_db=a.x_db)
