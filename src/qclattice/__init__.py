@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .codec import (EncoderPlan, LatticeWord, MultistageDecoder, encode_lattice,
-                    stage_syndrome, wrapped_llr)
+from .codec import (EncoderPlan, MultistageDecoder, encode_lattice, stage_syndrome,
+                    wrapped_llr)
 from .codes import (NestedPair, build_h0, build_h1_block_row, build_h1_row_sums,
                     build_spc, build_staircase, make_pair_block_row,
                     make_pair_row_sums, verify_nesting)
@@ -22,7 +22,7 @@ __all__ = [
     "__version__",
     "BUILTIN_LATTICES", "BitMatrix", "CheckFamily",
     "EncoderPlan", "InconsistentSyndromeError", "LatticeBundle",
-    "LatticeProfile", "LatticeWord", "MultistageDecoder", "NestedPair",
+    "LatticeProfile", "MultistageDecoder", "NestedPair",
     "ProtoMatrix", "SimReport",
     "apply_edits", "balanced_check", "build_h0", "build_h1_block_row",
     "build_h1_row_sums", "build_spc", "build_staircase", "code_dimensions",

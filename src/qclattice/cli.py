@@ -13,7 +13,8 @@ after the header); ``runs`` keeps one such record per run appended to the
 CSV.
 
 Exit codes: 0 success, 2 config error (including bad numeric options and
-any ValueError raised by the library), 3 data error.
+any ValueError raised by the library), 3 data error (including an input
+file, prototype or edits, that is unreadable or malformed).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import time
 import numpy as np
 
 from . import __version__, codes, lattice, presets, qc, sim, wmin
-from .gf2 import rank
 
 CSV_HEADER = ["kind", "label", "x_db", "trials", "block_errors", "bler",
               "stage0_errors", "stage1_errors", "integer_errors",
@@ -308,18 +308,23 @@ def cmd_build(opts: dict) -> int:
                 P = qc.apply_edits(P, qc.load_edits(opts["edits"]))
             except OSError as e:
                 raise DataError(f"cannot read edits file: {e}")
+            except (ValueError, qc.OutOfRangeError) as e:
+                raise DataError(f"bad edits file {opts['edits']}: {e}")
         if opts.get("h1_groups"):
             groups = [tuple(int(i) for i in g.split("+"))
                       for g in str(opts["h1_groups"]).split(",")]
             pair = codes.make_pair_row_sums(P, groups)
         else:
-            pair = codes.make_pair_block_row(P, int(opts.get("h1_block_row") or 0))
+            try:
+                pair = codes.make_pair_block_row(P, _int_opt(opts, "h1_block_row", 0))
+            except IndexError as e:
+                raise ConfigError(f"--h1-block-row: {e}")
     else:
         bundle = _get_bundle(opts.get("lattice"))
         pair = bundle.pair
     k0, k1 = lattice.code_dimensions(pair)
-    print(f"H0: {pair.h0.rows}x{pair.h0.cols}  rank {rank(pair.h0)}  k0 {k0}")
-    print(f"H1: {pair.h1.rows}x{pair.h1.cols}  rank {rank(pair.h1)}  k1 {k1}")
+    print(f"H0: {pair.h0.rows}x{pair.h0.cols}  rank {pair.n - k0}  k0 {k0}")
+    print(f"H1: {pair.h1.rows}x{pair.h1.cols}  rank {pair.n - k1}  k1 {k1}")
     print(f"nested: {codes.verify_nesting(pair)}")
     return 0
 

@@ -1,14 +1,19 @@
 """Sequential lattice encoding and multistage sum-product decoding.
 
-Encoding solves each level's parity checks for a prescribed syndrome (the
-level-1 syndrome comes from the level-0 codeword), which is realized as a
-syndrome column prepended at the left of the parity-check matrix plus a
-dummy coordinate pinned to bit 1 at the head of each component codeword.
-The transmitted integer point is
+Encoding is sequential and batched, in one function (:func:`encode_lattice`,
+which the lattice sweep calls once per batch): solve level 0 for syndrome
+zero, take the level-1 syndrome from c0 (:func:`stage_syndrome`), solve
+level 1 for it.  A prescribed syndrome is realized as a syndrome column
+prepended at the left of the parity-check matrix plus a dummy coordinate
+pinned to bit 1 at the head of each component codeword.  The transmitted
+integer point is
 
     x = (3 + 4*z0,  c0 + 2*c1 + 4*zvec)
 
-so coordinate 0 always satisfies x_0 = 3 (mod 4).
+so coordinate 0 always satisfies x_0 = 3 (mod 4).  Nesting makes every
+level-1 dot product with c0 even; the encoder refuses an odd one
+(:class:`OddDotError`), while the decoder tolerates it, since an
+unconverged level-0 decision may break parity.
 
 Decoding runs a flooding tanh-rule sum-product decoder per level on the
 mod-2 wrapped channel: decode level 0, subtract, halve, decode level 1 at
@@ -45,7 +50,6 @@ LLR sign convention: positive favors bit 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,65 +126,48 @@ class EncoderPlan:
         return c
 
 
-def stage_syndrome(level1_rows: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """Level-1 syndrome of a level-0 codeword: s_j = ((h_j . c0) mod 4) / 2.
+def stage_syndrome(level1_rows: np.ndarray, c0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level-1 syndromes of a (batch, n) stack of level-0 words:
+    s_j = bit 1 of ((h_j . c0) mod 4), which is ((h_j . c0) mod 4) / 2 when
+    the dot is even.
 
-    Every dot product must be even (guaranteed by nesting); an odd dot
-    raises :class:`OddDotError`.
+    Returns ``(s, odd)``, both (batch, rows): ``odd`` flags the odd dots.
+    Nesting makes every dot with a level-0 codeword even, so the encoder
+    refuses any odd dot; the decoder ignores them, since hard decisions
+    from an unconverged stage may break parity.  The float32 products of
+    0/1 entries are exact.
     """
-    rows = np.asarray(level1_rows, dtype=np.int64)
-    dots = rows @ np.asarray(c0, dtype=np.int64)
-    if (dots & 1).any():
-        bad = int(np.nonzero(dots & 1)[0][0])
-        raise OddDotError(f"row {bad} has odd dot product {int(dots[bad])}")
-    return ((dots % 4) // 2).astype(np.uint8)
-
-
-def _stage_syndrome_batch(rows_t: np.ndarray, C0: np.ndarray) -> np.ndarray:
-    """Relaxed batch syndrome used by the decoder: bit 1 of (dot mod 4).
-
-    Hard decisions from an unconverged stage may violate parity, so odd
-    dots are tolerated here rather than raised.
-    """
-    dots = (C0.astype(np.float32) @ rows_t).astype(np.int64)
-    return ((dots % 4) // 2).astype(np.uint8)
-
-
-@dataclass(frozen=True)
-class LatticeWord:
-    """One encoded (or decoded) lattice point and its per-level pieces."""
-
-    c0: np.ndarray    # (n,) level-0 codeword
-    c1: np.ndarray    # (n,) level-1 codeword
-    s1: np.ndarray    # level-1 syndrome solved by c1
-    zvec: np.ndarray  # (n,) integer part
-    z0: int           # integer part of the dummy coordinate
-    x: np.ndarray     # (n+1,) transmitted point; x[0] = 3 + 4*z0
-
-
-def assemble_point(c0, c1, zvec, z0: int) -> np.ndarray:
-    x = np.empty(len(c0) + 1, dtype=np.int64)
-    x[0] = 3 + 4 * int(z0)
-    x[1:] = c0.astype(np.int64) + 2 * c1.astype(np.int64) + 4 * np.asarray(zvec, dtype=np.int64)
-    return x
+    dots = (c0.astype(np.float32) @ level1_rows.T.astype(np.float32)).astype(np.int64)
+    return ((dots >> 1) & 1).astype(np.uint8), (dots & 1).astype(bool)
 
 
 def encode_lattice(pair: NestedPair, plans: tuple[EncoderPlan, EncoderPlan],
-                   info0, info1, zvec, z0: int = 0) -> LatticeWord:
-    """Sequential two-level encode.
+                   infos0: np.ndarray, infos1: np.ndarray,
+                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sequential two-level encode of a batch of lattice points.
 
-    Level 0 solves for syndrome zero; the level-1 syndrome is derived from
-    c0 and solved next; the integer parts translate the point by 4Z^n.
+    ``infos0`` (batch, k0) and ``infos1`` (batch, k1) are the info bits and
+    ``z`` (batch, n+1) the integer parts, z0 in column 0.  Level 0 solves
+    for syndrome zero; the level-1 syndrome is derived from c0 and solved
+    next; the integer parts translate the point by 4Z^(n+1).  Returns
+    ``(c0, c1, x)`` with x = (3 + 4*z0, c0 + 2*c1 + 4*zvec) row by row.
+
+    Raises :class:`OddDotError` if a level-1 row has an odd dot product
+    with c0, i.e. the pair is not nested.
     """
     plan0, plan1 = plans
-    info0 = np.asarray(info0, dtype=np.uint8).reshape(1, -1)
-    info1 = np.asarray(info1, dtype=np.uint8).reshape(1, -1)
-    c0 = plan0.encode_batch(np.zeros((1, pair.h0.rows), dtype=np.uint8), info0)[0]
-    s1 = stage_syndrome(pair.h1.a, c0)
-    c1 = plan1.encode_batch(s1.reshape(1, -1), info1)[0]
-    zvec = np.asarray(zvec, dtype=np.int64)
-    return LatticeWord(c0=c0, c1=c1, s1=s1, zvec=zvec, z0=int(z0),
-                       x=assemble_point(c0, c1, zvec, z0))
+    z = np.asarray(z, dtype=np.int64)
+    c0 = plan0.encode_batch(np.zeros((z.shape[0], pair.h0.rows), dtype=np.uint8), infos0)
+    s1, odd = stage_syndrome(pair.h1.a, c0)
+    if odd.any():
+        b, j = np.argwhere(odd)[0]
+        raise OddDotError(f"level-1 row {j} has an odd dot product with the "
+                          f"level-0 codeword of point {b}: the pair is not nested")
+    c1 = plan1.encode_batch(s1, infos1)
+    x = 4 * z
+    x[:, 0] += 3
+    x[:, 1:] += c0 + 2 * c1.astype(np.int64)
+    return c0, c1, x
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +481,10 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
 class MultistageDecoder:
     """Reusable multistage decoder for one nested pair."""
 
-    def __init__(self, pair: NestedPair, level1_rows: np.ndarray | None = None,
-                 max_iter: int = 100):
+    def __init__(self, pair: NestedPair, max_iter: int = 100):
         self.pair = pair
         self.graph0 = TannerGraph(pair.h0)
         self.graph1 = TannerGraph(pair.h1)
-        rows = pair.h1.a if level1_rows is None else np.asarray(level1_rows)
-        self.rows1_t = rows.T.astype(np.float32)
         self.max_iter = max_iter
 
     def decode_batch(self, Y: np.ndarray, sigma: float):
@@ -517,7 +501,7 @@ class MultistageDecoder:
         llr0 = wrapped_llr(Y[:, 1:], sigma)
         c0, it0, cv0 = bp_decode_batch(self.graph0, llr0, None, self.max_iter)
 
-        s1 = _stage_syndrome_batch(self.rows1_t, c0)
+        s1, _ = stage_syndrome(self.pair.h1.a, c0)
         ext0 = np.concatenate([np.ones((B, 1), dtype=np.uint8), c0], axis=1)
         y1 = (Y - ext0) / 2.0
         llr1 = wrapped_llr(y1[:, 1:], sigma / 2.0)
@@ -525,5 +509,5 @@ class MultistageDecoder:
 
         ext1 = np.concatenate([np.ones((B, 1), dtype=np.uint8), c1], axis=1)
         z = np.rint((Y - ext0 - 2.0 * ext1) / 4.0).astype(np.int64)
-        diag = {"it0": it0, "conv0": cv0, "it1": it1, "conv1": cv1, "s1": s1}
+        diag = {"it0": it0, "conv0": cv0, "it1": it1, "conv1": cv1}
         return c0, c1, z, diag

@@ -100,17 +100,25 @@ def expand(P: ProtoMatrix) -> BitMatrix:
     return BitMatrix(a)
 
 
+def _scaled_z(P2304: ProtoMatrix, n: int) -> int:
+    """Circulant size z = 96*n/2304 of a z=96 prototype scaled to length n;
+    raises :class:`BadLengthError` unless P2304 has z=96 and z comes out a
+    positive integer."""
+    if P2304.z != BASE_Z:
+        raise BadLengthError(f"scaling expects a z={BASE_Z} prototype, got z={P2304.z}")
+    z_new = BASE_Z * n // BASE_LENGTH
+    if z_new < 1 or BASE_Z * n != z_new * BASE_LENGTH:
+        raise BadLengthError(f"length {n} does not give an integer circulant size")
+    return z_new
+
+
 def scale_shifts(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
     """Rescale a z=96 prototype to length ``n`` by reducing exponents mod z.
 
     The new circulant size is z = 96*n/2304, which must come out a positive
     integer; empty cells stay empty.
     """
-    if P2304.z != BASE_Z:
-        raise BadLengthError(f"scaling expects a z={BASE_Z} prototype, got z={P2304.z}")
-    z_new = BASE_Z * n // BASE_LENGTH
-    if z_new < 1 or BASE_Z * n != z_new * BASE_LENGTH:
-        raise BadLengthError(f"length {n} does not give an integer circulant size")
+    z_new = _scaled_z(P2304, n)
 
     def scale_cell(cell: Cell) -> Cell:
         scaled = tuple(e % z_new for e in cell)
@@ -129,11 +137,7 @@ def scale_shifts_floor(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
     the rate-1/2 family and, unlike the plain modulo reduction, keeps the
     scaled rate-1/2 matrix free of 4-cycles at z=48.
     """
-    if P2304.z != BASE_Z:
-        raise BadLengthError(f"scaling expects a z={BASE_Z} prototype, got z={P2304.z}")
-    z_new = BASE_Z * n // BASE_LENGTH
-    if z_new < 1 or BASE_Z * n != z_new * BASE_LENGTH:
-        raise BadLengthError(f"length {n} does not give an integer circulant size")
+    z_new = _scaled_z(P2304, n)
     cells = tuple(
         tuple(tuple(e * z_new // BASE_Z for e in cell) for cell in row)
         for row in P2304.cells

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (EncoderPlan, MultistageDecoder, TannerGraph,
-                    _stage_syndrome_batch, bp_decode_batch, wrapped_llr)
+from .codec import (EncoderPlan, MultistageDecoder, TannerGraph, bp_decode_batch,
+                    encode_lattice, wrapped_llr)
 from .gf2 import BitMatrix
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -178,7 +178,8 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
     parts uniform over -zrange..zrange), add Gaussian noise with variance
     from the VNR, decode multistage, and count a block error when any
     coordinate of the recovered point differs.  Errors are attributed to the
-    first failing stage (level 0, level 1, or integer rounding).
+    first failing stage (level 0, level 1, or integer rounding).  A pair
+    that is not nested is refused by the encode (:class:`OddDotError`).
 
     ``paired_noise=True`` keys each trial's stream by (seed, trial) only, so
     every VNR point sees the same randomness; sweeps are then paired across
@@ -188,7 +189,6 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
     n = pair.n
     k0, k1 = plan0.num_info, plan1.num_info
     decoder = MultistageDecoder(pair, max_iter=max_iter)
-    m0 = pair.h0.rows
 
     def step(rngs, sigma):
         bsz = len(rngs)
@@ -202,12 +202,7 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
             zmat[b, 1:] = rng.integers(-zrange, zrange + 1, n)
             zmat[b, 0] = rng.integers(-zrange, zrange + 1)
             noise[b] = rng.normal(size=n + 1)
-        c0 = plan0.encode_batch(np.zeros((bsz, m0), dtype=np.uint8), infos0)
-        s1 = _stage_syndrome_batch(decoder.rows1_t, c0)
-        c1 = plan1.encode_batch(s1, infos1)
-        x = np.empty((bsz, n + 1), dtype=np.int64)
-        x[:, 0] = 3 + 4 * zmat[:, 0]
-        x[:, 1:] = c0.astype(np.int64) + 2 * c1.astype(np.int64) + 4 * zmat[:, 1:]
+        c0, c1, x = encode_lattice(pair, plans, infos0, infos1, zmat)
         y = x + sigma * noise
 
         d0, d1, dz, diag = decoder.decode_batch(y, sigma)

@@ -87,13 +87,7 @@ def test_05_round_trip(name, example1_bundle, wimax_bundle):
             zm[j, 1:] = rng.integers(-2, 3, n)
             zm[j, 0] = rng.integers(-2, 3)
             noise[j] = rng.normal(size=n + 1)
-        c0 = b.plan0.encode_batch(np.zeros((bsz, b.pair.h0.rows), np.uint8), i0)
-        s1 = ((c0.astype(np.float32) @ b.pair.h1.a.T.astype(np.float32))
-              .astype(np.int64) % 4 // 2).astype(np.uint8)
-        c1 = b.plan1.encode_batch(s1, i1)
-        x = np.empty((bsz, n + 1), np.int64)
-        x[:, 0] = 3 + 4 * zm[:, 0]
-        x[:, 1:] = c0 + 2 * c1.astype(np.int64) + 4 * zm[:, 1:]
+        c0, c1, x = codec.encode_lattice(b.pair, b.plans, i0, i1, zm)
         # congruence membership of every encoded point
         dots = x[:, 1:].astype(np.int64) @ b.family.rows.T.astype(np.int64)
         m1 = b.family.m1
@@ -233,21 +227,17 @@ def test_10_scaled_comparison(example1_bundle, wimax_bundle):
                             target_errors=M, seed=seed, label="toy")[0]
     sigma = math.sqrt(sim.vnr_to_sigma2(vnr, nv))
     reps4 = np.array(lattice_points_in_box(fam.rows, fam.m1, 0, 3), np.int64)
-    ml_err = 0
-    for trial in range(M):
-        rng = sim.trial_stream(seed, 0, trial)
-        i0 = rng.integers(0, 2, 1).astype(np.uint8)
-        i1 = rng.integers(0, 2, 1).astype(np.uint8)
-        zv = rng.integers(-2, 3, 4)
-        z0 = int(rng.integers(-2, 3))
-        noise = rng.normal(size=5)
-        w = codec.encode_lattice(pair, plans, i0, i1, zv, z0)
-        y = w.x + sigma * noise
-        x0 = 3 + 4 * int(np.rint((y[0] - 3) / 4))
-        cand = reps4 + 4 * np.rint((y[1:] - reps4) / 4).astype(np.int64)
-        best = cand[int(np.argmin(((y[1:] - cand) ** 2).sum(axis=1)))]
-        if x0 != w.x[0] or not np.array_equal(best, w.x[1:]):
-            ml_err += 1
+    draws = [(rng.integers(0, 2, 1), rng.integers(0, 2, 1), rng.integers(-2, 3, 4),
+              rng.integers(-2, 3), rng.normal(size=5))
+             for rng in (sim.trial_stream(seed, 0, t) for t in range(M))]
+    i0, i1, zv, z0, noise = (np.array(d) for d in zip(*draws))
+    _, _, x = codec.encode_lattice(pair, plans, i0, i1, np.column_stack([z0, zv]))
+    y = x + sigma * noise
+    x0 = 3 + 4 * np.rint((y[:, 0] - 3) / 4).astype(np.int64)
+    y = y[:, None, 1:]
+    cand = reps4 + 4 * np.rint((y - reps4) / 4).astype(np.int64)
+    best = cand[np.arange(M), np.argmin(((y - cand) ** 2).sum(axis=2), axis=1)]
+    ml_err = int(((x0 != x[:, 0]) | (best != x[:, 1:]).any(axis=1)).sum())
     ml = ml_err / M
     p = max(rep.bler, ml)
     band = 3 * math.sqrt(p * (1 - p) / M)

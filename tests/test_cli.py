@@ -67,6 +67,27 @@ class TestBuild:
         code, _, err = run(capsys, "build", "--proto", str(p))
         assert code == 3
 
+    @pytest.mark.parametrize("row", ["7", "-1"])
+    def test_block_row_outside_grid_is_config_error(self, capsys, tmp_path, row):
+        p = tmp_path / "toy.proto"
+        p.write_text("1 2 2\n0 0\n")
+        code, out, err = run(capsys, "build", "--proto", str(p), "--h1-block-row", row)
+        assert code == 2 and out == ""
+        assert err.startswith("config error: --h1-block-row:") and f"block row {row}" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("edit", ["0 5 3", "0 1", "0 0 9"],
+                             ids=["cell-outside-grid", "malformed-line", "bad-exponent"])
+    def test_bad_edits_file_is_data_error(self, capsys, tmp_path, edit):
+        p = tmp_path / "toy.proto"
+        p.write_text("1 2 2\n0 0\n")
+        e = tmp_path / "bad.edits"
+        e.write_text(edit + "\n")
+        code, out, err = run(capsys, "build", "--proto", str(p), "--edits", str(e))
+        assert code == 3 and out == ""
+        assert err.startswith("data error: bad edits file") and "bad.edits" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestSearch:
     def test_writes_reproducible_file(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -36,22 +37,24 @@ class TestPlanLevel:
         assert example1_bundle.plan1.num_info == 132
 
 
+def _syndrome(rows, c0):
+    """``stage_syndrome`` of one word as a batch of one, as lists."""
+    s, odd = codec.stage_syndrome(np.array(rows), np.array([c0], np.uint8))
+    return s[0].tolist(), odd[0].tolist()
+
+
 class TestStageSyndrome:
     def test_zero_codeword(self):
-        rows = np.array([[1, 1, 0], [0, 1, 1]])
-        assert codec.stage_syndrome(rows, np.zeros(3, np.uint8)).tolist() == [0, 0]
+        assert _syndrome([[1, 1, 0], [0, 1, 1]], [0, 0, 0]) == ([0, 0], [False, False])
 
     def test_dot_two_gives_one(self):
-        s = codec.stage_syndrome(np.array([[1, 1, 0]]), np.array([1, 1, 0], np.uint8))
-        assert s.tolist() == [1]
+        assert _syndrome([[1, 1, 0]], [1, 1, 0]) == ([1], [False])
 
     def test_dot_four_gives_zero(self):
-        s = codec.stage_syndrome(np.array([[1, 1, 1, 1]]), np.ones(4, np.uint8))
-        assert s.tolist() == [0]
+        assert _syndrome([[1, 1, 1, 1]], [1, 1, 1, 1]) == ([0], [False])
 
-    def test_odd_dot_raises(self):
-        with pytest.raises(codec.OddDotError):
-            codec.stage_syndrome(np.array([[1, 0, 0]]), np.array([1, 0, 0], np.uint8))
+    def test_odd_dot_flagged(self):
+        assert _syndrome([[1, 0, 0], [1, 1, 1]], [1, 1, 0]) == ([0, 1], [True, False])
 
     def test_example1_syndromes_solvable(self, example1_bundle):
         # the level-1 syndrome of any g0 codeword is always achievable; the
@@ -61,50 +64,64 @@ class TestStageSyndrome:
         basis = np.array(nullspace_basis(pair.h0))
         rng = np.random.default_rng(6)
         plan1 = example1_bundle.plan1
-        for _ in range(100):
-            c0 = (rng.integers(0, 2, basis.shape[0]).astype(np.uint8) @ basis) % 2
-            s1 = codec.stage_syndrome(pair.h1.a, c0)
-            assert s1.sum() % 2 == 0  # total parity even by even codeword weight
-            c1 = plan1.encode_batch(s1.reshape(1, -1),
-                                    np.zeros((1, plan1.num_info), np.uint8))[0]
-            assert np.array_equal(pair.h1.mul_vec(c1), s1)
+        c0 = np.array([(rng.integers(0, 2, basis.shape[0]).astype(np.uint8) @ basis) % 2
+                       for _ in range(100)], np.uint8)
+        s1, odd = codec.stage_syndrome(pair.h1.a, c0)
+        assert not odd.any()
+        assert (s1.sum(axis=1) % 2 == 0).all()  # total parity even by even codeword weight
+        c1 = plan1.encode_batch(s1, np.zeros((100, plan1.num_info), np.uint8))
+        assert np.array_equal(c1 @ pair.h1.a.T.astype(np.int64) % 2, s1)
 
 
 class TestEncode:
     def test_all_zero_info(self, example1_bundle):
         pair = example1_bundle.pair
-        w = codec.encode_lattice(pair, example1_bundle.plans,
-                                 np.zeros(68, np.uint8), np.zeros(132, np.uint8),
-                                 np.zeros(170, int), 0)
-        assert w.x[0] == 3
-        assert not w.x[1:].any()
+        c0, c1, x = codec.encode_lattice(pair, example1_bundle.plans,
+                                         np.zeros((1, 68), np.uint8),
+                                         np.zeros((1, 132), np.uint8),
+                                         np.zeros((1, 171), int))
+        assert x[0, 0] == 3
+        assert not x[0, 1:].any() and not c0.any() and not c1.any()
 
     def test_random_encodes_are_members(self, example1_bundle):
         pair, fam = example1_bundle.pair, example1_bundle.family
         rng = np.random.default_rng(12)
-        for _ in range(25):
-            w = codec.encode_lattice(
-                pair, example1_bundle.plans,
-                rng.integers(0, 2, 68), rng.integers(0, 2, 132),
-                rng.integers(-2, 3, 170), int(rng.integers(-2, 3)))
-            assert w.x[0] % 4 == 3
-            assert lattice.is_member(fam, w.x[1:])
-            assert np.array_equal(pair.h0.mul_vec(w.c0), np.zeros(107, np.uint8))
-            assert np.array_equal(pair.h1.mul_vec(w.c1), w.s1)
+        draws = [(rng.integers(0, 2, 68), rng.integers(0, 2, 132),
+                  rng.integers(-2, 3, 170), int(rng.integers(-2, 3)))
+                 for _ in range(25)]
+        i0, i1, zv, z0 = (np.array(d) for d in zip(*draws))
+        z = np.column_stack([z0, zv])
+        c0, c1, x = codec.encode_lattice(pair, example1_bundle.plans, i0, i1, z)
+        s1 = ((c0 @ pair.h1.a.T.astype(np.int64)) % 4 // 2).astype(np.uint8)
+        for b in range(25):
+            assert x[b, 0] == 3 + 4 * z0[b]
+            assert np.array_equal(x[b, 1:], c0[b] + 2 * c1[b].astype(np.int64) + 4 * zv[b])
+            assert lattice.is_member(fam, x[b, 1:])
+            assert np.array_equal(pair.h0.mul_vec(c0[b]), np.zeros(107, np.uint8))
+            assert np.array_equal(pair.h1.mul_vec(c1[b]), s1[b])
 
     def test_toy_exhaustive_distinct_members(self, toy_setup):
         pair, fam, plans = toy_setup
         k0, k1 = plans[0].num_info, plans[1].num_info
         assert (k0, k1) == (1, 1)
-        seen = set()
-        for i0, i1, z in itertools.product(
-                range(2), range(2), itertools.product(range(2), repeat=4)):
-            w = codec.encode_lattice(pair, plans,
-                                     np.array([i0], np.uint8), np.array([i1], np.uint8),
-                                     np.array(z, int), 0)
-            assert lattice.is_member(fam, w.x[1:])
-            seen.add(tuple(w.x.tolist()))
-        assert len(seen) == 2 * 2 * 16  # injective encoding
+        i0, i1, zv = (np.array(d) for d in zip(*itertools.product(
+            range(2), range(2), itertools.product(range(2), repeat=4))))
+        z = np.column_stack([np.zeros(len(zv), int), zv])
+        _, _, x = codec.encode_lattice(pair, plans, i0[:, None], i1[:, None], z)
+        assert all(lattice.is_member(fam, p[1:]) for p in x)
+        assert len({tuple(p) for p in x.tolist()}) == 2 * 2 * 16  # injective encoding
+
+    def test_non_nested_pair_refused(self, toy_setup):
+        # H1 plus a weight-1 row that H0's row space does not contain:
+        # the level-0 codeword 1111 has an odd dot with it
+        pair = toy_setup[0]
+        h1 = BitMatrix(np.vstack([pair.h1.a, [[1, 0, 0, 0]]]))
+        bad = dataclasses.replace(pair, h1=h1, h1_h0_rows=None)
+        assert not codes.verify_nesting(bad)
+        plans = (codec.EncoderPlan(bad.h0), codec.EncoderPlan(bad.h1))
+        with pytest.raises(codec.OddDotError, match="row 4 .* point 1"):
+            codec.encode_lattice(bad, plans, np.array([[0], [1]]), np.zeros((2, 1), int),
+                                 np.zeros((2, 5), int))
 
     def test_unachievable_syndrome_refused_under_optimize(self):
         # the achievability check is a real test, not an assert, so it
@@ -453,53 +470,55 @@ class TestBpKernelEquivalence:
             codec.bp_decode_batch(graph, np.ones((1, 4)), None, max_iter=-3)
 
 
-def _decode_point(dec, y, sigma):
-    """One received point through ``decode_batch`` as a (1, n+1) batch:
-    the decoded point and the two stages' convergence flags."""
-    c0, c1, z, diag = dec.decode_batch(np.reshape(y, (1, -1)), sigma)
-    x = codec.assemble_point(c0[0], c1[0], z[0, 1:], z[0, 0])
-    return x, bool(diag["conv0"][0]), bool(diag["conv1"][0])
+def _decode_points(dec, Y, sigma):
+    """Received points (batch, n+1) through ``decode_batch``: the decoded
+    points, assembled here as (3 + 4*z0, c0 + 2*c1 + 4*zvec), and the two
+    stages' convergence flags."""
+    c0, c1, z, diag = dec.decode_batch(np.asarray(Y, dtype=float), sigma)
+    x = np.column_stack([3 + 4 * z[:, 0], c0 + 2 * c1.astype(np.int64) + 4 * z[:, 1:]])
+    return x, diag["conv0"], diag["conv1"]
+
+
+def _random_points(b, rng, count, noise=False):
+    """``count`` random encodes of bundle ``b``, drawn point by point (info
+    bits, integer parts, z0, then the noise if asked for); returns the
+    points and the noise."""
+    k0, k1, n = b.plan0.num_info, b.plan1.num_info, b.pair.n
+    draws = []
+    for _ in range(count):
+        d = (rng.integers(0, 2, k0), rng.integers(0, 2, k1),
+             rng.integers(-2, 3, n), int(rng.integers(-2, 3)))
+        draws.append(d + (rng.normal(size=n + 1) if noise else np.zeros(n + 1),))
+    i0, i1, zv, z0, e = (np.array(d) for d in zip(*draws))
+    _, _, x = codec.encode_lattice(b.pair, b.plans, i0, i1, np.column_stack([z0, zv]))
+    return x, e
 
 
 class TestMultistage:
     def test_noiseless_roundtrip(self, example1_bundle):
         b = example1_bundle
-        rng = np.random.default_rng(20)
-        dec = codec.MultistageDecoder(b.pair)
-        for _ in range(5):
-            w = codec.encode_lattice(b.pair, b.plans,
-                                     rng.integers(0, 2, 68), rng.integers(0, 2, 132),
-                                     rng.integers(-2, 3, 170), int(rng.integers(-2, 3)))
-            # x determines c0 = x mod 2, c1 and the integer parts
-            x, conv0, conv1 = _decode_point(dec, w.x.astype(float), 1e-3)
-            assert np.array_equal(x, w.x)
-            assert conv0 and conv1
+        x, _ = _random_points(b, np.random.default_rng(20), 5)
+        # x determines c0 = x mod 2, c1 and the integer parts
+        got, conv0, conv1 = _decode_points(codec.MultistageDecoder(b.pair), x, 1e-3)
+        assert np.array_equal(got, x)
+        assert conv0.all() and conv1.all()
 
     def test_small_noise_roundtrip(self, example1_bundle):
         b = example1_bundle
-        rng = np.random.default_rng(21)
-        dec = codec.MultistageDecoder(b.pair)
-        errors = 0
-        for _ in range(50):
-            w = codec.encode_lattice(b.pair, b.plans,
-                                     rng.integers(0, 2, 68), rng.integers(0, 2, 132),
-                                     rng.integers(-2, 3, 170), int(rng.integers(-2, 3)))
-            y = w.x + 0.01 * rng.normal(size=171)
-            x, _, _ = _decode_point(dec, y, 0.01)
-            if not np.array_equal(x, w.x):
-                errors += 1
-        assert errors == 0
+        x, noise = _random_points(b, np.random.default_rng(21), 50, noise=True)
+        got, _, _ = _decode_points(codec.MultistageDecoder(b.pair), x + 0.01 * noise, 0.01)
+        assert np.array_equal(got, x)
 
     def test_toy_sigma_to_zero_equals_nearest_point(self, toy_setup):
         pair, fam, plans = toy_setup
         dec = codec.MultistageDecoder(pair)
-        members = lattice_points_in_box(fam.rows, fam.m1, -2, 2)
+        members = np.array(lattice_points_in_box(fam.rows, fam.m1, -2, 2))
+        x = np.column_stack([np.full(len(members), 3), members])
+        got, _, _ = _decode_points(dec, x, 1e-4)
         for pt in members:
-            x = np.concatenate([[3], np.array(pt)])
-            got, _, _ = _decode_point(dec, x.astype(float), 1e-4)
-            nearest = nearest_lattice_point(fam.rows, fam.m1, x[1:].astype(float))
-            assert np.array_equal(nearest, np.array(pt))
-            assert np.array_equal(got, x)
+            nearest = nearest_lattice_point(fam.rows, fam.m1, pt.astype(float))
+            assert np.array_equal(nearest, pt)
+        assert np.array_equal(got, x)
 
     def test_decoder_tolerates_unconverged_stage(self, toy_setup):
         # a received point whose level-0 hard decision breaks a check, with
@@ -507,8 +526,8 @@ class TestMultistage:
         pair, fam, plans = toy_setup
         y = np.array([3.0, 1.0, 0.0, 0.0, 0.0])
         dec = codec.MultistageDecoder(pair, max_iter=0)
-        x, conv0, conv1 = _decode_point(dec, y, 0.1)
-        assert x.shape == (5,)
-        assert not conv0
-        x, conv0, conv1 = _decode_point(codec.MultistageDecoder(pair), y, 0.1)
-        assert conv0 and conv1
+        x, conv0, conv1 = _decode_points(dec, [y], 0.1)
+        assert x.shape == (1, 5)
+        assert not conv0[0]
+        x, conv0, conv1 = _decode_points(codec.MultistageDecoder(pair), [y], 0.1)
+        assert conv0[0] and conv1[0]

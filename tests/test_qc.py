@@ -83,10 +83,16 @@ class TestScaleShifts:
         P = qc.ProtoMatrix.from_shifts([[7]], 96)
         assert qc.scale_shifts(P, 2304).cells[0][0] == (7,)
 
-    def test_bad_length(self):
-        P = qc.ProtoMatrix.from_shifts([[7]], 96)
-        with pytest.raises(qc.BadLengthError):
-            qc.scale_shifts(P, 1000)
+    @pytest.mark.parametrize("rule", [qc.scale_shifts, qc.scale_shifts_floor],
+                             ids=["mod", "floor"])
+    @pytest.mark.parametrize("z, n, match", [(96, 1000, "integer circulant size"),
+                                             (96, 0, "integer circulant size"),
+                                             (48, 1152, "z=96 prototype")],
+                             ids=["length", "zero-length", "base-z"])
+    def test_bad_length(self, rule, z, n, match):
+        P = qc.ProtoMatrix.from_shifts([[7]], z)
+        with pytest.raises(qc.BadLengthError, match=match):
+            rule(P, n)
 
     def test_identity_scaling_preserves_expansion(self):
         rng = np.random.default_rng(0)

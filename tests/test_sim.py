@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,32 @@ class TestSweepLattice:
         b = sim.sweep_lattice(pair, plans, nv, [7.0], batch=61, **kw)
         assert a == b
 
+    def test_non_nested_pair_refused_under_optimize(self):
+        # the toy pair with a weight-1 row added to H1 is not nested: the
+        # sweep's encode refuses it (a real check, so also under python -O)
+        # rather than reporting a row of trials
+        script = (
+            "import dataclasses\n"
+            "import numpy as np\n"
+            "from qclattice import codec, codes, qc, sim\n"
+            "from qclattice.gf2 import BitMatrix\n"
+            "pair = codes.make_pair_block_row(qc.ProtoMatrix.from_shifts([[0, 0]], 2), 0)\n"
+            "h1 = BitMatrix(np.vstack([pair.h1.a, [[1, 0, 0, 0]]]))\n"
+            "bad = dataclasses.replace(pair, h1=h1, h1_h0_rows=None)\n"
+            "plans = (codec.EncoderPlan(bad.h0), codec.EncoderPlan(bad.h1))\n"
+            "try:\n"
+            "    sim.sweep_lattice(bad, plans, 4.0 ** 1.6, [6.0], max_trials=200,\n"
+            "                      target_errors=200, seed=1)\n"
+            "except codec.OddDotError:\n"
+            "    print('debug', __debug__, 'refused')\n")
+        env = dict(os.environ)
+        src_dir = str(Path(sim.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "debug False refused"
+
     def test_stage_attribution_sums(self, toy):
         pair, fam, plans, nv = toy
         rep = sim.sweep_lattice(pair, plans, nv, [6.0], max_trials=2000,
@@ -187,22 +217,17 @@ class TestSweepLattice:
         reps_mod4 = np.array(lattice_points_in_box(fam.rows, fam.m1, 0, 3),
                              dtype=np.int64)
         assert len(reps_mod4) == 4
-        ml_errors = 0
-        for trial in range(M):
-            rng = sim.trial_stream(seed, 0, trial)
-            i0 = rng.integers(0, 2, 1).astype(np.uint8)
-            i1 = rng.integers(0, 2, 1).astype(np.uint8)
-            zv = rng.integers(-2, 3, 4)
-            z0 = int(rng.integers(-2, 3))
-            noise = rng.normal(size=5)
-            w = codec.encode_lattice(pair, plans, i0, i1, zv, z0)
-            y = w.x + sigma * noise
-            x0 = 3 + 4 * int(np.rint((y[0] - 3) / 4))
-            cand = reps_mod4 + 4 * np.rint((y[1:] - reps_mod4) / 4).astype(np.int64)
-            d2 = ((y[1:] - cand) ** 2).sum(axis=1)
-            best = cand[int(np.argmin(d2))]
-            if x0 != w.x[0] or not np.array_equal(best, w.x[1:]):
-                ml_errors += 1
+        draws = [(rng.integers(0, 2, 1), rng.integers(0, 2, 1), rng.integers(-2, 3, 4),
+                  rng.integers(-2, 3), rng.normal(size=5))
+                 for rng in (sim.trial_stream(seed, 0, t) for t in range(M))]
+        i0, i1, zv, z0, noise = (np.array(d) for d in zip(*draws))
+        _, _, x = codec.encode_lattice(pair, plans, i0, i1, np.column_stack([z0, zv]))
+        y = x + sigma * noise
+        x0 = 3 + 4 * np.rint((y[:, 0] - 3) / 4).astype(np.int64)
+        y = y[:, None, 1:]
+        cand = reps_mod4 + 4 * np.rint((y - reps_mod4) / 4).astype(np.int64)
+        best = cand[np.arange(M), np.argmin(((y - cand) ** 2).sum(axis=2), axis=1)]
+        ml_errors = int(((x0 != x[:, 0]) | (best != x[:, 1:]).any(axis=1)).sum())
         ml = ml_errors / M
         p = max(rep.bler, ml)
         noise3 = 3 * math.sqrt(p * (1 - p) / M)
