@@ -13,7 +13,11 @@ integer point is
 so coordinate 0 always satisfies x_0 = 3 (mod 4).  Nesting makes every
 level-1 dot product with c0 even; the encoder refuses an odd one
 (:class:`OddDotError`), while the decoder tolerates it, since an
-unconverged level-0 decision may break parity.
+unconverged level-0 decision may break parity.  Each level's
+:class:`EncoderPlan` is that level's one GF(2) elimination: its RREF also
+gives the level's rank and, for level 0, the nesting test
+(:meth:`EncoderPlan.in_row_space`), which is how a preset bundle or
+``qclattice build`` runs two eliminations in all.
 
 Decoding runs a flooding tanh-rule sum-product decoder per level on the
 mod-2 wrapped channel: decode level 0, subtract, halve, decode level 1 at
@@ -54,7 +58,7 @@ import math
 import numpy as np
 
 from .codes import NestedPair
-from .gf2 import BitMatrix, InconsistentSyndromeError, rref
+from .gf2 import BitMatrix, InconsistentSyndromeError, in_row_space, rref
 
 LLR_SAT = 64.0      # saturation used to pin known bits
 MSG_CLIP = 30.0     # message clip inside the sum-product updates
@@ -86,6 +90,11 @@ class EncoderPlan:
     blocks are kept, as uint8.  Their float32 copies (sums of at most m + k
     ones are exact) are made once, by the first encode, so a plan that never
     encodes (a bundle built for a distance search) never holds them.
+
+    ``R_H[:r]`` is also the RREF of H alone (row operations keep its row
+    space), so the plan answers row-space membership
+    (:meth:`in_row_space`) and the rank r = n - ``num_info`` without
+    another elimination.
     """
 
     def __init__(self, matrix: BitMatrix):
@@ -102,6 +111,12 @@ class EncoderPlan:
     @property
     def num_info(self) -> int:
         return int(self.free_cols.size)
+
+    def in_row_space(self, rows: np.ndarray) -> np.ndarray:
+        """Which of the (batch, n) ``rows`` lie in the GF(2) row space of
+        H: :func:`qclattice.gf2.in_row_space` on the kept ``R_H[:r, free]``
+        block, with no elimination."""
+        return in_row_space(self.pivot_cols, self.free_cols, self._blocks[0].T, rows)
 
     def encode_batch(self, syndromes: np.ndarray, infos: np.ndarray) -> np.ndarray:
         """Solve ``H c^T = s^T`` for (batch, n) codewords with ``c`` equal

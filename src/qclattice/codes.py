@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix, rank, vstack
+from .gf2 import BitMatrix, echelon, in_row_space, vstack
 from .qc import ProtoMatrix, expand
 
 
@@ -150,5 +150,6 @@ def make_pair_row_sums(P: ProtoMatrix, groups) -> NestedPair:
 
 
 def verify_nesting(pair: NestedPair) -> bool:
-    """True iff every row of H1 lies in the GF(2) row space of H0."""
-    return rank(vstack(pair.h0, pair.h1)) == rank(pair.h0)
+    """True iff every row of H1 lies in the GF(2) row space of H0: one
+    RREF of H0, then :func:`qclattice.gf2.in_row_space` on all of H1."""
+    return bool(in_row_space(*echelon(pair.h0), pair.h1.a).all())

@@ -4,7 +4,8 @@ A check family lists integer 0/1 rows h_j with a level boundary m1: points
 x in Z^n belong to the lattice iff h_j . x = 0 (mod 4) for j < m1 and
 h_j . x = 0 (mod 2) for the remaining rows.  Redundant congruences are kept
 (they do not change the point set); all dimension counts come from GF(2)
-ranks, never from row counts.
+ranks, never from row counts.  Nesting is checked against the level-0
+encoder plan's RREF, so building a family runs no elimination.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import NestedPair, verify_nesting
-from .gf2 import BitMatrix, rank
+from .codec import EncoderPlan
+from .codes import NestedPair
+from .gf2 import rank
 
 DESIGN_D2MIN_CAP = 16  # 4^L for two levels
 
@@ -64,15 +66,22 @@ class LatticeProfile:
     gain_db: float
 
 
-def make_family(pair: NestedPair) -> CheckFamily:
+def make_family(pair: NestedPair, plan0: EncoderPlan) -> CheckFamily:
     """Congruence family for a nested pair: H1 rows first (modulus 4).
 
     For the submatrix variant the level-0 part is the rows of H0 not already
     listed in H1; for the row-sum variant (bands are row combinations, not
-    rows) all of H0 is retained at level 0.  Raises
-    :class:`NotNestedError` when the pair is not nested.
+    rows) all of H0 is retained at level 0.
+
+    ``plan0`` is the encoder plan of H0; its RREF answers the nesting test
+    (:meth:`EncoderPlan.in_row_space` on the rows of H1), so the family
+    costs no elimination of its own.  Raises :class:`NotNestedError` when
+    the pair is not nested and ValueError when ``plan0`` was built for
+    another matrix.
     """
-    if not verify_nesting(pair):
+    if plan0.matrix != pair.h0:
+        raise ValueError("plan0 must be the encoder plan of the pair's H0")
+    if not plan0.in_row_space(pair.h1.a).all():
         raise NotNestedError("every row of H1 must lie in the row space of H0")
     if pair.h1_h0_rows is not None:
         keep = np.setdiff1d(np.arange(pair.h0.rows), np.asarray(pair.h1_h0_rows))

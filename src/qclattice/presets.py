@@ -35,9 +35,10 @@ class LatticeBundle:
 
 def _bundle(name: str, proto: qc.ProtoMatrix, pair: codes.NestedPair,
             design_d: tuple[int, int]) -> LatticeBundle:
-    fam = lattice.make_family(pair)
+    # the two plans are the bundle's only eliminations: each RREF gives its
+    # level's rank, k_l = n - rank(H_l), and plan0's also the nesting test
     plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
-    # each plan's RREF already gives its level's rank: k_l = n - rank(H_l)
+    fam = lattice.make_family(pair, plan0)
     k = (plan0.num_info, plan1.num_info)
     d2min = lattice.dmin_bounds(*design_d)[0]
     profile = lattice.volume_gain(k, pair.n + 1, d2min, d=design_d)

@@ -142,8 +142,10 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     best_c: np.ndarray | None = None
 
     for perm, W, pivots in _eliminated(G0T, iterations, rng, stop_at is not None):
-        R = unpack(W[: len(pivots)], n)
-        w_rows = R.sum(axis=1).astype(np.int64)
+        rows = W[: len(pivots)]
+        R = unpack(rows, n)
+        # weights from the packed rows, whose padding bits are zero
+        w_rows = _popcount(rows).astype(np.int64)
 
         i_best = int(np.argmin(w_rows))
         if w_rows[i_best] < best_w:
@@ -154,7 +156,7 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
         if R.shape[0] >= 2:
             free = np.ones(n, dtype=bool)
             free[pivots] = False
-            Rf = R[:, free].astype(np.float32)
+            Rf = np.take(R, np.flatnonzero(free), axis=1).astype(np.float32)
             # pair weights w_i + w_j - 2 overlap_ij, made in place in the
             # float32 overlap matrix: every value is an integer of magnitude
             # at most 2n < 2^24, so each step is exact and the argmin is

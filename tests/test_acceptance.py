@@ -219,8 +219,8 @@ def test_10_scaled_comparison(example1_bundle, wimax_bundle):
     # toy-lattice multistage versus the exact nearest-point oracle
     P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
     pair = codes.make_pair_block_row(P, 0)
-    fam = lattice.make_family(pair)
     plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
+    fam = lattice.make_family(pair, plans[0])
     nv = 4.0 ** (2 - 0.2 - 0.2)
     M, seed, vnr = 10_000, 77, 7.0
     rep = sim.sweep_lattice(pair, plans, nv, [vnr], max_trials=M,

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 import qclattice
-from qclattice import cli, wmin
+from qclattice import cli, presets, wmin
+
+_EXAMPLE1_PROTO = Path(qclattice.__file__).parent / "data" / "example1_3x5_z34.txt"
+_EXAMPLE1_BUILD = "H0: 107x170  rank 102  k0 68\nH1: 39x170  rank 38  k1 132\nnested: True\n"
+_WIMAX_BUILD = "H0: 600x1152  rank 588  k0 564\nH1: 120x1152  rank 118  k1 1034\nnested: True\n"
 
 
 def run(capsys, *argv):
@@ -87,6 +91,22 @@ class TestBuild:
         assert code == 3 and out == ""
         assert err.startswith("data error: bad edits file") and "bad.edits" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args, expected", [
+        (["--lattice", "wimax1152"], _WIMAX_BUILD),
+        (["--lattice", "example1"], _EXAMPLE1_BUILD),
+        (["--proto", str(_EXAMPLE1_PROTO)], _EXAMPLE1_BUILD),
+        (["--proto", str(_EXAMPLE1_PROTO), "--h1-groups", "0+1,2"],
+         "H0: 107x170  rank 102  k0 68\nH1: 73x170  rank 70  k1 100\nnested: True\n"),
+    ], ids=["lattice-wimax1152", "lattice-example1", "proto", "proto-h1-groups"])
+    def test_two_eliminations(self, capsys, monkeypatch, eliminations, args, expected):
+        # one RREF per level, with the built-in bundles uncached; the
+        # outputs are pinned from the build that ran 8 (--lattice) or 4
+        for name, build in list(presets.BUILTIN_LATTICES.items()):
+            monkeypatch.setitem(presets.BUILTIN_LATTICES, name, build.__wrapped__)
+        code, out, _ = run(capsys, "build", *args)
+        assert code == 0 and out == expected
+        assert len(eliminations) == 2
 
 
 class TestSearch:

@@ -22,8 +22,8 @@ from qclattice.gf2 import BitMatrix
 def toy_setup():
     P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
     pair = codes.make_pair_block_row(P, 0)
-    fam = lattice.make_family(pair)
     plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
+    fam = lattice.make_family(pair, plans[0])
     return pair, fam, plans
 
 

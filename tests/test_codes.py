@@ -140,6 +140,10 @@ class TestVerifyNesting:
     def test_wimax(self, wimax_bundle):
         assert codes.verify_nesting(wimax_bundle.pair)
 
+    def test_one_elimination(self, wimax_bundle, eliminations):
+        assert codes.verify_nesting(wimax_bundle.pair)
+        assert eliminations == [(600, 18)]  # H0 alone
+
     def test_random_row_breaks_nesting(self, example1_bundle):
         pair = example1_bundle.pair
         rng = np.random.default_rng(99)

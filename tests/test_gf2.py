@@ -8,8 +8,9 @@ from oracles import (exhaustive_nullspace, ref_nullspace_basis, ref_rank, ref_rr
 from qclattice import qc
 from qclattice.codec import EncoderPlan
 from qclattice.codes import build_spc
-from qclattice.gf2 import (BitMatrix, InconsistentSyndromeError, nullspace_basis, pack,
-                           rank, row_space_contains, rref, rref_words, unpack, vstack)
+from qclattice.gf2 import (BitMatrix, InconsistentSyndromeError, echelon, in_row_space,
+                           nullspace_basis, pack, rank, row_space_contains, rref,
+                           rref_words, unpack, vstack)
 
 
 @st.composite
@@ -373,6 +374,65 @@ class TestRowSpaceContains:
         v = np.random.default_rng(seed).integers(0, 2, M.cols).astype(np.uint8)
         expected = ref_rank(np.vstack([M.a, v[None, :]])) == ref_rank(M.a)
         assert row_space_contains(M, v) == expected
+
+    def test_one_elimination(self, eliminations):
+        M = BitMatrix(np.random.default_rng(3).integers(0, 2, (6, 10)).astype(np.uint8))
+        assert row_space_contains(M, M.a[1] ^ M.a[4])
+        assert len(eliminations) == 1
+
+
+def _combinations_and_flips(M: BitMatrix, count: int, seed: int):
+    """``count`` random combinations of the rows of M, and the same rows
+    with one random bit flipped each."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, 2, (count, M.rows))
+    V = (coeffs @ M.a % 2).astype(np.uint8)
+    flipped = V.copy()
+    flipped[np.arange(count), rng.integers(0, M.cols, count)] ^= 1
+    return V, flipped
+
+
+class TestInRowSpace:
+    """Batched membership on an RREF, against rank augmentation."""
+
+    @given(bit_matrices(max_rows=6, max_cols=10), st.integers(0, 2 ** 31))
+    @settings(max_examples=100)
+    def test_matches_rank_augmentation(self, M, seed):
+        V, flipped = _combinations_and_flips(M, 4, seed)
+        rand = np.random.default_rng(seed + 1).integers(0, 2, (4, M.cols)).astype(np.uint8)
+        rows = np.vstack([V, flipped, rand])
+        expected = [ref_rank(np.vstack([M.a, v[None, :]])) == ref_rank(M.a) for v in rows]
+        assert in_row_space(*echelon(M), rows).tolist() == expected
+        assert EncoderPlan(M).in_row_space(rows).tolist() == expected
+        assert all(expected[:4])
+
+    @pytest.mark.parametrize("bundle", ["example1_bundle", "wimax_bundle"])
+    def test_presets_h0(self, bundle, request):
+        # combinations of about half of H0's rows (column sums well past 1,
+        # so the mod-2 reduction matters) and the same with one bit flipped
+        b = request.getfixturevalue(bundle)
+        H = b.pair.h0
+        V, flipped = _combinations_and_flips(H, 6, 5)
+        r = rank(H)
+        expected = [rank(vstack(H, BitMatrix(v[None, :]))) == r for v in flipped]
+        assert not any(expected)
+        for got in (in_row_space(*echelon(H), np.vstack([V, flipped])),
+                    b.plan0.in_row_space(np.vstack([V, flipped]))):
+            assert got.tolist() == [True] * 6 + expected
+
+    def test_rank_zero_and_full_rank(self):
+        zero = BitMatrix.zeros(2, 3)
+        rows = np.array([[0, 0, 0], [0, 1, 0]])
+        assert in_row_space(*echelon(zero), rows).tolist() == [True, False]
+        full = BitMatrix.identity(3)
+        assert in_row_space(*echelon(full), rows).tolist() == [True, True]
+
+    def test_wrong_length_refused(self):
+        M = BitMatrix.identity(3)
+        with pytest.raises(ValueError, match="length 4"):
+            in_row_space(*echelon(M), np.ones((2, 4), np.uint8))
+        with pytest.raises(ValueError, match="length 4"):
+            EncoderPlan(M).in_row_space(np.ones(4, np.uint8))
 
 
 class TestBitMatrix:

@@ -1,10 +1,16 @@
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import lattice_points_in_box
-from qclattice import codes, lattice, qc
+from qclattice import codec, codes, lattice, presets, qc
+from qclattice.gf2 import BitMatrix, rank, vstack
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +22,7 @@ def toy_pair():
 
 @pytest.fixture(scope="module")
 def toy_family(toy_pair):
-    return lattice.make_family(toy_pair)
+    return lattice.make_family(toy_pair, codec.EncoderPlan(toy_pair.h0))
 
 
 class TestMakeFamily:
@@ -39,12 +45,61 @@ class TestMakeFamily:
     def test_not_nested_raises(self, example1_bundle):
         pair = example1_bundle.pair
         rng = np.random.default_rng(1)
-        from qclattice.gf2 import BitMatrix, vstack
         bad_h1 = vstack(pair.h1, BitMatrix(rng.integers(0, 2, (1, 170)).astype(np.uint8)))
         bad = codes.NestedPair(h0=pair.h0, h1=bad_h1, n=170, z=34, p=5, q=34,
                                h1_h0_rows=None)
         with pytest.raises(lattice.NotNestedError):
-            lattice.make_family(bad)
+            lattice.make_family(bad, example1_bundle.plan0)
+
+    def test_weight_one_row_refused(self, example1_bundle):
+        # H1 plus e_0, which H0's row space does not hold
+        pair = example1_bundle.pair
+        e0 = BitMatrix(np.eye(1, 170, dtype=np.uint8))
+        assert rank(vstack(pair.h0, e0)) == rank(pair.h0) + 1
+        bad = dataclasses.replace(pair, h1=vstack(pair.h1, e0), h1_h0_rows=None)
+        with pytest.raises(lattice.NotNestedError):
+            lattice.make_family(bad, example1_bundle.plan0)
+
+    def test_plan_of_another_matrix_refused(self, example1_bundle):
+        pair = example1_bundle.pair
+        # H1's plan, and a plan of H0's rows reversed (same row space)
+        for plan in (example1_bundle.plan1,
+                     codec.EncoderPlan(BitMatrix(pair.h0.a[::-1]))):
+            with pytest.raises(ValueError, match="plan0 must be"):
+                lattice.make_family(pair, plan)
+
+
+class TestBundle:
+    @pytest.mark.parametrize("name", ["example1", "wimax1152"])
+    def test_uncached_bundle_runs_two_eliminations(self, name, eliminations):
+        # the two encoder plans, and nothing else
+        b = presets.BUILTIN_LATTICES[name].__wrapped__()
+        m0, m1 = b.pair.h0.rows, b.pair.h1.rows
+        assert [shape[0] for shape in eliminations] == [m0, m1]
+
+    def test_non_nested_pair_refused_under_optimize(self):
+        # nesting is a real check, not an assert, so the bundle path
+        # still refuses under python -O
+        script = (
+            "import dataclasses\n"
+            "import numpy as np\n"
+            "from qclattice import codes, lattice, presets, qc\n"
+            "from qclattice.gf2 import BitMatrix, vstack\n"
+            "proto = qc.example1_proto()\n"
+            "pair = codes.make_pair_block_row(proto, 0)\n"
+            "h1 = vstack(pair.h1, BitMatrix(np.eye(1, 170, dtype=np.uint8)))\n"
+            "bad = dataclasses.replace(pair, h1=h1, h1_h0_rows=None)\n"
+            "try:\n"
+            "    presets._bundle('bad', proto, bad, (16, 4))\n"
+            "except lattice.NotNestedError:\n"
+            "    print('debug', __debug__, 'refused')\n")
+        env = dict(os.environ)
+        src_dir = str(Path(lattice.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "debug False refused"
 
 
 class TestMembership:
@@ -76,7 +131,7 @@ class TestMembership:
         # two block rows at z=2 so levels differ
         P = qc.ProtoMatrix.from_shifts([[0, 1], [0, 0]], 2)
         pair = codes.make_pair_block_row(P, 1)
-        fam = lattice.make_family(pair)
+        fam = lattice.make_family(pair, codec.EncoderPlan(pair.h0))
         assert fam.m1 == 4 and fam.num_rows == 6
         expected = set(lattice_points_in_box(fam.rows, fam.m1, -2, 2))
         got = {p for p in itertools.product(range(-2, 3), repeat=4)

@@ -149,8 +149,8 @@ def _ml_bler_spc33(plan, H, seed, snr_db, trials):
 def toy():
     P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
     pair = codes.make_pair_block_row(P, 0)
-    fam = lattice.make_family(pair)
     plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
+    fam = lattice.make_family(pair, plans[0])
     nv = 4.0 ** (2 - 0.2 - 0.2)  # k0 = k1 = 1, N = 5
     return pair, fam, plans, nv
 
