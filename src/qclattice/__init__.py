@@ -6,12 +6,10 @@ from .codec import (EncoderPlan, MultistageDecoder, encode_lattice, stage_syndro
                     wrapped_llr)
 from .codes import (NestedPair, build_h0, build_h1_block_row, build_h1_row_sums,
                     build_spc, build_staircase, make_pair_block_row,
-                    make_pair_row_sums, verify_nesting)
-from .gf2 import (BitMatrix, InconsistentSyndromeError, nullspace_basis, rank,
-                  row_space_contains)
-from .lattice import (CheckFamily, LatticeProfile, balanced_check,
-                      code_dimensions, dmin_bounds, is_member, make_family,
-                      volume_gain)
+                    make_pair_row_sums)
+from .gf2 import BitMatrix, InconsistentSyndromeError, nullspace_basis
+from .lattice import (CheckFamily, LatticeProfile, balanced_check, dmin_bounds,
+                      is_member, make_family, volume_gain)
 from .presets import BUILTIN_LATTICES, LatticeBundle, example1, get_bundle, wimax1152
 from .qc import (ProtoMatrix, apply_edits, expand, has_four_cycle,
                  random_proto_search, scale_shifts, scale_shifts_floor)
@@ -25,13 +23,13 @@ __all__ = [
     "LatticeProfile", "MultistageDecoder", "NestedPair",
     "ProtoMatrix", "SimReport",
     "apply_edits", "balanced_check", "build_h0", "build_h1_block_row",
-    "build_h1_row_sums", "build_spc", "build_staircase", "code_dimensions",
+    "build_h1_row_sums", "build_spc", "build_staircase",
     "dmin_bounds", "encode_lattice", "exact_dmin",
     "example1", "expand", "get_bundle", "has_four_cycle", "is_member",
     "low_weight_search", "make_family", "make_pair_block_row",
     "make_pair_row_sums", "nullspace_basis",
-    "random_proto_search", "rank", "row_space_contains", "scale_shifts",
+    "random_proto_search", "scale_shifts",
     "scale_shifts_floor", "snr_to_sigma2",
     "stage_syndrome", "sweep_code", "sweep_lattice",
-    "verify_nesting", "vnr_to_sigma2", "volume_gain", "wrapped_llr",
+    "vnr_to_sigma2", "volume_gain", "wrapped_llr",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix, echelon, in_row_space, vstack
+from .gf2 import BitMatrix, vstack
 from .qc import ProtoMatrix, expand
 
 
@@ -147,9 +147,3 @@ def make_pair_row_sums(P: ProtoMatrix, groups) -> NestedPair:
     h1 = build_h1_row_sums(P, groups)
     return NestedPair(h0=h0, h1=h1, n=P.n, z=P.z, p=P.n_b, q=P.z,
                       h1_h0_rows=None)
-
-
-def verify_nesting(pair: NestedPair) -> bool:
-    """True iff every row of H1 lies in the GF(2) row space of H0: one
-    RREF of H0, then :func:`qclattice.gf2.in_row_space` on all of H1."""
-    return bool(in_row_space(*echelon(pair.h0), pair.h1.a).all())

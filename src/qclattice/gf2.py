@@ -6,19 +6,18 @@ works through the one elimination kernel in this module,
 into little-endian uint64 words whose padding bits (columns n and up) are
 zero.  It eliminates 8 columns at a time with the Method of Four Russians:
 one table of XOR combinations of up to 8 pivot rows per chunk, applied to
-every row in one gather-XOR.  ``rref``, ``rank``, ``echelon``,
-``nullspace_basis`` and ``row_space_contains`` run on it, and so do the
-encoder maps in :mod:`qclattice.codec` and the low-weight search in
-:mod:`qclattice.wmin`.  The kernel also takes a stack of packed matrices
-and runs one chunk loop for all of them; the search eliminates a block of
-permuted generators that way, and everything else passes one matrix.
+every row in one gather-XOR.  ``rref``, ``echelon`` and
+``nullspace_basis`` run on it, and so do the encoder maps in
+:mod:`qclattice.codec` and the low-weight search in :mod:`qclattice.wmin`.
+The kernel also takes a stack of packed matrices and runs one chunk loop
+for all of them; the search eliminates a block of permuted generators that
+way, and everything else passes one matrix.
 
 Row-space membership runs on an RREF that is already there:
 :func:`in_row_space` tests a batch of rows with one float32 product and no
-elimination.  ``row_space_contains``, the nesting check in
-:mod:`qclattice.codes` and the encoder plans of :mod:`qclattice.codec` all
-go through it, so testing H1 against H0 costs one RREF of H0, or none when
-an encoder plan of H0 exists.
+elimination, on ``echelon(M)`` or on an encoder plan's RREF
+(:meth:`qclattice.codec.EncoderPlan.in_row_space`), so testing H1 against
+H0 costs no elimination once the encoder plan of H0 exists.
 
 Matrices are plain uint8 numpy arrays with entries in {0, 1}, wrapped in an
 immutable :class:`BitMatrix`.
@@ -314,11 +313,6 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return unpack(W, n), pivots
 
 
-def rank(M: BitMatrix) -> int:
-    """GF(2) rank of ``M``."""
-    return len(rref_words(pack(M.a), M.cols))
-
-
 def echelon(M: BitMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One RREF of ``M``, as ``(pivot_cols, free_cols, reduced)``: the
     pivot columns, the other columns, and ``R[:r, free_cols]``, the pivot
@@ -365,11 +359,3 @@ def in_row_space(pivot_cols: np.ndarray, free_cols: np.ndarray,
                          f"space of length {n}")
     combo = V[:, pivot_cols].astype(np.float32) @ reduced.astype(np.float32)
     return ((combo.astype(np.int64) & 1) == V[:, free_cols]).all(axis=1)
-
-
-def row_space_contains(M: BitMatrix, v: np.ndarray) -> bool:
-    """True iff ``v`` is a GF(2) combination of the rows of ``M``."""
-    v = _as_bits(v).reshape(1, -1)
-    if v.shape[1] != M.cols:
-        raise ValueError(f"vector length {v.shape[1]} != {M.cols} columns")
-    return bool(in_row_space(*echelon(M), v)[0])

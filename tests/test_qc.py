@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from oracles import brute_four_cycle
 from qclattice import qc
-from qclattice.gf2 import rank
 
 
 @st.composite

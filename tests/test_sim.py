@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import lattice_points_in_box, wrapped_log_density, wrapped_logpdf
-from qclattice import codec, codes, lattice, qc, sim
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (toy_lattice, toy_nearest_point_errors, wrapped_log_density,
+                     wrapped_logpdf)
+from qclattice import codec, codes, sim
 from qclattice.gf2 import nullspace_basis
 
 
@@ -31,8 +35,10 @@ class TestConversions:
 
     def test_roundtrips(self):
         for db in (-5.0, 0.0, 2.5, 17.0):
-            assert sim.sigma2_to_snr(sim.snr_to_sigma2(db)) == pytest.approx(db, abs=1e-12)
-            assert sim.sigma2_to_vnr(sim.vnr_to_sigma2(db, 2.7), 2.7) == pytest.approx(db, abs=1e-12)
+            snr = -10.0 * math.log10(sim.snr_to_sigma2(db))
+            vnr = 10.0 * math.log10(2.7 / (sim.TWO_PI_E * sim.vnr_to_sigma2(db, 2.7)))
+            assert snr == pytest.approx(db, abs=1e-12)
+            assert vnr == pytest.approx(db, abs=1e-12)
 
 
 class TestFolding:
@@ -129,30 +135,21 @@ def _ml_bler_spc33(plan, H, seed, snr_db, trials):
         codebook[i, 0] = 1
         codebook[i, 1:] = bits @ basis % 2
     sigma = math.sqrt(sim.snr_to_sigma2(snr_db))
-    errors = 0
-    for trial in range(trials):
-        rng = sim.trial_stream(seed, 0, trial)
-        info = rng.integers(0, 2, plan.num_info).astype(np.uint8)
-        noise = rng.normal(size=10)
-        cw = plan.encode_batch(np.zeros((1, H.rows), np.uint8), info.reshape(1, -1))[0]
-        sent = np.concatenate([[1], cw]).astype(np.uint8)
-        y = np.mod(sent + sigma * noise, 2.0)
-        ll0 = wrapped_logpdf(y, sigma, 0)
-        ll1 = wrapped_logpdf(y, sigma, 1)
-        scores = np.where(codebook == 0, ll0, ll1).sum(axis=1)
-        if not np.array_equal(codebook[int(np.argmax(scores))], sent):
-            errors += 1
-    return errors / trials
+    infos, noise = sim.trial_draws(seed, 0, 0, trials,
+                                   (sim.Integers(0, 2, plan.num_info, np.uint8),
+                                    sim.Normals(10)))
+    cw = plan.encode_batch(np.zeros((trials, H.rows), np.uint8), infos)
+    sent = np.concatenate([np.ones((trials, 1), np.uint8), cw], axis=1)
+    y = np.mod(sent + sigma * noise, 2.0)
+    ll0 = wrapped_logpdf(y, sigma, 0)
+    ll1 = wrapped_logpdf(y, sigma, 1)
+    scores = np.where(codebook == 0, ll0[:, None], ll1[:, None]).sum(axis=2)
+    return float((codebook[np.argmax(scores, axis=1)] != sent).any(axis=1).mean())
 
 
 @pytest.fixture(scope="module")
 def toy():
-    P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
-    pair = codes.make_pair_block_row(P, 0)
-    plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
-    fam = lattice.make_family(pair, plans[0])
-    nv = 4.0 ** (2 - 0.2 - 0.2)  # k0 = k1 = 1, N = 5
-    return pair, fam, plans, nv
+    return toy_lattice()
 
 
 class TestSweepLattice:
@@ -213,22 +210,7 @@ class TestSweepLattice:
         rep = sim.sweep_lattice(pair, plans, nv, [vnr], max_trials=M,
                                 target_errors=M, seed=seed, label="toy")[0]
         assert rep.bler == pytest.approx(0.017, abs=0.0005)  # frozen, deterministic
-        sigma = math.sqrt(sim.vnr_to_sigma2(vnr, nv))
-        reps_mod4 = np.array(lattice_points_in_box(fam.rows, fam.m1, 0, 3),
-                             dtype=np.int64)
-        assert len(reps_mod4) == 4
-        draws = [(rng.integers(0, 2, 1), rng.integers(0, 2, 1), rng.integers(-2, 3, 4),
-                  rng.integers(-2, 3), rng.normal(size=5))
-                 for rng in (sim.trial_stream(seed, 0, t) for t in range(M))]
-        i0, i1, zv, z0, noise = (np.array(d) for d in zip(*draws))
-        _, _, x = codec.encode_lattice(pair, plans, i0, i1, np.column_stack([z0, zv]))
-        y = x + sigma * noise
-        x0 = 3 + 4 * np.rint((y[:, 0] - 3) / 4).astype(np.int64)
-        y = y[:, None, 1:]
-        cand = reps_mod4 + 4 * np.rint((y - reps_mod4) / 4).astype(np.int64)
-        best = cand[np.arange(M), np.argmin(((y - cand) ** 2).sum(axis=2), axis=1)]
-        ml_errors = int(((x0 != x[:, 0]) | (best != x[:, 1:]).any(axis=1)).sum())
-        ml = ml_errors / M
+        ml = toy_nearest_point_errors(seed, M, math.sqrt(sim.vnr_to_sigma2(vnr, nv))) / M
         p = max(rep.bler, ml)
         noise3 = 3 * math.sqrt(p * (1 - p) / M)
         assert rep.bler >= ml - noise3          # optimal decoder lower-bounds
@@ -256,34 +238,36 @@ class TestSweepLattice:
         assert blers == sorted(blers, reverse=True)
 
 
-def _scripted(rng):
-    """A scripted trial outcome drawn from the trial's own stream: stage -1
-    (5 in 8), 0, 1 or 2 (1 in 8 each), and 0..49 BP iterations."""
-    s, it = rng.integers(0, 8), rng.integers(0, 50)
-    return (int(s) if s < 3 else -1), int(it)
+# a scripted trial draws a stage code in 0..7 and 0..49 BP iterations
+_SCRIPT = (sim.Integers(0, 8, 1), sim.Integers(0, 50, 1))
 
 
-def _scripted_step(rngs, sigma):
-    out = np.array([_scripted(rng) for rng in rngs], dtype=np.int64).reshape(-1, 2)
-    return out[:, 0], out[:, 1]
+def _scripted_step(draws, sigma):
+    """Stage -1 (codes 3..7, 5 in 8), 0, 1 or 2 (1 in 8 each) and the
+    drawn iterations of each trial."""
+    code, iters = (d[:, 0] for d in draws)
+    return np.where(code < 3, code, -1), iters
 
 
 def _scripted_sweep(batch, points=(1.0, 2.0), paired=False, **kw):
     kw = {"max_trials": 400, "target_errors": 60, "seed": 3, **kw}
-    return sim._sweep("lattice", "scripted", list(points), lambda db: 1.0,
+    return sim._sweep("lattice", "scripted", list(points), lambda db: 1.0, _SCRIPT,
                       _scripted_step, max_iter=0, batch=batch, paired=paired, **kw)
 
 
 class TestSweepDriver:
     """The driver with a scripted step, which makes stage-1 and integer
     errors that no seeded sweep here produces; the serial outcome is
-    replayed trial by trial from ``sim.trial_stream``."""
+    replayed one trial at a time from ``sim.trial_draws``."""
 
     @staticmethod
     def _replay(seed, point, target, max_trials, paired=False):
         outcomes = []
         while len(outcomes) < max_trials and sum(s >= 0 for s, _ in outcomes) < target:
-            outcomes.append(_scripted(sim.trial_stream(seed, point, len(outcomes), paired)))
+            t = len(outcomes)
+            stage, iters = _scripted_step(sim.trial_draws(seed, point, t, t + 1,
+                                                          _SCRIPT, paired), 1.0)
+            outcomes.append((int(stage[0]), int(iters[0])))
         return np.array(outcomes).reshape(-1, 2)
 
     def _check(self, rep, out):
@@ -316,3 +300,78 @@ class TestSweepDriver:
         a, b = _scripted_sweep(5, paired=True)
         self._check(a, self._replay(3, 0, 60, 400, paired=True))
         assert a == dataclasses.replace(b, x_db=a.x_db)
+
+
+# a field spec: (kind, lo, hi, width); the dtype it comes back as by kind
+_DTYPES = {"bits": np.uint8, "ints": np.int64, "normals": np.float64}
+
+
+def _field(spec):
+    kind, lo, hi, width = spec
+    if kind == "normals":
+        return sim.Normals(width)
+    return sim.Integers(lo, hi, width, _DTYPES[kind])
+
+
+_specs = st.lists(st.one_of(
+    st.tuples(st.just("bits"), st.just(0), st.just(2), st.integers(1, 6)),
+    st.integers(-2 ** 40, 2 ** 40).flatmap(lambda lo: st.tuples(
+        st.just("ints"), st.just(lo), st.integers(lo + 1, lo + 2 ** 41),
+        st.integers(1, 6))),
+    st.tuples(st.just("normals"), st.none(), st.none(), st.integers(1, 6))),
+    min_size=1, max_size=4)
+
+
+def _reference_draws(seed, point, t0, t1, specs, paired):
+    """One generator per trial, each field drawn in turn, rows stacked."""
+    rows = []
+    for t in range(t0, t1):
+        rng = np.random.default_rng([seed, t] if paired else [seed, point, t])
+        rows.append([rng.normal(size=w) if kind == "normals" else rng.integers(lo, hi, w)
+                     for kind, lo, hi, w in specs])
+    return [np.array([r[i] for r in rows], dtype=_DTYPES[spec[0]])
+            for i, spec in enumerate(specs)]
+
+
+class TestTrialDraws:
+    @given(st.integers(0, 2 ** 32), st.integers(0, 20), st.integers(0, 1000),
+           st.integers(1, 12), _specs, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_generator_per_trial(self, seed, point, t0, count, specs, paired):
+        got = sim.trial_draws(seed, point, t0, t0 + count,
+                              [_field(s) for s in specs], paired)
+        want = _reference_draws(seed, point, t0, t0 + count, specs, paired)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    @given(st.integers(0, 2 ** 32), st.integers(0, 20), st.integers(0, 1000),
+           st.integers(1, 12), st.integers(0, 12), _specs, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_split_ranges_concatenate(self, seed, point, t0, first, second, specs,
+                                      paired):
+        fields = [_field(s) for s in specs]
+        tm, t1 = t0 + first, t0 + first + second
+        whole = sim.trial_draws(seed, point, t0, t1, fields, paired)
+        parts = zip(sim.trial_draws(seed, point, t0, tm, fields, paired),
+                    sim.trial_draws(seed, point, tm, t1, fields, paired))
+        for w, (a, b) in zip(whole, parts):
+            assert np.array_equal(w, np.concatenate([a, b]))
+
+    @pytest.mark.parametrize("seed, point, paired",
+                             [(0, 0, False), (91, 3, False), (2 ** 31, 1, True)])
+    def test_lattice_fields_equal_five_draws(self, wimax_bundle, seed, point, paired):
+        # merged fields over one range continue the same stream: the bits of
+        # both levels in one field, and z0 last in the integer field
+        b = wimax_bundle
+        k0, k1, n = b.plan0.num_info, b.plan1.num_info, b.pair.n
+        bits, z, noise = sim.trial_draws(seed, point, 10, 40,
+                                         sim._lattice_fields(k0, k1, n, 2), paired)
+        for row, t in enumerate(range(10, 40)):
+            rng = np.random.default_rng([seed, t] if paired else [seed, point, t])
+            i0, i1 = rng.integers(0, 2, k0), rng.integers(0, 2, k1)
+            zv, z0 = rng.integers(-2, 3, n), rng.integers(-2, 3)
+            assert np.array_equal(bits[row], np.concatenate([i0, i1]))
+            assert np.array_equal(z[row], np.append(zv, z0))
+            assert np.array_equal(noise[row], rng.normal(size=n + 1))
