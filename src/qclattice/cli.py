@@ -246,7 +246,7 @@ def _src_digest(pkg: str = _PKG_DIR) -> str:
 def _blas() -> str | None:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):    # a numpy without the dict report
+    except KeyError:    # a build whose report names no BLAS
         return None
     return f"{blas.get('name')} {blas.get('version')}"
 

@@ -23,8 +23,9 @@ Decoding runs a flooding tanh-rule sum-product decoder per level on the
 mod-2 wrapped channel: decode level 0, subtract, halve, decode level 1 at
 sigma/2, then round out the integer part.  Pinning the dummy bit to 1 is
 realized exactly by folding the syndrome column into per-check sign flips
-(a +/-1 tanh factor), with all real messages clipped to +/-30; input LLRs
-saturate at +/-64.
+(a +/-1 tanh factor), with all real messages clipped to +/-30 (+/-15 in
+the half-LLR domain the kernel works in, see below); input LLRs saturate
+at +/-64.
 
 The channel LLRs come from a closed form of the wrapped-Gaussian sums
 (:func:`wrapped_llr`): two exps and one log per value.
@@ -32,21 +33,43 @@ The channel LLRs come from a closed form of the wrapped-Gaussian sums
 The BP kernel works frame-minor: every message array is (edges, frames)
 with one contiguous row per edge, edges laid out slot-major within groups
 of equal-degree checks (see :class:`TannerGraph`).  Gathers are whole-row
-``np.take(..., axis=0)`` copies, and each iteration updates a few
-preallocated buffers in place.  The check update works in the product
-domain: t = tanh(x/2) once per edge, each edge's product over the other
-edges of its check from prefix and suffix products over the check's slots
-(the syndrome enters as a +/-1 factor), then 2 atanh -- two transcendentals
-per edge.  Per-variable sums are plain sums over contiguous slot blocks,
-whose order may differ from the frozen log-domain kernel's, so messages may
-differ from it in the last ulp.  ``tests/oracles.py`` keeps that kernel and
-the earlier LLR code as references.
+``np.take(..., axis=0)`` copies, and each iteration updates preallocated
+buffers in place.  The check update works in the product domain: t =
+tanh(x/2) once per edge, each edge's product over the other edges of its
+check from prefix and suffix products over the check's slots (the syndrome
+enters as a +/-1 factor), then 2 atanh -- two transcendentals per edge.
+Per-variable sums are plain sums over contiguous slot blocks, whose order
+may differ from the frozen log-domain kernel's, so messages may differ
+from it in the last ulp.  ``tests/oracles.py`` keeps that kernel and the
+earlier LLR code as references.
+
+The kernel runs in the half-LLR domain: the clipped channel LLRs are
+halved once per tile, so ``post``, ``llr`` and every message hold x/2 for
+the LLR x above.  A variable-to-check message is then clipped at
++/-``MSG_CLIP``/2 = +/-15 and fed to tanh as it is, and atanh of the
+exclusive product is the check-to-variable message itself, with no
+halving or doubling pass over the (edges, frames) arrays.  This is exact:
+scaling by 2 or 1/2 commutes with IEEE rounding of sums and differences,
+clip(2u, +/-30)/2 = clip(u, +/-15), and halving keeps every sign, so the
+hard decisions, iteration counts and convergence flags are those of the
+full-domain rule.  The one caveat is the subnormal range: a value whose
+half falls below 2^-1022 can lose its last bit, so the two domains could
+part only on LLRs or messages within about 1e-308 of zero.
 
 A batch is decoded in frame tiles of about ``_TILE_EDGE_FRAMES`` edge-frames
 each (2^19, so one float64 (edges, tile) array is about 4 MB): the work
 arrays are O(edges * tile) whatever the batch size, and each tile's results
 are written straight into the (batch, ...) outputs.  Frames are decoded
-independently, so the results do not depend on the tiling.
+independently, so the results do not depend on the tiling.  The work
+buffers (:class:`_Work`) are allocated once per call and shared by its
+tiles; nothing of edge or node size is allocated inside the iteration
+loop.  Two (edges, tile) buffers hold the messages: ``c2v`` lives in one,
+and the other is the scratch (t, then the variable-side gather g); the
+exclusive products are written over ``c2v``, which is dead once t is
+formed, and atanh runs in place.  As frames converge, their columns are
+dropped by gathering the rest into a pair's spare buffer
+(:func:`_compact`).  ``c2v`` starts unset: iteration 0 skips the
+subtraction and its atanh writes ``c2v`` before anything reads it.
 
 LLR sign convention: positive favors bit 0.
 """
@@ -313,9 +336,10 @@ class TannerGraph:
         edge_row[eperm] = np.arange(self.n_edges)
         self.vpos = self.var_row[var[eperm]]
         var_order = edge_row[np.argsort(var, kind="stable")]
-        n_idle = int((deg_var == 0).sum())    # degree-0 variables come first
+        # degree-0 variables come first
+        self.n_idle_vars = int((deg_var == 0).sum())
         self.var_groups, self.vgather = _slot_layout(
-            deg_var, self.var_perm[n_idle:], var_order, n_idle)
+            deg_var, self.var_perm[self.n_idle_vars:], var_order, self.n_idle_vars)
 
 
 def _slot_layout(deg, nodes, edge_ids, node0=0):
@@ -346,9 +370,17 @@ def _exclusive_products(t: np.ndarray, sgn: np.ndarray, out: np.ndarray) -> None
     """For a (d, m, batch) slot block ``t`` of m checks, write to ``out``
     each edge's signed product ``sgn * prod(t over the check's other
     edges)``: prefix products forward, then suffix products backward
-    (``t`` is overwritten with them).  Messages are clipped to +/-30, so
-    |t| <= tanh(15) < _ATANH_CAP and a product over one or more edges needs
-    no cap; a degree-1 check has an empty product, which is capped here.
+    (``t`` is overwritten with them).
+
+    ``t`` is tanh of the half-domain variable-to-check message, clipped
+    to +/-``MSG_CLIP``/2 = +/-15: the same values the full-domain rule
+    gets from tanh(x/2) with x clipped to +/-30, exactly (see the module
+    docstring for the subnormal caveat).  So |t| <= tanh(15) < _ATANH_CAP
+    and a product over one or more edges needs no cap; a degree-1 check
+    has an empty product, which is capped here.  In the kernel ``t`` is a
+    block of the edge scratch buffer and ``out`` of the ``c2v`` buffer,
+    whose old messages are dead once ``t`` is formed; atanh of ``out`` is
+    the new half-domain check-to-variable message.
     """
     d = t.shape[0]
     if d == 1:
@@ -368,6 +400,41 @@ def _rows(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return buf[:rows * cols].reshape(rows, cols)
 
 
+class _Work:
+    """Flat work buffers of one :func:`bp_decode_batch` call, sized for its
+    largest tile; every array of a tile is a (rows, frames) view of the
+    head of one of them (:func:`_rows`).
+
+    An array that shrinks as frames converge (``c2v``, ``post``, ``llr``,
+    ``syn``, ``sgn``) owns a pair of buffers: it lives at the head of
+    ``pair[0]``, and :func:`_compact` moves its kept columns to
+    ``pair[1]`` and swaps the two.  The spare of ``c2v``'s pair is the
+    iteration's edge scratch (``t``, then ``g``).
+    """
+
+    def __init__(self, graph: TannerGraph, size: int):
+        E, n, m = graph.n_edges, graph.n_vars, graph.chk_perm.size
+
+        def pair(rows, dtype=np.float64):
+            return [np.empty(rows * size, dtype), np.empty(rows * size, dtype)]
+
+        self.c2v, self.post, self.llr, self.sgn = pair(E), pair(n), pair(n), pair(m)
+        self.syn = pair(m, np.uint8)
+        self.hard, self.hard_done, self.hard_t = (np.empty(n * size, dtype=bool)
+                                                  for _ in range(3))
+        self.hard_e = np.empty(E * size, dtype=np.uint8)
+        self.par = np.empty(m * size, dtype=np.uint8)
+
+
+def _compact(pair: list[np.ndarray], a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Gather the columns ``keep`` (indices) of ``a``, the array at the
+    head of ``pair[0]``, into the head of ``pair[1]``; swap the pair and
+    return the new view."""
+    out = np.take(a, keep, axis=1, out=_rows(pair[1], a.shape[0], keep.size), mode="clip")
+    pair.reverse()
+    return out
+
+
 def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
                     syndromes: np.ndarray | None = None,
                     max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -383,7 +450,9 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     The batch runs as ceil(batch * edges / ``_TILE_EDGE_FRAMES``) equal
     tiles of consecutive frames (the last one may be shorter), so the work
     memory is O(edges * tile) for any batch size; the results are those of
-    one call over the whole batch, since frames are independent.
+    one call over the whole batch, since frames are independent.  The work
+    buffers (:class:`_Work`) are allocated once per call and shared by the
+    tiles.
     """
     B, n = llrs.shape
     if n != graph.n_vars:
@@ -399,92 +468,101 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     conv = np.zeros(B, dtype=bool)
     tiles = max(1, -(-B * graph.n_edges // _TILE_EDGE_FRAMES))
     size = max(1, -(-B // tiles))
-    # work buffers shared by the tiles; an iteration views their head
-    bufs = (np.empty(graph.n_edges * size), np.empty(graph.n_edges * size),
-            np.empty(graph.n_edges * size, dtype=np.uint8))
+    work = _Work(graph, size)
     for lo in range(0, B, size):
         rows = slice(lo, lo + size)
-        _bp_tile(graph, llrs[rows], syndromes[rows], max_iter, bufs,
+        _bp_tile(graph, llrs[rows], syndromes[rows], max_iter, work,
                  hard[rows], iters[rows], conv[rows])
     return hard, iters, conv
 
 
 def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
-             max_iter: int, bufs: tuple[np.ndarray, np.ndarray, np.ndarray],
-             hard_out: np.ndarray, iters_out: np.ndarray,
-             conv_out: np.ndarray) -> None:
+             max_iter: int, work: _Work, hard_out: np.ndarray,
+             iters_out: np.ndarray, conv_out: np.ndarray) -> None:
     """Decode one tile of :func:`bp_decode_batch` into its output views
-    (``iters_out`` arrives filled with max_iter, ``conv_out`` with False)."""
+    (``iters_out`` arrives filled with max_iter, ``conv_out`` with False).
+    Messages, ``post`` and ``llr`` are in the half-LLR domain (see the
+    module docstring)."""
     B, n = llrs.shape
-    E = graph.n_edges
-    buf_x, buf_y, buf_u = bufs
+    E, m = graph.n_edges, graph.chk_perm.size
+    clip = 0.5 * MSG_CLIP
 
     # frame-minor layout: one row per (permuted) variable, edge or check,
     # one column per frame still decoding
-    llr = np.clip(np.asarray(llrs, dtype=np.float64), -LLR_SAT, LLR_SAT)
-    llr = np.ascontiguousarray(llr[:, graph.var_perm].T)
-    syn = np.ascontiguousarray(syndromes[:, graph.chk_perm].T)
-    sgn = 1.0 - 2.0 * syn      # the syndrome as a +/-1 tanh factor
+    post = _rows(work.post[0], n, B)
+    np.copyto(post, np.asarray(llrs, dtype=np.float64).T)
+    llr = np.take(post, graph.var_perm, axis=0, out=_rows(work.llr[0], n, B), mode="clip")
+    np.clip(llr, -LLR_SAT, LLR_SAT, out=llr)
+    llr *= 0.5
+    np.copyto(post, llr)
+    syn = np.take(syndromes.T, graph.chk_perm, axis=0,
+                  out=_rows(work.syn[0], m, B), mode="clip")
+    sgn = np.multiply(syn, -2.0, out=_rows(work.sgn[0], m, B))
+    sgn += 1.0                 # the syndrome as a +/-1 tanh factor
     # frames whose idle (degree-0) checks demand parity 1 can never converge
     never = (syndromes[:, graph.idle_chk] != 0).any(axis=1) \
         if graph.idle_chk.size else np.zeros(B, dtype=bool)
     active = np.arange(B)
-
-    hard_t = np.zeros((n, B), dtype=bool)
-    post = llr.copy()
-    c2v = np.zeros((E, B))
+    hard_t = _rows(work.hard_t, n, B)
+    c2v = None                 # unset until the first check update writes it
 
     for it in range(max_iter + 1):
         nb = active.size
-        hard = post < 0
+        hard = np.less(post, 0.0, out=_rows(work.hard, n, nb))
         hard_e = np.take(hard.view(np.uint8), graph.vpos, axis=0,
-                         out=_rows(buf_u, E, nb), mode="clip")
-        bad = never.copy()
-        for e0, d, m, r0 in graph.chk_groups:
-            par = np.bitwise_xor.reduce(hard_e[e0:e0 + d * m].reshape(d, m, nb), axis=0)
-            par ^= syn[r0:r0 + m]
-            bad |= par.any(axis=0)
-        ok = ~bad
-        if ok.any():
+                         out=_rows(work.hard_e, E, nb), mode="clip")
+        par = _rows(work.par, m, nb)
+        for e0, d, mg, r0 in graph.chk_groups:
+            np.bitwise_xor.reduce(hard_e[e0:e0 + d * mg].reshape(d, mg, nb), axis=0,
+                                  out=par[r0:r0 + mg])
+        par ^= syn
+        bad = par.any(axis=0)
+        bad |= never
+        if not bad.all():
+            ok = np.flatnonzero(~bad)
             done = active[ok]
-            hard_t[:, done] = hard[:, ok]
+            hard_t[:, done] = np.take(hard, ok, axis=1, mode="clip",
+                                      out=_rows(work.hard_done, n, ok.size))
             iters_out[done] = it
             conv_out[done] = True
-            if ok.all():
+            if ok.size == nb:
                 break
-            active = active[bad]
+            keep = np.flatnonzero(bad)
+            active = active[keep]
             nb = active.size
-            post = np.compress(bad, post, axis=1)
-            c2v = np.compress(bad, c2v, axis=1)
-            llr = np.compress(bad, llr, axis=1)
-            syn = np.compress(bad, syn, axis=1)
-            sgn = np.compress(bad, sgn, axis=1)
-            never = never[bad]
+            post = _compact(work.post, post, keep)
+            llr = _compact(work.llr, llr, keep)
+            syn = _compact(work.syn, syn, keep)
+            sgn = _compact(work.sgn, sgn, keep)
+            if c2v is not None:
+                c2v = _compact(work.c2v, c2v, keep)
+            never = never[keep]
         if it == max_iter:
-            hard_t[:, active] = post < 0
+            hard_t[:, active] = np.less(post, 0.0, out=_rows(work.hard, n, nb))
             break
 
-        # check-node update in the product domain: t = tanh(x/2) per edge,
-        # exclusive products per check, then 2 atanh
-        t = np.take(post, graph.vpos, axis=0, out=_rows(buf_x, E, nb), mode="clip")
-        t -= c2v
-        np.clip(t, -MSG_CLIP, MSG_CLIP, out=t)
-        t *= 0.5
+        # check-node update in the product domain: t = tanh(half message)
+        # per edge, exclusive products per check (written over the dead
+        # c2v), then atanh
+        t = np.take(post, graph.vpos, axis=0, out=_rows(work.c2v[1], E, nb), mode="clip")
+        if c2v is not None:
+            t -= c2v
+        np.clip(t, -clip, clip, out=t)
         np.tanh(t, out=t)
-        excl = _rows(buf_y, E, nb)
-        for e0, d, m, r0 in graph.chk_groups:
-            rows = slice(e0, e0 + d * m)
-            _exclusive_products(t[rows].reshape(d, m, nb),
-                                sgn[r0:r0 + m], excl[rows].reshape(d, m, nb))
-        np.arctanh(excl, out=c2v)
-        c2v *= 2.0
+        c2v = _rows(work.c2v[0], E, nb)
+        for e0, d, mg, r0 in graph.chk_groups:
+            rows = slice(e0, e0 + d * mg)
+            _exclusive_products(t[rows].reshape(d, mg, nb),
+                                sgn[r0:r0 + mg], c2v[rows].reshape(d, mg, nb))
+        np.arctanh(c2v, out=c2v)
 
-        # variable-node update; degree-0 variables keep post = llr
-        g = np.take(c2v, graph.vgather, axis=0, out=_rows(buf_x, E, nb), mode="clip")
-        for s0, d, m, v0 in graph.var_groups:
-            rows = slice(v0, v0 + m)
-            np.add(llr[rows], g[s0:s0 + d * m].reshape(d, m, nb).sum(axis=0),
-                   out=post[rows])
+        # variable-node update; degree-0 variables (the first rows) keep
+        # post = llr
+        g = np.take(c2v, graph.vgather, axis=0, out=_rows(work.c2v[1], E, nb), mode="clip")
+        for s0, d, mv, v0 in graph.var_groups:
+            np.add.reduce(g[s0:s0 + d * mv].reshape(d, mv, nb), axis=0,
+                          out=post[v0:v0 + mv])
+        post[graph.n_idle_vars:] += llr[graph.n_idle_vars:]
 
     hard_out[:] = hard_t[graph.var_row].T
 

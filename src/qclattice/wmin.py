@@ -43,13 +43,6 @@ class WitnessError(RuntimeError):
     """A search returned a witness that is zero or violates H c = 0."""
 
 
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return _POP8[words.view(np.uint8)].reshape(*words.shape, 8).sum(axis=(-2, -1))
-
-
 def exact_dmin(H: BitMatrix) -> int:
     """Exact minimum nonzero weight of the nullspace of ``H``.
 
@@ -70,14 +63,14 @@ def exact_dmin(H: BitMatrix) -> int:
     lo = np.zeros((1 << k_lo, masks.shape[1]), dtype=np.uint64)
     for i in range(k_lo):
         lo[1 << i: 2 << i] = lo[: 1 << i] ^ masks[i]
-    best = int(_popcount(lo[1:]).min())
+    best = int(np.bitwise_count(lo[1:]).sum(axis=1).min())
 
     if k_lo < k:
         hi = np.zeros((1 << (k - k_lo), masks.shape[1]), dtype=np.uint64)
         for i in range(k - k_lo):
             hi[1 << i: 2 << i] = hi[: 1 << i] ^ masks[k_lo + i]
         for p in range(1, hi.shape[0]):
-            w = int(_popcount(lo ^ hi[p]).min())
+            w = int(np.bitwise_count(lo ^ hi[p]).sum(axis=1).min())
             if w < best:
                 best = w
     return best
@@ -145,7 +138,7 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
         rows = W[: len(pivots)]
         R = unpack(rows, n)
         # weights from the packed rows, whose padding bits are zero
-        w_rows = _popcount(rows).astype(np.int64)
+        w_rows = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
 
         i_best = int(np.argmin(w_rows))
         if w_rows[i_best] < best_w:

@@ -424,6 +424,29 @@ class TestBpKernelEquivalence:
                                          None if syn is None else syn[perm], max_iter)
         assert _same(shuffled, tuple(w[perm] for w in want)), label
 
+    @pytest.mark.parametrize("label", ["example1-h0", "wimax1152-h0"])
+    def test_tiles_compact_repeatedly(self, label, monkeypatch):
+        # tiles of 40 frames whose noise grows frame by frame: every tile
+        # has frames converging at iteration 0, compacts at 3 or more
+        # distinct iterations and keeps frames that never converge, so
+        # later tiles start on work buffers holding the previous tile's
+        # messages and compaction turns the buffer pairs more than once
+        H = _kernel_matrix(label)
+        graph = codec.TannerGraph(H)
+        monkeypatch.setattr(codec, "_TILE_EDGE_FRAMES", 40 * graph.n_edges)
+        rng = np.random.default_rng(8)
+        words = rng.integers(0, 2, (120, H.cols)).astype(np.uint8)
+        syn = (words.astype(np.int64) @ H.a.T.astype(np.int64) % 2).astype(np.uint8)
+        scale = np.tile(np.linspace(0.2, 1.2, 40), 3)[:, None]
+        llrs = (1.0 - 2.0 * words) * 2.0 * (1.0 + scale * rng.normal(size=words.shape))
+        want = ref_bp_decode_batch(H, llrs, syn, 100)
+        assert _tiling(graph.n_edges, 120) == (3, 40, 40)
+        for lo in range(0, 120, 40):
+            iters, conv = want[1][lo:lo + 40], want[2][lo:lo + 40]
+            assert not conv.all() and (iters[conv] == 0).any()
+            assert np.unique(iters[conv]).size >= 3
+        assert _same(codec.bp_decode_batch(graph, llrs, syn, 100), want), label
+
     def test_cases_cover_convergence_mix(self):
         # the generated batches really mix early, late and no convergence
         rng = np.random.default_rng(0)
@@ -440,6 +463,21 @@ class TestBpKernelEquivalence:
         llrs, syn = _kernel_frames(H, np.random.default_rng(5), 24, "coset")
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             codec.bp_decode_batch(codec.TannerGraph(H), llrs, syn, 100)
+
+    @pytest.mark.parametrize("label", ["example1-h1", "edge-degrees"])
+    def test_saturated_messages_stay_finite(self, label):
+        # channel LLRs at the +/-64 saturation against random syndromes:
+        # the frames never converge and every message sits at the clip,
+        # where tanh(15) < 1 keeps each exclusive product below 1
+        H = _kernel_matrix(label)
+        rng = np.random.default_rng(3)
+        llrs = 64.0 * (1.0 - 2.0 * rng.integers(0, 2, (16, H.cols)))
+        syn = rng.integers(0, 2, (16, H.rows)).astype(np.uint8)
+        want = ref_bp_decode_batch(H, llrs, syn, 20)
+        assert not want[2].any()
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            got = codec.bp_decode_batch(codec.TannerGraph(H), llrs, syn, 20)
+        assert _same(got, want), label
 
     def test_idle_check_with_syndrome_never_converges(self):
         H = _kernel_matrix("idle-row")
