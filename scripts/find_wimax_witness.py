@@ -30,7 +30,7 @@ from qclattice.wmin import low_weight_search
 
 def build_matrix(scaling: str):
     if scaling == "floor":
-        P = qc.wimax_proto_1152(modified=True)
+        P = qc.wimax_proto_1152()
     elif scaling == "mod":
         P = qc.scale_shifts(qc.wimax_proto_2304(), 1152)
         P = qc.apply_edits(P, qc.parse_edits(qc.bundled_text("wimax_r12_edits_n1152.txt")))

@@ -4,9 +4,8 @@ __version__ = "0.1.0"
 
 from .codec import (EncoderPlan, MultistageDecoder, encode_lattice, stage_syndrome,
                     wrapped_llr)
-from .codes import (NestedPair, build_h0, build_h1_block_row, build_h1_row_sums,
-                    build_spc, build_staircase, make_pair_block_row,
-                    make_pair_row_sums)
+from .codes import (NestedPair, build_h0, build_h1_row_sums, build_spc,
+                    build_staircase, make_pair_row_sums)
 from .gf2 import BitMatrix, InconsistentSyndromeError, nullspace_basis
 from .lattice import (CheckFamily, LatticeProfile, balanced_check, dmin_bounds,
                       is_member, make_family, volume_gain)
@@ -22,11 +21,11 @@ __all__ = [
     "EncoderPlan", "InconsistentSyndromeError", "LatticeBundle",
     "LatticeProfile", "MultistageDecoder", "NestedPair",
     "ProtoMatrix", "SimReport",
-    "apply_edits", "balanced_check", "build_h0", "build_h1_block_row",
+    "apply_edits", "balanced_check", "build_h0",
     "build_h1_row_sums", "build_spc", "build_staircase",
     "dmin_bounds", "encode_lattice", "exact_dmin",
     "example1", "expand", "get_bundle", "has_four_cycle", "is_member",
-    "low_weight_search", "make_family", "make_pair_block_row",
+    "low_weight_search", "make_family",
     "make_pair_row_sums", "nullspace_basis",
     "random_proto_search", "scale_shifts",
     "scale_shifts_floor", "snr_to_sigma2",

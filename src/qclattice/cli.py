@@ -111,8 +111,9 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Overlay config-file values under explicit flags."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """Overlay config-file values under explicit flags: a config value fills
+    a key only when its flag is unset."""
     opts = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     if args.config:
         cfg = _load_config(args.config)
@@ -121,14 +122,24 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
             k = key.replace("-", "_")
             if k not in valid:
                 raise ConfigError(f"unknown config key {key!r}")
-            if opts[k] is None or opts[k] == parser.get_default(k):
+            if opts[k] is None:
                 opts[k] = val
     return opts
 
 
-def _check_csv_header(out_path: str | None) -> None:
+def _check_out_dir(out_path: str) -> None:
+    """Refuse an output path that is a directory or whose directory does not
+    exist, before any work whose result would have nowhere to go."""
+    where = os.path.dirname(out_path) or "."
+    if not os.path.isdir(where):
+        raise DataError(f"cannot write {out_path}: directory {where} does not exist")
+    if os.path.isdir(out_path):
+        raise DataError(f"cannot write {out_path}: it is a directory")
+
+
+def _check_csv_header(out_path: str) -> None:
     """Refuse to append to a non-empty CSV whose header is not CSV_HEADER."""
-    if out_path is None or not (os.path.exists(out_path) and os.path.getsize(out_path) > 0):
+    if not (os.path.exists(out_path) and os.path.getsize(out_path) > 0):
         return
     try:
         with open(out_path, newline="") as fh:
@@ -144,14 +155,18 @@ def _prior_runs(out_path: str | None) -> list[dict]:
     """Check that ``out_path`` can be appended to; return the run records
     of its manifest (none if absent).
 
-    Refuses a CSV with a foreign header (see :func:`_check_csv_header`) and
-    a manifest that is not a JSON object with a list of runs, so the rows
-    it describes never lose their provenance.  A manifest from before run
-    records were kept becomes one record.
+    Refuses a path in a directory that does not exist, a CSV with a
+    foreign header (see :func:`_check_csv_header`) and a manifest that is
+    not a JSON object with a list of runs, so the rows it describes never
+    lose their provenance.  A manifest from before run records were kept
+    becomes one record.
     """
+    if out_path is None:
+        return []
+    _check_out_dir(out_path)
     _check_csv_header(out_path)
-    path = None if out_path is None else out_path + ".manifest.json"
-    if path is None or not os.path.exists(path):
+    path = out_path + ".manifest.json"
+    if not os.path.exists(path):
         return []
     try:
         with open(path) as fh:
@@ -168,32 +183,36 @@ def _write_reports(reports: list[sim.SimReport], out_path: str | None,
     """Write the rows to stdout, or append them to ``out_path`` and rewrite
     its manifest: the top-level keys describe this run, with the span of
     CSV data rows it wrote, and ``runs`` holds the records of the earlier
-    runs (``runs``, dropped if the CSV was empty) followed by this one."""
+    runs (``runs``, dropped if the CSV was empty) followed by this one.
+    A failed write is a :class:`DataError`."""
     if out_path is None:
         writer = csv.writer(sys.stdout)
         writer.writerow(CSV_HEADER)
         for r in reports:
             writer.writerow(_report_row(r))
         return
-    new_file = not (os.path.exists(out_path) and os.path.getsize(out_path) > 0)
-    done = 0
-    if new_file:
-        runs = []
-    else:
-        with open(out_path, newline="") as fh:
-            done = sum(1 for _ in csv.reader(fh)) - 1
-    with open(out_path, "a", newline="") as fh:
-        writer = csv.writer(fh)
+    try:
+        new_file = not (os.path.exists(out_path) and os.path.getsize(out_path) > 0)
+        done = 0
         if new_file:
-            writer.writerow(CSV_HEADER)
-        for r in reports:
-            writer.writerow(_report_row(r))
-    record = dict(manifest, csv_rows=[done + 1, done + len(reports)])
-    path = out_path + ".manifest.json"
-    with open(path + ".tmp", "w") as fh:
-        json.dump(dict(record, runs=[*runs, record]), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(path + ".tmp", path)    # the earlier records survive a crash
+            runs = []
+        else:
+            with open(out_path, newline="") as fh:
+                done = sum(1 for _ in csv.reader(fh)) - 1
+        with open(out_path, "a", newline="") as fh:
+            writer = csv.writer(fh)
+            if new_file:
+                writer.writerow(CSV_HEADER)
+            for r in reports:
+                writer.writerow(_report_row(r))
+        record = dict(manifest, csv_rows=[done + 1, done + len(reports)])
+        path = out_path + ".manifest.json"
+        with open(path + ".tmp", "w") as fh:
+            json.dump(dict(record, runs=[*runs, record]), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(path + ".tmp", path)    # the earlier records survive a crash
+    except OSError as e:
+        raise DataError(f"cannot write {out_path}: {e}")
     print(f"wrote {len(reports)} rows to {out_path}")
 
 
@@ -293,6 +312,8 @@ def cmd_info(opts: dict) -> int:
 
 
 def cmd_build(opts: dict) -> int:
+    if opts.get("h1_block_row") and opts.get("h1_groups"):
+        raise ConfigError("give --h1-block-row or --h1-groups, not both")
     if opts.get("proto"):
         P = _load_proto_file(opts["proto"])
         if opts.get("scale_n"):
@@ -315,9 +336,10 @@ def cmd_build(opts: dict) -> int:
                       for g in str(opts["h1_groups"]).split(",")]
             pair = codes.make_pair_row_sums(P, groups)
         else:
+            # block row i is the group of one row (i,)
             try:
-                pair = codes.make_pair_block_row(P, _int_opt(opts, "h1_block_row", 0))
-            except IndexError as e:
+                pair = codes.make_pair_row_sums(P, [(_int_opt(opts, "h1_block_row", 0),)])
+            except codes.BadGroupsError as e:
                 raise ConfigError(f"--h1-block-row: {e}")
         # one RREF per level: each plan gives its k, plan0 the nesting test
         plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
@@ -340,6 +362,8 @@ def cmd_search(opts: dict) -> int:
         if opts.get(key) is None:
             raise ConfigError(f"missing key: {key}")
     seed = _int_opt(opts, "seed", 0)
+    if opts.get("out"):
+        _check_out_dir(opts["out"])
     res = qc.random_proto_search(
         (_int_opt(opts, "rows", None), _int_opt(opts, "cols", None)),
         _int_opt(opts, "z", None), _int_opt(opts, "target", None),
@@ -348,8 +372,11 @@ def cmd_search(opts: dict) -> int:
         score_iterations=_int_opt(opts, "score_iters", 2000))
     text = qc.format_proto(res.proto)
     if opts.get("out"):
-        with open(opts["out"], "w") as fh:
-            fh.write(text)
+        try:
+            with open(opts["out"], "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise DataError(f"cannot write {opts['out']}: {e}")
         print(f"wrote prototype to {opts['out']}")
     else:
         sys.stdout.write(text)
@@ -458,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-n", dest="scale_n", help="rescale to length n")
     p.add_argument("--scale-rule", dest="scale_rule",
                    help="shift scaling rule: mod (default) or floor")
-    p.add_argument("--h1-block-row", dest="h1_block_row", help="level-1 block row index")
+    p.add_argument("--h1-block-row", dest="h1_block_row",
+                   help="level-1 block row index (default 0); not with --h1-groups")
     p.add_argument("--h1-groups", dest="h1_groups",
                    help="level-1 row-sum groups, e.g. '1+8,4+10'")
 
@@ -471,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", help="candidates to score (default 10)")
     p.add_argument("--score-iters", dest="score_iters",
                    help="low-weight-search iterations per candidate")
-    p.add_argument("--no-girth-filter", dest="no_girth_filter", default="0",
+    p.add_argument("--no-girth-filter", dest="no_girth_filter",
                    help="1 to allow 4-cycles in candidates")
     p.add_argument("--out", help="output prototype file")
 
@@ -518,7 +546,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _resolve(args, parser)
+        opts = _resolve(args)
         if "seed" in opts and opts["seed"] is None:
             opts["seed"] = 0
         return COMMANDS[args.command](opts)

@@ -2,10 +2,11 @@
 
 The two-level construction pairs a level-0 matrix H0 = [H_qc; S] (the QC
 matrix with a staircase block appended) with a level-1 matrix H1 whose rows
-all lie in the row space of H0.  H1 is either one CPM block row of H_qc over
-the staircase (an SPC product code), or, when no block row is free of zero
-blocks, bands formed as GF(2) sums of block rows over the staircase
-(a concatenation of SPC-like product codes).
+all lie in the row space of H0.  There is one level-1 construction: H1 is
+one band per group of block rows, the GF(2) sum of the group's block rows,
+over the staircase.  A group of one row gives that CPM block row itself, so
+H1 is an SPC product code (example1, group (0,)); larger groups give a
+concatenation of SPC-like product codes (wimax1152, groups 1+8 and 4+10).
 
 Canonical row order everywhere: CPM band(s) first, staircase last.
 """
@@ -18,10 +19,6 @@ import numpy as np
 
 from .gf2 import BitMatrix, vstack
 from .qc import ProtoMatrix, expand
-
-
-class ZeroBlockError(ValueError):
-    """Selected block row contains a zero block."""
 
 
 class BadGroupsError(ValueError):
@@ -53,24 +50,24 @@ def build_spc(p: int, q: int) -> BitMatrix:
 
 @dataclass(frozen=True)
 class NestedPair:
-    """Nested parity-check pair defining a two-level construction.
+    """Nested parity-check pair (H0, H1) defining a two-level construction.
 
-    ``h1_h0_rows`` lists the rows of H0 that make up H1 when H1 is literally
-    a submatrix (single block row variant); it is None for the row-sum
-    variant, where band rows are GF(2) sums of H0 rows rather than rows.
+    Both matrices act on the same n coordinates; a pair of different widths
+    is refused with ValueError.  Nesting (rows of H1 in the row space of H0)
+    is checked where the family is built (:func:`lattice.make_family`).
     """
 
     h0: BitMatrix
     h1: BitMatrix
-    n: int
-    z: int
-    p: int
-    q: int
-    h1_h0_rows: tuple[int, ...] | None
 
     def __post_init__(self):
-        if self.n != self.p * self.q or self.q != self.z:
-            raise ValueError("expected p = n/z and q = z")
+        if self.h0.cols != self.h1.cols:
+            raise ValueError(f"H0 has {self.h0.cols} columns and H1 {self.h1.cols}; "
+                             "both must have n")
+
+    @property
+    def n(self) -> int:
+        return self.h0.cols
 
 
 def build_h0(P: ProtoMatrix) -> BitMatrix:
@@ -80,29 +77,15 @@ def build_h0(P: ProtoMatrix) -> BitMatrix:
     return vstack(h_qc, stair)
 
 
-def build_h1_block_row(P: ProtoMatrix, i: int) -> BitMatrix:
-    """Level-1 matrix from one all-nonzero block row of the prototype.
-
-    (z + n/z) x n: block row ``i`` of the expansion over the staircase.
-    Raises :class:`ZeroBlockError` if the block row has an empty cell.
-    """
-    if not 0 <= i < P.m_b:
-        raise IndexError(f"block row {i} outside 0..{P.m_b - 1}")
-    empties = [j for j in range(P.n_b) if not P.cells[i][j]]
-    if empties:
-        raise ZeroBlockError(f"block row {i} has zero blocks at columns {empties}")
-    band = expand(P).a[i * P.z: (i + 1) * P.z]
-    stair = build_staircase(P.n_b, P.z)
-    return BitMatrix(np.vstack([band, stair.a]))
-
-
 def build_h1_row_sums(P: ProtoMatrix, groups) -> BitMatrix:
     """Level-1 matrix from GF(2) sums of block rows, one band per group.
 
     Every block column must be covered by (have a CPM in) at least one
     group's sum; bands keep their 0/1 entries for reuse as integer
-    congruence rows.  Raises :class:`BadGroupsError` on empty groups or
-    uncovered block columns.
+    congruence rows.  The group ``(i,)`` gives CPM block row ``i`` over the
+    staircase, so a zero block in that row leaves a column uncovered.
+    Raises :class:`BadGroupsError` on empty groups, block rows outside the
+    prototype or uncovered block columns.
     """
     groups = [tuple(sorted(set(g))) for g in groups]
     if not groups or any(not g for g in groups):
@@ -130,20 +113,6 @@ def build_h1_row_sums(P: ProtoMatrix, groups) -> BitMatrix:
     return BitMatrix(np.vstack(bands + [stair.a]))
 
 
-def make_pair_block_row(P: ProtoMatrix, i: int) -> NestedPair:
-    """Nested pair with H1 = block row ``i`` over the staircase."""
-    h0 = build_h0(P)
-    h1 = build_h1_block_row(P, i)
-    z, n = P.z, P.n
-    band_rows = tuple(range(i * z, (i + 1) * z))
-    stair_rows = tuple(range(P.m, P.m + P.n_b))
-    return NestedPair(h0=h0, h1=h1, n=n, z=z, p=P.n_b, q=z,
-                      h1_h0_rows=band_rows + stair_rows)
-
-
 def make_pair_row_sums(P: ProtoMatrix, groups) -> NestedPair:
     """Nested pair with H1 = per-group block-row sums over the staircase."""
-    h0 = build_h0(P)
-    h1 = build_h1_row_sums(P, groups)
-    return NestedPair(h0=h0, h1=h1, n=P.n, z=P.z, p=P.n_b, q=P.z,
-                      h1_h0_rows=None)
+    return NestedPair(h0=build_h0(P), h1=build_h1_row_sums(P, groups))

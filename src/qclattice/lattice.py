@@ -2,10 +2,13 @@
 
 A check family lists integer 0/1 rows h_j with a level boundary m1: points
 x in Z^n belong to the lattice iff h_j . x = 0 (mod 4) for j < m1 and
-h_j . x = 0 (mod 2) for the remaining rows.  Redundant congruences are kept
-(they do not change the point set); all dimension counts come from GF(2)
-ranks, never from row counts.  Nesting is checked against the level-0
-encoder plan's RREF, so building a family runs no elimination.
+h_j . x = 0 (mod 2) for the remaining rows.  The family of a nested pair is
+[H1; H0]: every row of H1 modulo 4, then every row of H0 modulo 2.
+Redundant congruences are kept (they do not change the point set): a row of
+H0 that is also a row of H1 repeats, modulo 2, a congruence that already
+holds modulo 4.  All dimension counts come from GF(2) ranks, never from row
+counts.  Nesting is checked against the level-0 encoder plan's RREF, so
+building a family runs no elimination.
 """
 
 from __future__ import annotations
@@ -27,21 +30,25 @@ class NotNestedError(ValueError):
 
 @dataclass(frozen=True)
 class CheckFamily:
-    """Ordered congruence rows with the level-1/level-0 boundary."""
+    """Ordered congruence rows with the level-1/level-0 boundary; built by
+    :func:`make_family`."""
 
     rows: np.ndarray   # (M, n) uint8; integer 0/1 congruence rows
     m1: int            # rows[:m1] use modulus 4, rows[m1:] modulus 2
-    n: int
 
     def __post_init__(self):
         r = np.asarray(self.rows, dtype=np.uint8)
-        if r.ndim != 2 or r.shape[1] != self.n:
+        if r.ndim != 2:
             raise ValueError("rows must be (M, n)")
         if not 0 < self.m1 <= r.shape[0]:
             raise ValueError("m1 must satisfy 0 < m1 <= M")
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "rows", r)
+
+    @property
+    def n(self) -> int:
+        return self.rows.shape[1]
 
     @property
     def num_rows(self) -> int:
@@ -66,11 +73,8 @@ class LatticeProfile:
 
 
 def make_family(pair: NestedPair, plan0: EncoderPlan) -> CheckFamily:
-    """Congruence family for a nested pair: H1 rows first (modulus 4).
-
-    For the submatrix variant the level-0 part is the rows of H0 not already
-    listed in H1; for the row-sum variant (bands are row combinations, not
-    rows) all of H0 is retained at level 0.
+    """Congruence family [H1; H0] of a nested pair: the rows of H1
+    (modulus 4), then all of H0 (modulus 2).
 
     ``plan0`` is the encoder plan of H0; its RREF answers the nesting test
     (:meth:`EncoderPlan.in_row_space` on the rows of H1), so the family
@@ -82,13 +86,7 @@ def make_family(pair: NestedPair, plan0: EncoderPlan) -> CheckFamily:
         raise ValueError("plan0 must be the encoder plan of the pair's H0")
     if not plan0.in_row_space(pair.h1.a).all():
         raise NotNestedError("every row of H1 must lie in the row space of H0")
-    if pair.h1_h0_rows is not None:
-        keep = np.setdiff1d(np.arange(pair.h0.rows), np.asarray(pair.h1_h0_rows))
-        level0 = pair.h0.a[keep]
-    else:
-        level0 = pair.h0.a
-    rows = np.vstack([pair.h1.a, level0])
-    return CheckFamily(rows=rows, m1=pair.h1.rows, n=pair.n)
+    return CheckFamily(rows=np.vstack([pair.h1.a, pair.h0.a]), m1=pair.h1.rows)
 
 
 def is_member(fam: CheckFamily, x) -> bool:

@@ -1,7 +1,7 @@
 """Named built-in constructions.
 
 ``example1``:  (3,5)-regular QC code, z=34, n=170; level 1 is block row 0
-over the staircase.  Design distances (16, 4), coding gain 7.04 dB.
+(the group of one row (0,)) over the staircase.  Design distances (16, 4), coding gain 7.04 dB.
 
 ``wimax1152``: modified 802.16e rate-1/2 code, z=48, n=1152; level 1 is the
 concatenation of the block-row sums 1+8 and 4+10 over the staircase.
@@ -49,13 +49,13 @@ def _bundle(name: str, proto: qc.ProtoMatrix, pair: codes.NestedPair,
 @lru_cache(maxsize=None)
 def example1() -> LatticeBundle:
     proto = qc.example1_proto()
-    pair = codes.make_pair_block_row(proto, 0)
+    pair = codes.make_pair_row_sums(proto, [(0,)])
     return _bundle("example1", proto, pair, (16, 4))
 
 
 @lru_cache(maxsize=None)
 def wimax1152() -> LatticeBundle:
-    proto = qc.wimax_proto_1152(modified=True)
+    proto = qc.wimax_proto_1152()
     pair = codes.make_pair_row_sums(proto, [(1, 8), (4, 10)])
     return _bundle("wimax1152", proto, pair, (25, 4))
 

@@ -220,6 +220,8 @@ def random_proto_search(shape: tuple[int, int], z: int, target_weight: int,
     abandoned early once its bound cannot beat the best so far, and the
     search stops when a candidate reaches ``target_weight``.  Deterministic
     given ``seed``: candidate k uses the sub-seed sequence (seed, k).
+    Raises ValueError when the girth filter rejects all of the first
+    ``1000 * budget`` draws, so that no candidate is scored.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -246,7 +248,8 @@ def random_proto_search(shape: tuple[int, int], z: int, target_weight: int,
             break
 
     if best is None:
-        raise RuntimeError("girth filter rejected every draw within the retry cap")
+        raise ValueError(f"the girth filter rejected all {max_draws} draws of a "
+                         f"{m_b}x{n_b} prototype at z={z} (each has a 4-cycle)")
     return SearchResult(best.proto, best.weight_bound, best.witness, scored)
 
 
@@ -340,16 +343,13 @@ def wimax_proto_2304() -> ProtoMatrix:
     return parse_proto(bundled_text("wimax_r12_z96.txt"))
 
 
-def wimax_proto_1152(modified: bool = True) -> ProtoMatrix:
-    """The 802.16e rate-1/2 prototype scaled to n=1152 (z=48).
+def wimax_proto_1152() -> ProtoMatrix:
+    """The modified 802.16e rate-1/2 prototype scaled to n=1152 (z=48).
 
     Uses the rate-1/2 proportional scaling rule (:func:`scale_shifts_floor`),
-    which keeps the matrix 4-cycle free.  With ``modified=True`` the bundled
-    cell edits are applied: four zero blocks become CPMs and cell (1, 6) is
-    cleared, so block rows 1+8 and 4+10 jointly cover every block column
-    exactly once.
+    which keeps the matrix 4-cycle free, then applies the bundled cell
+    edits: four zero blocks become CPMs and cell (1, 6) is cleared, so block
+    rows 1+8 and 4+10 jointly cover every block column exactly once.
     """
     P = scale_shifts_floor(wimax_proto_2304(), 1152)
-    if modified:
-        P = apply_edits(P, parse_edits(bundled_text("wimax_r12_edits_n1152.txt")))
-    return P
+    return apply_edits(P, parse_edits(bundled_text("wimax_r12_edits_n1152.txt")))

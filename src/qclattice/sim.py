@@ -36,6 +36,7 @@ from .gf2 import BitMatrix
 TWO_PI_E = 2.0 * math.pi * math.e
 DEFAULT_MAX_TRIALS = 1_000_000
 DEFAULT_TARGET_ERRORS = 100
+ZRANGE = 2   # a lattice trial's integer parts are uniform over -ZRANGE..ZRANGE
 
 
 def snr_to_sigma2(snr_db: float) -> float:
@@ -120,11 +121,11 @@ def trial_draws(seed: int, point: int, t0: int, t1: int, fields,
     return outs
 
 
-def _lattice_fields(k0: int, k1: int, n: int, zrange: int) -> tuple:
+def _lattice_fields(k0: int, k1: int, n: int) -> tuple:
     """What a lattice trial draws: the info bits of both levels, the integer
-    parts in [-zrange, zrange] with z0 drawn last, and the noise."""
+    parts in [-ZRANGE, ZRANGE] with z0 drawn last, and the noise."""
     return (Integers(0, 2, k0 + k1, np.uint8),
-            Integers(-zrange, zrange + 1, n + 1), Normals(n + 1))
+            Integers(-ZRANGE, ZRANGE + 1, n + 1), Normals(n + 1))
 
 
 def _sweep(kind: str, label: str, points_db, sigma_of, fields, step, *,
@@ -203,12 +204,11 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
                   *, max_trials: int = DEFAULT_MAX_TRIALS,
                   target_errors: int = DEFAULT_TARGET_ERRORS,
                   seed: int = 0, max_iter: int = 100, batch: int = 256,
-                  label: str = "lattice", zrange: int = 2,
-                  paired_noise: bool = False) -> list[SimReport]:
+                  label: str = "lattice", paired_noise: bool = False) -> list[SimReport]:
     """Monte Carlo block-error sweep of the lattice over unconstrained AWGN.
 
     Per trial: encode a random lattice point (uniform info bits, integer
-    parts uniform over -zrange..zrange), add Gaussian noise with variance
+    parts uniform over -ZRANGE..ZRANGE), add Gaussian noise with variance
     from the VNR, decode multistage, and count a block error when any
     coordinate of the recovered point differs.  Errors are attributed to the
     first failing stage (level 0, level 1, or integer rounding).  A pair
@@ -235,6 +235,6 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
 
     return _sweep("lattice", label, vnr_points_db,
                   lambda db: math.sqrt(vnr_to_sigma2(db, normalized_volume)),
-                  _lattice_fields(k0, k1, pair.n, zrange), step,
+                  _lattice_fields(k0, k1, pair.n), step,
                   max_trials=max_trials, target_errors=target_errors,
                   seed=seed, max_iter=max_iter, batch=batch, paired=paired_noise)

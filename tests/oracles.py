@@ -204,7 +204,7 @@ def toy_lattice():
     """The smallest two-level lattice: the all-{0} 1x2 prototype at z = 2
     (n = 4, k0 = k1 = 1, H1 = H0).  Returns ``(pair, family, plans, V)``
     with V = 4^(2 - 0.2 - 0.2) the normalized volume at length N = 5."""
-    pair = codes.make_pair_block_row(qc.ProtoMatrix.from_shifts([[0, 0]], 2), 0)
+    pair = codes.make_pair_row_sums(qc.ProtoMatrix.from_shifts([[0, 0]], 2), [(0,)])
     plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
     return pair, lattice.make_family(pair, plans[0]), plans, 4.0 ** (2 - 0.2 - 0.2)
 
@@ -212,7 +212,7 @@ def toy_lattice():
 def toy_nearest_point_errors(seed: int, trials: int, sigma: float) -> int:
     """Block errors of exact nearest-point decoding of :func:`toy_lattice`
     on the trials [0, trials) that ``sweep_lattice`` runs at point 0 of
-    ``seed`` (zrange 2), from the same draws.
+    ``seed`` (integer parts within sim.ZRANGE), from the same draws.
 
     The lattice is the union of four cosets of 4Z^4, one per point of
     [0, 3]^4, so the nearest point is the nearest of the coset rounds; the
@@ -222,7 +222,7 @@ def toy_nearest_point_errors(seed: int, trials: int, sigma: float) -> int:
     reps = np.array(lattice_points_in_box(fam.rows, fam.m1, 0, 3), dtype=np.int64)
     assert len(reps) == 4
     bits, z, noise = sim.trial_draws(seed, 0, 0, trials,
-                                     sim._lattice_fields(1, 1, pair.n, 2))
+                                     sim._lattice_fields(1, 1, pair.n))
     _, _, x = codec.encode_lattice(pair, plans, bits[:, :1], bits[:, 1:],
                                    np.roll(z, 1, axis=1))
     y = x + sigma * noise

@@ -72,7 +72,7 @@ def test_05_round_trip(name, example1_bundle, wimax_bundle):
     k0, k1 = b.plan0.num_info, b.plan1.num_info
     sigma = 0.01
     trials = 1000
-    fields = sim._lattice_fields(k0, k1, n, 2)
+    fields = sim._lattice_fields(k0, k1, n)
     decoder = codec.MultistageDecoder(b.pair)
     errors = 0
     members = 0

@@ -80,6 +80,22 @@ class TestBuild:
         assert err.startswith("config error: --h1-block-row:") and f"block row {row}" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_zero_block_in_block_row_is_config_error(self, capsys, tmp_path):
+        p = tmp_path / "toy.proto"
+        p.write_text("1 2 2\n0 -1\n")
+        code, out, err = run(capsys, "build", "--proto", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: --h1-block-row:") and "[1]" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_block_row_and_groups_together_refused(self, capsys):
+        # --h1-block-row was once silently ignored next to --h1-groups
+        code, out, err = run(capsys, "build", "--proto", str(_EXAMPLE1_PROTO),
+                             "--h1-groups", "0+1,2", "--h1-block-row", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("config error:") and "not both" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("edit", ["0 5 3", "0 1", "0 0 9"],
                              ids=["cell-outside-grid", "malformed-line", "bad-exponent"])
     def test_bad_edits_file_is_data_error(self, capsys, tmp_path, edit):
@@ -125,6 +141,112 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--rows", "2")
         assert code == 2
         assert "cols" in err
+
+    def test_every_draw_rejected_is_config_error(self):
+        # at z=2 every 3x5 prototype has a 4-cycle; this once ended in a
+        # RuntimeError traceback
+        proc = run_process("search", "--rows", "3", "--cols", "5", "--z", "2",
+                           "--target", "4", "--budget", "1")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: the girth filter rejected all")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flags, girth4_filter", [
+        ([], False),
+        (["--no-girth-filter", "0"], True),
+    ], ids=["config-value", "flag-overrides-config"])
+    def test_no_girth_filter_from_config(self, capsys, tmp_path, monkeypatch,
+                                         flags, girth4_filter):
+        # the config value was once ignored: the flag's default hid it
+        cfg = tmp_path / "search.cfg"
+        cfg.write_text("no-girth-filter=1\n")
+        seen = []
+
+        def fake_search(shape, z, target, girth4, budget, seed, score_iterations):
+            seen.append(girth4)
+            raise ValueError("stop after the call")
+        monkeypatch.setattr(cli.qc, "random_proto_search", fake_search)
+        code, _, _ = run(capsys, "search", "--config", str(cfg), "--rows", "2",
+                         "--cols", "4", "--z", "8", "--target", "20", *flags)
+        assert code == 2
+        assert seen == [girth4_filter]
+
+
+class TestOutputDirectory:
+    # a missing directory once cost the whole sweep or search, then a
+    # FileNotFoundError traceback; it is refused before any work
+    @pytest.mark.parametrize("command, grid, work", [
+        ("simulate-code", "--snr", "sweep_code"),
+        ("simulate-lattice", "--vnr", "sweep_lattice"),
+    ])
+    def test_sweep_refused_before_it_runs(self, capsys, tmp_path, monkeypatch,
+                                          command, grid, work):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started despite the missing directory")
+        monkeypatch.setattr(cli.sim, work, no_sweep)
+        out = tmp_path / "missing" / "rows.csv"
+        code, _, err = run(capsys, command, "--lattice", "example1", grid, "5",
+                           "--out", str(out))
+        assert code == 3
+        assert err.startswith("data error: cannot write") and "does not exist" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_directory_as_csv_refused(self, capsys, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started despite the directory")
+        monkeypatch.setattr(cli.sim, "sweep_code", no_sweep)
+        code, _, err = run(capsys, "simulate-code", "--lattice", "example1",
+                           "--snr", "5", "--out", str(tmp_path))
+        assert code == 3
+        assert err.startswith("data error:") and "is a directory" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_search_refused_before_it_runs(self, capsys, tmp_path, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started despite the missing directory")
+        monkeypatch.setattr(cli.qc, "random_proto_search", no_search)
+        out = tmp_path / "missing" / "p.txt"
+        code, _, err = run(capsys, "search", "--rows", "2", "--cols", "4",
+                           "--z", "8", "--target", "20", "--out", str(out))
+        assert code == 3
+        assert err.startswith("data error: cannot write") and "does not exist" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_failed_csv_write_is_data_error(self, capsys, tmp_path, monkeypatch):
+        # the directory goes away while the sweep runs
+        where = tmp_path / "gone"
+        where.mkdir()
+        sweep = cli.sim.sweep_code
+
+        def sweep_then_remove(*args, **kwargs):
+            reports = sweep(*args, **kwargs)
+            where.rmdir()
+            return reports
+        monkeypatch.setattr(cli.sim, "sweep_code", sweep_then_remove)
+        code, out, err = run(capsys, "simulate-code", "--lattice", "example1",
+                             "--snr", "12", "--max-trials", "4", "--out",
+                             str(where / "rows.csv"))
+        assert code == 3 and out == ""
+        assert err.startswith("data error: cannot write")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_failed_prototype_write_is_data_error(self, capsys, tmp_path, monkeypatch):
+        where = tmp_path / "gone"
+        where.mkdir()
+        search = cli.qc.random_proto_search
+
+        def search_then_remove(*args, **kwargs):
+            res = search(*args, **kwargs)
+            where.rmdir()
+            return res
+        monkeypatch.setattr(cli.qc, "random_proto_search", search_then_remove)
+        code, out, err = run(capsys, "search", "--rows", "2", "--cols", "4",
+                             "--z", "8", "--target", "200", "--budget", "1",
+                             "--score-iters", "10", "--out", str(where / "p.txt"))
+        assert code == 3 and out == ""
+        assert err.startswith("data error: cannot write")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestDistance:

@@ -21,7 +21,7 @@ from qclattice.gf2 import BitMatrix
 @pytest.fixture(scope="module")
 def toy_setup():
     P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
-    pair = codes.make_pair_block_row(P, 0)
+    pair = codes.make_pair_row_sums(P, [(0,)])
     plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
     fam = lattice.make_family(pair, plans[0])
     return pair, fam, plans
@@ -116,7 +116,7 @@ class TestEncode:
         # the level-0 codeword 1111 has an odd dot with it
         pair = toy_setup[0]
         h1 = BitMatrix(np.vstack([pair.h1.a, [[1, 0, 0, 0]]]))
-        bad = dataclasses.replace(pair, h1=h1, h1_h0_rows=None)
+        bad = dataclasses.replace(pair, h1=h1)
         plans = (codec.EncoderPlan(bad.h0), codec.EncoderPlan(bad.h1))
         assert not plans[0].in_row_space(bad.h1.a).all()
         with pytest.raises(codec.OddDotError, match="row 4 .* point 1"):

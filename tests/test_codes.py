@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,9 @@ class TestBuildH0:
 
 
 class TestBuildH1BlockRow:
+    # a block row is the row-sum group of one row
     def test_example1(self, example1_bundle):
-        H1 = codes.build_h1_block_row(example1_bundle.proto, 0)
+        H1 = codes.build_h1_row_sums(example1_bundle.proto, [(0,)])
         assert H1.shape == (39, 170)
         assert ref_rank(H1.a) == 38
         assert len(nullspace_basis(H1)) == 132
@@ -76,22 +79,24 @@ class TestBuildH1BlockRow:
     def test_toy_is_spc_product_code(self):
         # all-{0} 1x2 prototype at z=2: H1 = [I2 I2; staircase(2,2)]
         P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
-        H1 = codes.build_h1_block_row(P, 0)
+        H1 = codes.build_h1_row_sums(P, [(0,)])
         spc = codes.build_spc(2, 2)
         assert set(exhaustive_nullspace(H1.a)) == set(exhaustive_nullspace(spc.a))
 
     def test_zero_block_raises(self):
         P = qc.ProtoMatrix(1, 2, 3, (((0,), ()),))
-        with pytest.raises(codes.ZeroBlockError):
-            codes.build_h1_block_row(P, 0)
+        with pytest.raises(codes.BadGroupsError):
+            codes.build_h1_row_sums(P, [(0,)])
 
 
 class TestBuildH1RowSums:
     def test_single_group_equals_block_row(self, example1_bundle):
+        # block row i of the expansion over the staircase, sliced directly
         P = example1_bundle.proto
-        a = codes.build_h1_row_sums(P, [(1,)])
-        b = codes.build_h1_block_row(P, 1)
-        assert a == b
+        stair = codes.build_staircase(P.n_b, P.z)
+        for i in range(P.m_b):
+            band = BitMatrix(qc.expand(P).a[i * P.z: (i + 1) * P.z])
+            assert codes.build_h1_row_sums(P, [(i,)]) == vstack(band, stair)
 
     def test_wimax_dimensions_and_band(self, wimax_bundle):
         H1 = wimax_bundle.pair.h1
@@ -133,6 +138,18 @@ class TestBuildH1RowSums:
             codes.build_h1_row_sums(P, [(0, 25)])
 
 
+class TestNestedPair:
+    def test_two_fields_and_n_from_h0(self, example1_bundle):
+        pair = example1_bundle.pair
+        assert [f.name for f in dataclasses.fields(pair)] == ["h0", "h1"]
+        assert pair.n == pair.h0.cols == 170
+
+    def test_widths_must_agree(self, example1_bundle):
+        pair = example1_bundle.pair
+        with pytest.raises(ValueError, match="columns"):
+            codes.NestedPair(h0=pair.h0, h1=BitMatrix(pair.h1.a[:, :-1]))
+
+
 def nested(pair: codes.NestedPair) -> bool:
     """Every row of H1 in the row space of H0: one RREF of H0."""
     return bool(in_row_space(*echelon(pair.h0), pair.h1.a).all())
@@ -154,15 +171,14 @@ class TestVerifyNesting:
         rng = np.random.default_rng(99)
         rogue = rng.integers(0, 2, 170).astype(np.uint8)
         h1_bad = vstack(pair.h1, BitMatrix(rogue[None, :]))
-        bad = codes.NestedPair(h0=pair.h0, h1=h1_bad, n=170, z=34, p=5, q=34,
-                               h1_h0_rows=None)
+        bad = codes.NestedPair(h0=pair.h0, h1=h1_bad)
         assert not nested(bad)
 
     def test_toy_nullspace_containment(self):
         # nesting implies nullspace(H0) subset of nullspace(H1), checked
         # exhaustively on the z=2 toy
         P = qc.ProtoMatrix.from_shifts([[0, 0], [0, 1]], 2)
-        pair = codes.make_pair_block_row(P, 0)
+        pair = codes.make_pair_row_sums(P, [(0,)])
         assert nested(pair)
         null0 = set(exhaustive_nullspace(pair.h0.a))
         null1 = set(exhaustive_nullspace(pair.h1.a))
@@ -188,6 +204,6 @@ class TestEvenWeight:
 
     def test_g0_codewords_have_even_weight_toy(self):
         P = qc.ProtoMatrix.from_shifts([[0, 1], [1, 0]], 3)
-        pair = codes.make_pair_block_row(P, 0)
+        pair = codes.make_pair_row_sums(P, [(0,)])
         for word in exhaustive_nullspace(pair.h0.a):
             assert sum(word) % 2 == 0

@@ -17,7 +17,7 @@ from qclattice.gf2 import BitMatrix, vstack
 def toy_pair():
     # all-{0} 1x2 prototype at z=2: n=4, H1 = H0
     P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
-    return codes.make_pair_block_row(P, 0)
+    return codes.make_pair_row_sums(P, [(0,)])
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ class TestMakeFamily:
     def test_example1_boundaries(self, example1_bundle):
         fam = example1_bundle.family
         assert fam.m1 == 39
-        assert fam.num_rows == 107
+        assert fam.num_rows == 39 + 107  # [H1; H0]
         assert fam.n == 170
 
     def test_wimax_boundaries(self, wimax_bundle):
@@ -46,8 +46,7 @@ class TestMakeFamily:
         pair = example1_bundle.pair
         rng = np.random.default_rng(1)
         bad_h1 = vstack(pair.h1, BitMatrix(rng.integers(0, 2, (1, 170)).astype(np.uint8)))
-        bad = codes.NestedPair(h0=pair.h0, h1=bad_h1, n=170, z=34, p=5, q=34,
-                               h1_h0_rows=None)
+        bad = codes.NestedPair(h0=pair.h0, h1=bad_h1)
         with pytest.raises(lattice.NotNestedError):
             lattice.make_family(bad, example1_bundle.plan0)
 
@@ -56,9 +55,38 @@ class TestMakeFamily:
         pair = example1_bundle.pair
         e0 = BitMatrix(np.eye(1, 170, dtype=np.uint8))
         assert kernel_rank(vstack(pair.h0, e0)) == kernel_rank(pair.h0) + 1
-        bad = dataclasses.replace(pair, h1=vstack(pair.h1, e0), h1_h0_rows=None)
+        bad = dataclasses.replace(pair, h1=vstack(pair.h1, e0))
         with pytest.raises(lattice.NotNestedError):
             lattice.make_family(bad, example1_bundle.plan0)
+
+    def test_same_lattice_as_reduced_family(self, example1_bundle):
+        # the family once listed at level 0 only the rows of H0 that are
+        # not rows of H1; the rows it adds repeat level-1 congruences mod 2
+        b = example1_bundle
+        pair, fam = b.pair, b.family
+        h1_rows = {r.tobytes() for r in pair.h1.a}
+        level0 = [r for r in pair.h0.a if r.tobytes() not in h1_rows]
+        reduced = np.vstack([pair.h1.a, level0]).astype(np.int64)
+        assert len(reduced) == 107
+
+        def reduced_member(x):
+            dots = reduced @ x
+            return not (dots[:pair.h1.rows] % 4).any() and not (dots[pair.h1.rows:] % 2).any()
+
+        rng = np.random.default_rng(23)
+        t = 60
+        z = rng.integers(-2, 3, (t, 171))
+        _, _, x = codec.encode_lattice(pair, b.plans, rng.integers(0, 2, (t, 68)),
+                                       rng.integers(0, 2, (t, 132)), z)
+        points = [p[1:] for p in x]
+        for p in x[:, 1:]:
+            for delta in (1, 2, 3):
+                q = p.copy()
+                q[rng.integers(170)] += delta
+                points.append(q)
+        answers = [lattice.is_member(fam, p) for p in points]
+        assert answers == [reduced_member(p) for p in points]
+        assert all(answers[:t]) and not any(answers[t:])
 
     def test_plan_of_another_matrix_refused(self, example1_bundle):
         pair = example1_bundle.pair
@@ -86,9 +114,9 @@ class TestBundle:
             "from qclattice import codes, lattice, presets, qc\n"
             "from qclattice.gf2 import BitMatrix, vstack\n"
             "proto = qc.example1_proto()\n"
-            "pair = codes.make_pair_block_row(proto, 0)\n"
+            "pair = codes.make_pair_row_sums(proto, [(0,)])\n"
             "h1 = vstack(pair.h1, BitMatrix(np.eye(1, 170, dtype=np.uint8)))\n"
-            "bad = dataclasses.replace(pair, h1=h1, h1_h0_rows=None)\n"
+            "bad = dataclasses.replace(pair, h1=h1)\n"
             "try:\n"
             "    presets._bundle('bad', proto, bad, (16, 4))\n"
             "except lattice.NotNestedError:\n"
@@ -130,13 +158,14 @@ class TestMembership:
     def test_richer_toy_box(self):
         # two block rows at z=2 so levels differ
         P = qc.ProtoMatrix.from_shifts([[0, 1], [0, 0]], 2)
-        pair = codes.make_pair_block_row(P, 1)
+        pair = codes.make_pair_row_sums(P, [(1,)])
         fam = lattice.make_family(pair, codec.EncoderPlan(pair.h0))
-        assert fam.m1 == 4 and fam.num_rows == 6
+        assert fam.m1 == 4 and fam.num_rows == 4 + 6  # [H1; H0]
         expected = set(lattice_points_in_box(fam.rows, fam.m1, -2, 2))
         got = {p for p in itertools.product(range(-2, 3), repeat=4)
                if lattice.is_member(fam, np.array(p))}
         assert got == expected
+        assert len(got) == 19  # as with the reduced family (H0's rows in H1 dropped)
 
 
 def code_dimensions(pair: codes.NestedPair) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import sys
@@ -12,6 +13,17 @@ def test_every_export_resolves():
     missing = [name for name in qclattice.__all__ if not hasattr(qclattice, name)]
     assert not missing
     assert len(set(qclattice.__all__)) == len(qclattice.__all__)
+
+
+def test_no_assert_statements_in_the_package():
+    # invariants are real checks that still run under python -O, which
+    # strips assert statements
+    pkg = Path(qclattice.__file__).resolve().parent
+    found = [f"{path.relative_to(pkg)}:{node.lineno}"
+             for path in sorted(pkg.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _resolves(modname, attr):

@@ -222,6 +222,11 @@ class TestSearch:
                                      score_iterations=30)
         assert not qc.has_four_cycle(res.proto)
 
+    def test_every_draw_rejected_raises_value_error(self):
+        # at z=1 every 2x2 prototype has a 4-cycle; this was a RuntimeError
+        with pytest.raises(ValueError, match="rejected all 2000 draws"):
+            qc.random_proto_search((2, 2), 1, 4, True, 2, seed=0)
+
     def test_witness_is_codeword(self):
         res = qc.random_proto_search((2, 4), 6, 100, False, 2, seed=13,
                                      score_iterations=60)

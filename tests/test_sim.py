@@ -177,9 +177,9 @@ class TestSweepLattice:
             "import numpy as np\n"
             "from qclattice import codec, codes, qc, sim\n"
             "from qclattice.gf2 import BitMatrix\n"
-            "pair = codes.make_pair_block_row(qc.ProtoMatrix.from_shifts([[0, 0]], 2), 0)\n"
+            "pair = codes.make_pair_row_sums(qc.ProtoMatrix.from_shifts([[0, 0]], 2), [(0,)])\n"
             "h1 = BitMatrix(np.vstack([pair.h1.a, [[1, 0, 0, 0]]]))\n"
-            "bad = dataclasses.replace(pair, h1=h1, h1_h0_rows=None)\n"
+            "bad = dataclasses.replace(pair, h1=h1)\n"
             "plans = (codec.EncoderPlan(bad.h0), codec.EncoderPlan(bad.h1))\n"
             "try:\n"
             "    sim.sweep_lattice(bad, plans, 4.0 ** 1.6, [6.0], max_trials=200,\n"
@@ -367,7 +367,7 @@ class TestTrialDraws:
         b = wimax_bundle
         k0, k1, n = b.plan0.num_info, b.plan1.num_info, b.pair.n
         bits, z, noise = sim.trial_draws(seed, point, 10, 40,
-                                         sim._lattice_fields(k0, k1, n, 2), paired)
+                                         sim._lattice_fields(k0, k1, n), paired)
         for row, t in enumerate(range(10, 40)):
             rng = np.random.default_rng([seed, t] if paired else [seed, point, t])
             i0, i1 = rng.integers(0, 2, k0), rng.integers(0, 2, k1)
