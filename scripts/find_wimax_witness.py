@@ -14,7 +14,8 @@ table is rescaled to z=48:
   to be larger.
 
 The search prints every improvement; each reported witness is verified
-against the parity checks.
+against the parity checks (``low_weight_search`` raises ``WitnessError``
+for one that is zero or not a codeword).
 """
 
 import argparse
@@ -63,7 +64,6 @@ def main() -> int:
         done += chunk
         if best is None or w < best:
             best = w
-            assert not H.mul_vec(c).any()
             print(f"[{time.time() - t0:7.0f}s, {done} iters] weight {w} witness, "
                   f"support {np.nonzero(c)[0].tolist()}")
         if best <= args.stop_at:

@@ -1,18 +1,27 @@
 """Command-line front end.
 
 Subcommands: info, build, search, distance, simulate-code, simulate-lattice.
-Every flag can also be supplied as ``key=value`` in a flat config file given
-with --config; explicit flags override config values.  Simulation commands
-append rows to a stable-schema CSV and write a JSON manifest next to it.
-The manifest's top-level keys describe the latest run (command, resolved
-config with the seed, version, Python/numpy/BLAS versions, git revision and
-``git_dirty`` (true when tracked files differ from that revision; both null
-outside a git checkout), ``src_sha256`` over the package's source files,
-and ``csv_rows``, the first and last CSV data row it wrote, counted from 1
+:func:`build_parser` declares each flag once: its type, default, choices,
+whether it is required and which flags exclude it.  Flag names match
+exactly, never by abbreviation.  A flat config file given with --config
+holds ``key=value`` lines; each becomes ``--key=value`` ahead of the
+command line's own flags and the same parser reads both, so an explicit
+flag wins, a key that is not a flag of the command is refused, and so is a
+config value that an explicit flag excludes.  A flag that the chosen input
+does not read is refused too: ``build --lattice`` with a prototype option,
+``distance --proto`` with ``--matrix``.
+
+Simulation commands append rows to a stable-schema CSV and write a JSON
+manifest next to it.  The manifest's top-level keys describe the latest run
+(command; ``config``, every resolved option, typed, defaults included;
+version, Python/numpy/BLAS versions, git revision and ``git_dirty`` (true
+when tracked files differ from that revision; both null outside a git
+checkout), ``src_sha256`` over the package's source files, and
+``csv_rows``, the first and last CSV data row it wrote, counted from 1
 after the header); ``runs`` keeps one such record per run appended to the
 CSV.
 
-Exit codes: 0 success, 2 config error (including bad numeric options and
+Exit codes: 0 success, 2 config error (any parse error, as one line, and
 any ValueError raised by the library), 3 data error (including an input
 file, prototype or edits, that is unreadable or malformed).
 """
@@ -81,50 +90,35 @@ def _parse_range(spec: str) -> list[float]:
                           "with at least one point, all finite")
 
 
-def _int_opt(opts: dict, key: str, default: int | None) -> int | None:
-    """Integer option ``key`` (flag or config value); ``default`` if unset.
-
-    Ranges are checked by the library calls the value goes to.
-    """
-    raw = opts.get(key)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{key.replace('_', '-')} must be an integer, got {raw!r}")
-
-
-def _load_config(path: str) -> dict[str, str]:
+def _config_flags(path: str) -> list[str]:
+    """The ``key=value`` lines of a config file as ``--key=value`` flags."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    out: dict[str, str] = {}
+    out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, sep, val = (s.strip() for s in line.partition("="))
+            if not (key and sep):
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            if key == "config":
+                raise ConfigError(f"{path}:{lineno}: unknown config key 'config'; "
+                                  "a config file cannot name another")
+            out.append(f"--{key}={val}")
     return out
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Overlay config-file values under explicit flags: a config value fills
-    a key only when its flag is unset."""
-    opts = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    if args.config:
-        cfg = _load_config(args.config)
-        valid = set(opts)
-        for key, val in cfg.items():
-            k = key.replace("-", "_")
-            if k not in valid:
-                raise ConfigError(f"unknown config key {key!r}")
-            if opts[k] is None:
-                opts[k] = val
-    return opts
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with its --config file's flags placed right after the
+    command, ahead of the command line's own flags, which therefore win."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None or not argv or argv[0] not in COMMANDS:
+        return argv
+    return [argv[0], *_config_flags(path), *argv[1:]]
 
 
 def _check_out_dir(out_path: str) -> None:
@@ -270,22 +264,13 @@ def _blas() -> str | None:
     return f"{blas.get('name')} {blas.get('version')}"
 
 
-def _manifest(command: str, opts: dict) -> dict:
-    clean = {k: v for k, v in opts.items() if v is not None}
+def _manifest(args: argparse.Namespace) -> dict:
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     rev, dirty = _git_state()
-    return {"command": command, "config": clean, "version": __version__,
+    return {"command": args.command, "config": config, "version": __version__,
             "python": platform.python_version(), "numpy": np.__version__,
             "blas": _blas(), "git_rev": rev, "git_dirty": dirty,
             "src_sha256": _src_digest()}
-
-
-def _get_bundle(name: str | None) -> presets.LatticeBundle:
-    if not name:
-        raise ConfigError("missing key: lattice")
-    try:
-        return presets.get_bundle(name)
-    except KeyError as e:
-        raise ConfigError(str(e))
 
 
 def _load_proto_file(path: str) -> qc.ProtoMatrix:
@@ -297,8 +282,8 @@ def _load_proto_file(path: str) -> qc.ProtoMatrix:
         raise DataError(f"bad prototype file {path}: {e}")
 
 
-def cmd_info(opts: dict) -> int:
-    bundle = _get_bundle(opts["lattice"])
+def cmd_info(args: argparse.Namespace) -> int:
+    bundle = presets.get_bundle(args.lattice)
     p = bundle.profile
     print(f"lattice {bundle.name}")
     print(f"  N = {p.N} (code length {p.N - 1} + dummy coordinate)")
@@ -311,224 +296,233 @@ def cmd_info(opts: dict) -> int:
     return 0
 
 
-def cmd_build(opts: dict) -> int:
-    if opts.get("h1_block_row") and opts.get("h1_groups"):
-        raise ConfigError("give --h1-block-row or --h1-groups, not both")
-    if opts.get("proto"):
-        P = _load_proto_file(opts["proto"])
-        if opts.get("scale_n"):
-            rule = opts.get("scale_rule") or "mod"
-            if rule == "mod":
-                P = qc.scale_shifts(P, int(opts["scale_n"]))
-            elif rule == "floor":
-                P = qc.scale_shifts_floor(P, int(opts["scale_n"]))
-            else:
-                raise ConfigError(f"unknown scale-rule {rule!r}; use mod or floor")
-        if opts.get("edits"):
-            try:
-                P = qc.apply_edits(P, qc.load_edits(opts["edits"]))
-            except OSError as e:
-                raise DataError(f"cannot read edits file: {e}")
-            except (ValueError, qc.OutOfRangeError) as e:
-                raise DataError(f"bad edits file {opts['edits']}: {e}")
-        if opts.get("h1_groups"):
-            groups = [tuple(int(i) for i in g.split("+"))
-                      for g in str(opts["h1_groups"]).split(",")]
-            pair = codes.make_pair_row_sums(P, groups)
-        else:
-            # block row i is the group of one row (i,)
-            try:
-                pair = codes.make_pair_row_sums(P, [(_int_opt(opts, "h1_block_row", 0),)])
-            except codes.BadGroupsError as e:
-                raise ConfigError(f"--h1-block-row: {e}")
-        # one RREF per level: each plan gives its k, plan0 the nesting test
-        plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
-        k0, k1 = plan0.num_info, plan1.num_info
-        nested = bool(plan0.in_row_space(pair.h1.a).all())
+SCALE_RULES = {"mod": qc.scale_shifts, "floor": qc.scale_shifts_floor}
+# build options that only a prototype file reads; each is None when unset
+_PROTO_ONLY = ("edits", "scale_n", "scale_rule", "h1_block_row", "h1_groups")
+
+
+def _groups(spec: str) -> list[tuple[int, ...]]:
+    """'1+8,4+10' -> [(1, 8), (4, 10)]"""
+    try:
+        return [tuple(int(i) for i in g.split("+")) for g in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected block rows such as '1+8,4+10', "
+                                         f"got {spec!r}")
+
+
+def _proto_pair(args: argparse.Namespace) -> codes.NestedPair:
+    """The nested pair that build's prototype options describe."""
+    if args.scale_rule is not None and args.scale_n is None:
+        raise ConfigError("--scale-rule applies only with --scale-n")
+    P = _load_proto_file(args.proto)
+    if args.scale_n is not None:
+        P = SCALE_RULES[args.scale_rule or "mod"](P, args.scale_n)
+    if args.edits is not None:
+        try:
+            P = qc.apply_edits(P, qc.load_edits(args.edits))
+        except OSError as e:
+            raise DataError(f"cannot read edits file: {e}")
+        except (ValueError, qc.OutOfRangeError) as e:
+            raise DataError(f"bad edits file {args.edits}: {e}")
+    if args.h1_groups is not None:
+        flag, groups = "--h1-groups", args.h1_groups
     else:
+        # block row i is the group of one row (i,)
+        flag, groups = "--h1-block-row", [(args.h1_block_row or 0,)]
+    try:
+        return codes.make_pair_row_sums(P, groups)
+    except codes.BadGroupsError as e:
+        raise ConfigError(f"{flag}: {e}")
+
+
+def cmd_build(args: argparse.Namespace) -> int:
+    if args.lattice is not None:
+        unread = [k for k in _PROTO_ONLY if getattr(args, k) is not None]
+        if unread:
+            raise ConfigError(f"--{unread[0].replace('_', '-')} applies to --proto; "
+                              f"--lattice {args.lattice} does not read it")
         # building a bundle refuses a pair that is not nested
-        bundle = _get_bundle(opts.get("lattice"))
-        pair = bundle.pair
-        k0, k1 = bundle.profile.k
-        nested = True
+        bundle = presets.get_bundle(args.lattice)
+        pair, (plan0, plan1) = bundle.pair, bundle.plans
+    else:
+        pair = _proto_pair(args)
+        plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
+    # one RREF per level: each plan gives its k, plan0 the nesting test
+    k0, k1 = plan0.num_info, plan1.num_info
+    nested = bool(plan0.in_row_space(pair.h1.a).all())
     print(f"H0: {pair.h0.rows}x{pair.h0.cols}  rank {pair.n - k0}  k0 {k0}")
     print(f"H1: {pair.h1.rows}x{pair.h1.cols}  rank {pair.n - k1}  k1 {k1}")
     print(f"nested: {nested}")
     return 0
 
 
-def cmd_search(opts: dict) -> int:
-    for key in ("rows", "cols", "z", "target"):
-        if opts.get(key) is None:
-            raise ConfigError(f"missing key: {key}")
-    seed = _int_opt(opts, "seed", 0)
-    if opts.get("out"):
-        _check_out_dir(opts["out"])
-    res = qc.random_proto_search(
-        (_int_opt(opts, "rows", None), _int_opt(opts, "cols", None)),
-        _int_opt(opts, "z", None), _int_opt(opts, "target", None),
-        not bool(_int_opt(opts, "no_girth_filter", 0)),
-        _int_opt(opts, "budget", 10), seed,
-        score_iterations=_int_opt(opts, "score_iters", 2000))
+def cmd_search(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_out_dir(args.out)
+    res = qc.random_proto_search((args.rows, args.cols), args.z, args.target,
+                                 not args.no_girth_filter, args.budget, args.seed,
+                                 score_iterations=args.score_iters)
     text = qc.format_proto(res.proto)
-    if opts.get("out"):
+    if args.out:
         try:
-            with open(opts["out"], "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as e:
-            raise DataError(f"cannot write {opts['out']}: {e}")
-        print(f"wrote prototype to {opts['out']}")
+            raise DataError(f"cannot write {args.out}: {e}")
+        print(f"wrote prototype to {args.out}")
     else:
         sys.stdout.write(text)
     print(f"found weight bound {res.weight_bound} "
-          f"after scoring {res.candidates_scored} candidates (seed {seed})")
+          f"after scoring {res.candidates_scored} candidates (seed {args.seed})")
     return 0
 
 
-def cmd_distance(opts: dict) -> int:
-    if opts.get("proto"):
-        H = qc.expand(_load_proto_file(opts["proto"]))
-        label = opts["proto"]
+MATRICES = {"hqc": lambda b: qc.expand(b.proto),
+            "h0": lambda b: b.pair.h0,
+            "h1": lambda b: b.pair.h1}
+
+
+def cmd_distance(args: argparse.Namespace) -> int:
+    if args.proto is not None:
+        if args.matrix is not None:
+            raise ConfigError("--matrix picks a matrix of --lattice; "
+                              "with --proto the search runs on its H_qc")
+        H, label = qc.expand(_load_proto_file(args.proto)), args.proto
     else:
-        bundle = _get_bundle(opts.get("lattice"))
-        which = opts.get("matrix") or "hqc"
-        if which == "hqc":
-            H = qc.expand(bundle.proto)
-        elif which == "h0":
-            H = bundle.pair.h0
-        elif which == "h1":
-            H = bundle.pair.h1
-        else:
-            raise ConfigError(f"unknown matrix {which!r}; use hqc, h0 or h1")
-        label = f"{bundle.name}:{which}"
-    iters = _int_opt(opts, "iterations", 10000)
-    seed = _int_opt(opts, "seed", 0)
-    stop = _int_opt(opts, "stop_at", None)
+        which = args.matrix or "hqc"
+        H = MATRICES[which](presets.get_bundle(args.lattice))
+        label = f"{args.lattice}:{which}"
     t0 = time.perf_counter()
     try:
-        w, witness = wmin.low_weight_search(H, iters, seed, stop_at=stop)
+        w, witness = wmin.low_weight_search(H, args.iterations, args.seed,
+                                            stop_at=args.stop_at)
     except wmin.WitnessError as e:
         raise DataError(f"{label}: {e}")
     wall = time.perf_counter() - t0
     if not witness.any() or H.mul_vec(witness).any():
         raise DataError(f"{label}: witness of weight {w} is not a nonzero codeword")
-    print(f"{label}: search took {wall:.2f} s (budget {iters} iterations)",
+    print(f"{label}: search took {wall:.2f} s (budget {args.iterations} iterations)",
           file=sys.stderr)
     print(f"{label}: found codeword weight {w} "
-          f"(iterations <= {iters}, seed {seed}); upper bound on d_min")
+          f"(iterations <= {args.iterations}, seed {args.seed}); upper bound on d_min")
     return 0
 
 
-def _sim_common(opts: dict) -> tuple[int, int, int, int]:
-    return (_int_opt(opts, "seed", 0),
-            _int_opt(opts, "max_trials", sim.DEFAULT_MAX_TRIALS),
-            _int_opt(opts, "target_errors", sim.DEFAULT_TARGET_ERRORS),
-            _int_opt(opts, "iters", 100))
-
-
-def cmd_simulate_code(opts: dict) -> int:
-    bundle = _get_bundle(opts.get("lattice"))
-    if not opts.get("snr"):
-        raise ConfigError("missing key: snr")
-    points = _parse_range(str(opts["snr"]))
-    seed, max_trials, target_errors, iters = _sim_common(opts)
-    which = opts.get("code") or "g0"
-    if which == "g0":
-        H, plan = bundle.pair.h0, bundle.plan0
-    elif which == "g1":
-        H, plan = bundle.pair.h1, bundle.plan1
-    else:
-        raise ConfigError(f"unknown code {which!r}; use g0 or g1")
-    label = f"{bundle.name}:{which}"
-    runs = _prior_runs(opts.get("out"))
-    reports = sim.sweep_code(H, plan, points, max_trials=max_trials,
-                             target_errors=target_errors, seed=seed,
-                             max_iter=iters, label=label)
-    _write_reports(reports, opts.get("out"), _manifest("simulate-code", opts), runs)
+def _simulate(args: argparse.Namespace, grid: str, sweep) -> int:
+    """Shared body of the simulate commands: ``sweep(bundle, points,
+    **stopping)`` runs the sweep; its rows go to stdout or --out."""
+    bundle = presets.get_bundle(args.lattice)
+    points = _parse_range(grid)
+    runs = _prior_runs(args.out)
+    reports = sweep(bundle, points, max_trials=args.max_trials,
+                    target_errors=args.target_errors, seed=args.seed,
+                    max_iter=args.iters)
+    _write_reports(reports, args.out, _manifest(args), runs)
     return 0
 
 
-def cmd_simulate_lattice(opts: dict) -> int:
-    bundle = _get_bundle(opts.get("lattice"))
-    if not opts.get("vnr"):
-        raise ConfigError("missing key: vnr")
-    points = _parse_range(str(opts["vnr"]))
-    seed, max_trials, target_errors, iters = _sim_common(opts)
-    runs = _prior_runs(opts.get("out"))
-    reports = sim.sweep_lattice(bundle.pair, bundle.plans,
-                                bundle.profile.normalized_volume, points,
-                                max_trials=max_trials, target_errors=target_errors,
-                                seed=seed, max_iter=iters, label=bundle.name)
-    _write_reports(reports, opts.get("out"), _manifest("simulate-lattice", opts), runs)
-    return 0
+CODES = {"g0": lambda b: (b.pair.h0, b.plan0),
+         "g1": lambda b: (b.pair.h1, b.plan1)}
+
+
+def cmd_simulate_code(args: argparse.Namespace) -> int:
+    return _simulate(args, args.snr, lambda b, points, **kw: sim.sweep_code(
+        *CODES[args.code](b), points, label=f"{b.name}:{args.code}", **kw))
+
+
+def cmd_simulate_lattice(args: argparse.Namespace) -> int:
+    return _simulate(args, args.vnr, lambda b, points, **kw: sim.sweep_lattice(
+        b.pair, b.plans, b.profile.normalized_volume, points, label=b.name, **kw))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Matches exact flag names only, and turns every parse error into a
+    :class:`ConfigError`: one line, exit 2, no usage text."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qclattice",
-                                 description="Two-level lattice constructions "
-                                             "from QC-LDPC and SPC product codes")
+    ap = _Parser(prog="qclattice",
+                 description="Two-level lattice constructions "
+                             "from QC-LDPC and SPC product codes")
     sub = ap.add_subparsers(dest="command", required=True)
+    lattices = presets.BUILTIN_LATTICES
 
-    def add_common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="master seed (unsigned)")
+    def command(name, summary, seeded=True):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="flat key=value config file, "
+                                        "read ahead of the flags")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0,
+                           help="master seed (unsigned, default %(default)s)")
+        return p
 
-    p = sub.add_parser("info", help="print the profile of a built-in lattice")
-    add_common(p)
-    p.add_argument("--lattice", help="example1 or wimax1152")
+    def sweep_flags(p):
+        p.add_argument("--max-trials", type=int, default=sim.DEFAULT_MAX_TRIALS,
+                       help="trial cap per point (default %(default)s)")
+        p.add_argument("--target-errors", type=int, default=sim.DEFAULT_TARGET_ERRORS,
+                       help="error target per point (default %(default)s)")
+        p.add_argument("--iters", type=int, default=100,
+                       help="decoder iteration cap (default %(default)s)")
+        p.add_argument("--out", help="CSV output path (appends)")
 
-    p = sub.add_parser("build", help="build a nested pair and report dimensions")
-    add_common(p)
-    p.add_argument("--lattice", help="built-in name (alternative to --proto)")
-    p.add_argument("--proto", help="prototype matrix file")
-    p.add_argument("--edits", help="cell edits file")
-    p.add_argument("--scale-n", dest="scale_n", help="rescale to length n")
-    p.add_argument("--scale-rule", dest="scale_rule",
-                   help="shift scaling rule: mod (default) or floor")
-    p.add_argument("--h1-block-row", dest="h1_block_row",
-                   help="level-1 block row index (default 0); not with --h1-groups")
-    p.add_argument("--h1-groups", dest="h1_groups",
-                   help="level-1 row-sum groups, e.g. '1+8,4+10'")
+    p = command("info", "print the profile of a built-in lattice", seeded=False)
+    p.add_argument("--lattice", required=True, choices=lattices)
 
-    p = sub.add_parser("search", help="random prototype search for large d_min")
-    add_common(p)
-    p.add_argument("--rows", help="block rows m_b")
-    p.add_argument("--cols", help="block columns n_b")
-    p.add_argument("--z", help="circulant size")
-    p.add_argument("--target", help="target minimum weight")
-    p.add_argument("--budget", help="candidates to score (default 10)")
-    p.add_argument("--score-iters", dest="score_iters",
-                   help="low-weight-search iterations per candidate")
-    p.add_argument("--no-girth-filter", dest="no_girth_filter",
+    p = command("build", "build a nested pair and report dimensions", seeded=False)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lattice", choices=lattices, help="built-in name")
+    source.add_argument("--proto", help="prototype matrix file")
+    p.add_argument("--edits", help="cell edits file (with --proto)")
+    p.add_argument("--scale-n", type=int, help="rescale to length n (with --proto)")
+    p.add_argument("--scale-rule", choices=SCALE_RULES,
+                   help="shift scaling rule for --scale-n: mod (default) or floor")
+    level1 = p.add_mutually_exclusive_group()
+    level1.add_argument("--h1-block-row", type=int,
+                        help="level-1 block row index (with --proto; default 0)")
+    level1.add_argument("--h1-groups", type=_groups,
+                        help="level-1 row-sum groups, e.g. '1+8,4+10' (with --proto)")
+
+    p = command("search", "random prototype search for large d_min")
+    p.add_argument("--rows", type=int, required=True, help="block rows m_b")
+    p.add_argument("--cols", type=int, required=True, help="block columns n_b")
+    p.add_argument("--z", type=int, required=True, help="circulant size")
+    p.add_argument("--target", type=int, required=True, help="target minimum weight")
+    p.add_argument("--budget", type=int, default=10,
+                   help="candidates to score (default %(default)s)")
+    p.add_argument("--score-iters", type=int, default=2000,
+                   help="low-weight-search iterations per candidate "
+                        "(default %(default)s)")
+    p.add_argument("--no-girth-filter", type=int, choices=(0, 1), default=0,
                    help="1 to allow 4-cycles in candidates")
     p.add_argument("--out", help="output prototype file")
 
-    p = sub.add_parser("distance", help="probabilistic low-weight codeword search")
-    add_common(p)
-    p.add_argument("--lattice", help="built-in name")
-    p.add_argument("--matrix", help="hqc (default), h0 or h1")
-    p.add_argument("--proto", help="prototype matrix file (alternative)")
-    p.add_argument("--iterations", help="search iterations (default 10000)")
-    p.add_argument("--stop-at", dest="stop_at", help="stop once weight <= this")
+    p = command("distance", "probabilistic low-weight codeword search")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--lattice", choices=lattices, help="built-in name")
+    source.add_argument("--proto", help="prototype matrix file; searches its H_qc")
+    p.add_argument("--matrix", choices=MATRICES,
+                   help="with --lattice: hqc (default), h0 or h1")
+    p.add_argument("--iterations", type=int, default=10000,
+                   help="search iterations (default %(default)s)")
+    p.add_argument("--stop-at", type=int, help="stop once weight <= this")
 
-    p = sub.add_parser("simulate-code", help="AMGN sweep of one component code")
-    add_common(p)
-    p.add_argument("--lattice", help="built-in name")
-    p.add_argument("--code", help="g0 (default) or g1")
-    p.add_argument("--snr", help="SNR grid in dB: a:step:b or comma list")
-    p.add_argument("--max-trials", dest="max_trials", help="trial cap per point")
-    p.add_argument("--target-errors", dest="target_errors", help="error target per point")
-    p.add_argument("--iters", help="decoder iteration cap (default 100)")
-    p.add_argument("--out", help="CSV output path (appends)")
+    p = command("simulate-code", "mod-2 Gaussian sweep of one component code")
+    p.add_argument("--lattice", required=True, choices=lattices)
+    p.add_argument("--code", choices=CODES, default="g0",
+                   help="component code (default %(default)s)")
+    p.add_argument("--snr", required=True, help="SNR grid in dB: a:step:b or comma list")
+    sweep_flags(p)
 
-    p = sub.add_parser("simulate-lattice", help="unconstrained-AWGN lattice sweep")
-    add_common(p)
-    p.add_argument("--lattice", help="built-in name")
-    p.add_argument("--vnr", help="VNR grid in dB: a:step:b or comma list")
-    p.add_argument("--max-trials", dest="max_trials", help="trial cap per point")
-    p.add_argument("--target-errors", dest="target_errors", help="error target per point")
-    p.add_argument("--iters", help="decoder iteration cap (default 100)")
-    p.add_argument("--out", help="CSV output path (appends)")
+    p = command("simulate-lattice", "unconstrained-AWGN lattice sweep")
+    p.add_argument("--lattice", required=True, choices=lattices)
+    p.add_argument("--vnr", required=True, help="VNR grid in dB: a:step:b or comma list")
+    sweep_flags(p)
     return ap
 
 
@@ -543,13 +537,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        opts = _resolve(args)
-        if "seed" in opts and opts["seed"] is None:
-            opts["seed"] = 0
-        return COMMANDS[args.command](opts)
+        args = build_parser().parse_args(_with_config(argv))
+        return COMMANDS[args.command](args)
     except (ConfigError, ValueError) as e:
         # the library raises ValueError for out-of-range options (a seed
         # below 0, zero trials, a negative iteration cap): refused input

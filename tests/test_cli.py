@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -93,7 +94,7 @@ class TestBuild:
         code, out, err = run(capsys, "build", "--proto", str(_EXAMPLE1_PROTO),
                              "--h1-groups", "0+1,2", "--h1-block-row", "2")
         assert code == 2 and out == ""
-        assert err.startswith("config error:") and "not both" in err
+        assert err.startswith("config error:") and "not allowed with" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("edit", ["0 5 3", "0 1", "0 0 9"],
@@ -579,6 +580,24 @@ class TestSimulateCsv:
         replay_rows = replay.read_text().strip().split("\n")[1:]
         assert orig_rows == replay_rows
 
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config-file"])
+    def test_manifest_holds_every_resolved_option(self, capsys, tmp_path, from_config):
+        # defaults included and typed, so a later change of a default
+        # cannot change what replaying the manifest runs
+        out = tmp_path / "run.csv"
+        stopping = ["--max-trials", "5", "--target-errors", "5"]
+        if from_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("max-trials=5\ntarget-errors=5\n")
+            stopping = ["--config", str(cfg)]
+        code, _, _ = run(capsys, "simulate-lattice", "--lattice", "example1",
+                         "--vnr", "5", *stopping, "--out", str(out))
+        assert code == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["config"] == {"lattice": "example1", "vnr": "5", "max_trials": 5,
+                                      "target_errors": 5, "iters": 100, "seed": 0,
+                                      "out": str(out)}
+
     def test_missing_grid_is_config_error(self, capsys):
         code, _, err = run(capsys, "simulate-lattice", "--lattice", "example1")
         assert code == 2
@@ -588,6 +607,109 @@ class TestSimulateCsv:
         code, _, err = run(capsys, "simulate-lattice", "--lattice", "example1",
                            "--vnr", "5:0:4")
         assert code == 2
+
+
+_OK_FLAGS = {
+    "info": ["--lattice", "example1"],
+    "build": ["--lattice", "example1"],
+    "search": ["--rows", "2", "--cols", "4", "--z", "8", "--target", "20"],
+    "distance": ["--lattice", "example1"],
+    "simulate-code": ["--lattice", "example1", "--snr", "5"],
+    "simulate-lattice": ["--lattice", "example1", "--vnr", "5"],
+}
+# per command: a non-integer for an integer flag (info has none), a bad
+# choice, a required flag left out and an abbreviated flag
+_BAD_FLAGS = {
+    "info": [None, ["--lattice", "nope"], [], ["--lat", "example1"]],
+    "build": [["--proto", str(_EXAMPLE1_PROTO), "--scale-n", "x"], ["--lattice", "nope"],
+              [], ["--proto", str(_EXAMPLE1_PROTO), "--h1-block", "0"]],
+    "search": [[*_OK_FLAGS["search"], "--budget", "x"],
+               [*_OK_FLAGS["search"], "--no-girth-filter", "2"],
+               _OK_FLAGS["search"][:6], [*_OK_FLAGS["search"], "--score", "5"]],
+    "distance": [["--lattice", "example1", "--iterations", "x"],
+                 ["--lattice", "example1", "--matrix", "h2"], ["--iterations", "5"],
+                 ["--lattice", "example1", "--iter", "5"]],
+    "simulate-code": [[*_OK_FLAGS["simulate-code"], "--iters", "x"],
+                      [*_OK_FLAGS["simulate-code"], "--code", "g2"],
+                      ["--lattice", "example1"], [*_OK_FLAGS["simulate-code"], "--max", "5"]],
+    "simulate-lattice": [[*_OK_FLAGS["simulate-lattice"], "--max-trials", "x"],
+                         ["--lattice", "nope", "--vnr", "5"], ["--vnr", "5"],
+                         [*_OK_FLAGS["simulate-lattice"], "--target", "5"]],
+}
+_PARSE_ERRORS = [
+    *[pytest.param([cmd, *ok, "--bogus", "1"], id=f"{cmd}-unknown-flag")
+      for cmd, ok in _OK_FLAGS.items()],
+    *[pytest.param([cmd, *flags], id=f"{cmd}-{kind}")
+      for cmd, cases in _BAD_FLAGS.items()
+      for kind, flags in zip(["not-integer", "bad-choice", "missing", "abbreviated"], cases)
+      if flags is not None],
+    # flags that the chosen input does not read
+    pytest.param(["build", "--lattice", "example1", "--h1-groups", "0+1,2",
+                  "--edits", "/nonexistent"], id="build-lattice-with-proto-flags"),
+    pytest.param(["distance", "--lattice", "example1", "--matrix", "h1",
+                  "--proto", str(_EXAMPLE1_PROTO)], id="distance-lattice-and-proto"),
+    pytest.param(["distance", "--proto", str(_EXAMPLE1_PROTO), "--matrix", "h1"],
+                 id="distance-proto-with-matrix"),
+    pytest.param(["info", "--lattice", "example1", "--seed", "3"], id="info-seed"),
+    pytest.param(["build", "--lattice", "example1", "--seed", "3"], id="build-seed"),
+]
+
+
+def run_refused(capsys, argv):
+    """``cli.main(argv)`` must refuse ``argv`` with one config-error line."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as e:
+        pytest.fail(f"cli.main raised SystemExit({e.code})")
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    return err
+
+
+class TestParseErrors:
+    # a parse error once printed the usage text and raised SystemExit, and
+    # build --lattice and distance --proto once dropped flags they do not read
+    @pytest.mark.parametrize("argv", _PARSE_ERRORS)
+    def test_one_line_exit_two(self, capsys, argv):
+        run_refused(capsys, argv)
+
+    def test_unknown_flag_named(self, capsys):
+        assert "--bogus" in run_refused(capsys, ["info", "--lattice", "example1",
+                                                 "--bogus", "1"])
+
+    @pytest.mark.parametrize("command", _OK_FLAGS)
+    def test_config_key_config_refused(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("config=x\n")
+        err = run_refused(capsys, [command, *_OK_FLAGS[command], "--config", str(cfg)])
+        assert "'config'" in err
+
+    @pytest.mark.parametrize("command", ["build", "distance"])
+    def test_config_value_excluded_by_flag(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"proto={_EXAMPLE1_PROTO}\n")
+        err = run_refused(capsys, [command, "--config", str(cfg), "--lattice", "example1"])
+        assert "not allowed with" in err
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """Each ``qclattice ...`` command of README's CLI code block, split
+    into words without the program name and the comments."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("qclattice ")]
+
+
+class TestReadme:
+    def test_cli_block_parses(self):
+        # the documented commands cannot drift from the parser; nothing runs
+        commands = _readme_cli_commands()
+        assert {argv[0] for argv in commands} == set(cli.COMMANDS)
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
 
 
 class TestConfigFile:

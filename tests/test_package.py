@@ -6,7 +6,9 @@ from pathlib import Path
 
 import qclattice
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+SCRIPTS = ROOT / "scripts"
 
 
 def test_every_export_resolves():
@@ -17,10 +19,11 @@ def test_every_export_resolves():
 
 def test_no_assert_statements_in_the_package():
     # invariants are real checks that still run under python -O, which
-    # strips assert statements
-    pkg = Path(qclattice.__file__).resolve().parent
-    found = [f"{path.relative_to(pkg)}:{node.lineno}"
-             for path in sorted(pkg.rglob("*.py"))
+    # strips assert statements; the scripts are held to the same rule
+    paths = [*Path(qclattice.__file__).resolve().parent.rglob("*.py"),
+             *SCRIPTS.glob("*.py")]
+    found = [f"{path}:{node.lineno}"
+             for path in sorted(paths)
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
