@@ -35,6 +35,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -437,10 +438,18 @@ def cmd_simulate_lattice(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Matches exact flag names only, and turns every parse error into a
-    :class:`ConfigError`: one line, exit 2, no usage text."""
+    :class:`ConfigError`: one line, exit 2, no usage text.
+
+    A token that starts with a minus sign and a digit, or a minus sign, a
+    dot and a digit, is a value, not a flag, so a grid may start below
+    zero (``--vnr -1,0``, ``--snr -2:0.5:1``).  This is the rule of
+    Python 3.13's argparse; earlier versions take only a plain negative
+    number for a value.  Subparsers are made of this class too.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ConfigError(message)

@@ -28,7 +28,11 @@ the half-LLR domain the kernel works in, see below); input LLRs saturate
 at +/-64.
 
 The channel LLRs come from a closed form of the wrapped-Gaussian sums
-(:func:`wrapped_llr`): two exps and one log per value.
+(:func:`wrapped_llr`): two exps and one log per value, evaluated in blocks
+of ``_LLR_BLOCK`` values (2^14), so its scratch is at most 768 KiB and the
+output is its only array of the input's size.  The encode assembles each
+point in place in one array, and the multistage decoder works in one
+residual array of the received points' size, which it leaves unchanged.
 
 The BP kernel works frame-minor: every message array is (edges, frames)
 with one contiguous row per edge, edges laid out slot-major within groups
@@ -87,6 +91,7 @@ LLR_SAT = 64.0      # saturation used to pin known bits
 MSG_CLIP = 30.0     # message clip inside the sum-product updates
 _ATANH_CAP = 1.0 - 1e-15   # |excl| cap for atanh: only a degree-1 check reaches 1
 _TILE_EDGE_FRAMES = 1 << 19  # BP work per frame tile: edges * frames
+_LLR_BLOCK = 1 << 14         # values per block of wrapped_llr's scratch
 
 
 class OddDotError(ValueError):
@@ -204,7 +209,8 @@ def encode_lattice(pair: NestedPair, plans: tuple[EncoderPlan, EncoderPlan],
     c1 = plan1.encode_batch(s1, infos1)
     x = 4 * z
     x[:, 0] += 3
-    x[:, 1:] += c0 + 2 * c1.astype(np.int64)
+    x[:, 1:] += c0
+    x[:, 1:] += 2 * c1
     return c0, c1, x
 
 
@@ -219,18 +225,33 @@ def _check_sigma(sigma: float) -> float:
     return sigma
 
 
-def _fold(y: np.ndarray) -> np.ndarray:
-    """Distance e = |y - 2 round(y/2)| in [0, 1] from y to 2Z, as a new
-    array of at least one dimension (the subtraction is exact)."""
-    y = np.atleast_1d(y)
-    e = np.rint(y * 0.5)
-    e *= -2.0
-    e += y
-    return np.abs(e, out=e)
+def _llr_coefficients(sigma: float, window: int | None) -> tuple[float, list, list]:
+    """``(a, c, d)`` of :func:`_wrapped_sums` for one sigma and window:
+    a = 1/(2 sigma^2) and the nonzero coefficients c_k, d_k, k = 1..w.
+    Raises ``ValueError`` for a negative window."""
+    w = max(3, math.ceil(6 * sigma)) if window is None else int(window)
+    if w < 0:
+        raise ValueError(f"window must be >= 0, got {w}")
+    a = 1.0 / (2.0 * sigma * sigma)
+    c = [math.exp(-4.0 * k * (k - 1) * a) for k in range(1, w + 1)
+         if 4.0 * k * (k - 1) * a <= 45.0]
+    d = [math.exp(-4.0 * k * k * a) for k in range(1, w + 1)
+         if 4.0 * k * k * a <= 45.0]
+    return a, c, d
 
 
-def _wrapped_sums(e: np.ndarray, sigma: float,
-                  window: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _fold(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Distance e = |y - 2 round(y/2)| in [0, 1] from y to 2Z, written to
+    ``out`` (the subtraction is exact)."""
+    np.multiply(y, 0.5, out=out)
+    np.rint(out, out=out)
+    out *= -2.0
+    out += y
+    return np.abs(out, out=out)
+
+
+def _wrapped_sums(e: np.ndarray, a: float, c: list, d: list,
+                  work) -> tuple[np.ndarray, np.ndarray]:
     """``(S(e), S(1 - e))``, where for e in [0, 1] and a = 1/(2 sigma^2)
 
         sum_{|k| <= w} exp(-(e - 2k)^2 a) = exp(-e^2 a) S(e),
@@ -241,25 +262,20 @@ def _wrapped_sums(e: np.ndarray, sigma: float,
     and S(1 - e) is the same sum with p and q swapped.  Two exps per value;
     the powers go by Horner's rule.  Every term is at most its coefficient
     and S >= 1, so nothing overflows, and coefficients below e^-45 are
-    dropped: together they cannot move S by a relative 1e-18.  The window
-    w defaults to max(3, ceil(6 sigma)).
+    dropped (:func:`_llr_coefficients`): together they cannot move S by a
+    relative 1e-18.  The window w defaults to max(3, ceil(6 sigma)).
+
+    ``work`` holds five float64 arrays of e's shape (p, q, the two sums and
+    the Horner term); the sums are returned as two of them.
     """
-    w = max(3, math.ceil(6 * sigma)) if window is None else int(window)
-    if w < 0:
-        raise ValueError(f"window must be >= 0, got {w}")
-    a = 1.0 / (2.0 * sigma * sigma)
-    c = [math.exp(-4.0 * k * (k - 1) * a) for k in range(1, w + 1)
-         if 4.0 * k * (k - 1) * a <= 45.0]
-    d = [math.exp(-4.0 * k * k * a) for k in range(1, w + 1)
-         if 4.0 * k * k * a <= 45.0]
-    p = np.multiply(e, -4.0 * a)
+    p, q, s0, s1, h = work
+    np.multiply(e, -4.0 * a, out=p)
     np.exp(p, out=p)
-    q = np.subtract(1.0, e)
+    np.subtract(1.0, e, out=q)
     q *= -4.0 * a
     np.exp(q, out=q)
-    s0 = np.ones_like(p)
-    s1 = np.ones_like(p)
-    h = np.empty_like(p)
+    s0.fill(1.0)
+    s1.fill(1.0)
     for x, coef, s in ((q, c, s0), (p, d, s0), (p, c, s1), (q, d, s1)):
         if coef:
             np.multiply(x, coef[-1], out=h)
@@ -284,20 +300,41 @@ def wrapped_llr(y, sigma: float, window: int | None = None) -> np.ndarray:
         llr_i = (1 - 2e) a + ln S(e) - ln S(1 - e)
 
     (see :func:`_wrapped_sums`): two exps and one log per value.  Positive
-    output favors bit 0.  Raises ``ValueError`` unless sigma is positive
-    and finite.
+    output favors bit 0; the output has the shape of ``y``.  Raises
+    ``ValueError`` unless sigma is positive and finite and the window is
+    >= 0, also for an empty ``y``.
+
+    The values go in blocks of at most ``_LLR_BLOCK``, whole rows of the
+    last axis where they fit, so the six scratch arrays (e, p, q, the two
+    sums and the Horner term) are block-sized and allocated once per call,
+    and a strided view such as ``Y[:, 1:]`` is read in place: the output
+    is the only allocation of the input's size.  Every step is
+    elementwise, so the result does not depend on the blocking.
     """
     sigma = _check_sigma(sigma)
+    a, c, d = _llr_coefficients(sigma, window)
     y = np.asarray(y, dtype=np.float64)
-    e = _fold(y)
-    s0, s1 = _wrapped_sums(e, sigma, window)
-    a = 1.0 / (2.0 * sigma * sigma)
-    s0 /= s1
-    np.log(s0, out=s0)
-    np.multiply(e, -2.0 * a, out=s1)
-    s1 += a
-    s0 += s1
-    return s0.reshape(y.shape)
+    out = np.empty(y.shape)
+    if y.size == 0:
+        return out
+    rows = y.reshape(-1, y.shape[-1] if y.ndim else 1)
+    flat = out.reshape(rows.shape)
+    n = rows.shape[1]
+    step_r, step_c = max(1, _LLR_BLOCK // n), min(n, _LLR_BLOCK)
+    scratch = np.empty((6, min(y.size, step_r * step_c)))
+    for r0 in range(0, rows.shape[0], step_r):
+        for c0 in range(0, n, step_c):
+            blk = (slice(r0, r0 + step_r), slice(c0, c0 + step_c))
+            yb = rows[blk]
+            e, *work = (b[:yb.size].reshape(yb.shape) for b in scratch)
+            _fold(yb, e)
+            s0, s1 = _wrapped_sums(e, a, c, d, work)
+            s0 /= s1
+            np.log(s0, out=s0)
+            np.multiply(e, -2.0 * a, out=s1)
+            s1 += a
+            np.add(s0, s1, out=flat[blk])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -585,22 +622,30 @@ class MultistageDecoder:
 
         Returns ``(c0, c1, z, diag)`` where z is (batch, n+1) with column 0
         holding z0, and diag is a dict of per-stage iteration/convergence
-        arrays.
+        arrays.  ``Y`` is left as it is.  The stages share one (batch, n+1)
+        residual: (Y - (1, c0))/2 gives the level-1 LLRs; subtracting
+        (1, c1) and halving again gives (Y - (1, c0) - 2 (1, c1))/4, since
+        halving is exact outside the subnormal range (whose values round to
+        0 either way), and that is rounded in place to z.
         """
         Y = np.asarray(Y, dtype=np.float64)
-        B = Y.shape[0]
-        n = self.pair.n
 
-        llr0 = wrapped_llr(Y[:, 1:], sigma)
-        c0, it0, cv0 = bp_decode_batch(self.graph0, llr0, None, self.max_iter)
+        llr = wrapped_llr(Y[:, 1:], sigma)
+        c0, it0, cv0 = bp_decode_batch(self.graph0, llr, None, self.max_iter)
+        del llr
 
         s1, _ = stage_syndrome(self.pair.h1.a, c0)
-        ext0 = np.concatenate([np.ones((B, 1), dtype=np.uint8), c0], axis=1)
-        y1 = (Y - ext0) / 2.0
-        llr1 = wrapped_llr(y1[:, 1:], sigma / 2.0)
-        c1, it1, cv1 = bp_decode_batch(self.graph1, llr1, s1, self.max_iter)
+        r = np.empty_like(Y)
+        np.subtract(Y[:, 0], 1.0, out=r[:, 0])
+        np.subtract(Y[:, 1:], c0, out=r[:, 1:])
+        r *= 0.5
+        llr = wrapped_llr(r[:, 1:], sigma / 2.0)
+        c1, it1, cv1 = bp_decode_batch(self.graph1, llr, s1, self.max_iter)
+        del llr
 
-        ext1 = np.concatenate([np.ones((B, 1), dtype=np.uint8), c1], axis=1)
-        z = np.rint((Y - ext0 - 2.0 * ext1) / 4.0).astype(np.int64)
+        r[:, 0] -= 1.0
+        r[:, 1:] -= c1
+        r *= 0.5
+        z = np.rint(r, out=r).astype(np.int64)
         diag = {"it0": it0, "conv0": cv0, "it1": it1, "conv1": cv1}
         return c0, c1, z, diag

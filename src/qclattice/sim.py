@@ -135,7 +135,8 @@ def _sweep(kind: str, label: str, points_db, sigma_of, fields, step, *,
     each point until max_trials or target_errors, cutting the last batch at
     the target-hitting trial; each batch gets its :func:`trial_draws` of
     ``fields``, and ``sigma_of(x_db)`` gives a point's noise standard
-    deviation."""
+    deviation.  The draws are the step's own: it may overwrite them (the
+    sweeps form the channel output over the noise)."""
     _check_sweep_args(max_trials, target_errors, seed, max_iter, batch)
     reports = []
     for pt, x_db in enumerate(points_db):
@@ -185,11 +186,14 @@ def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
 
     def step(draws, sigma):
         infos, noise = draws
-        bsz = len(infos)
-        cw = plan.encode_batch(np.repeat(zero_syn, bsz, axis=0), infos)
-        sent = np.concatenate([np.ones((bsz, 1), dtype=np.uint8), cw], axis=1)
-        y = np.mod(sent + sigma * noise, 2.0)
-        llr = wrapped_llr(y[:, 1:], sigma)
+        cw = plan.encode_batch(np.repeat(zero_syn, len(infos), axis=0), infos)
+        # y = (word + sigma * noise) mod 2, over the noise; the dummy
+        # coordinate (column 0) is never read
+        y = noise[:, 1:]
+        y *= sigma
+        y += cw
+        np.mod(y, 2.0, out=y)
+        llr = wrapped_llr(y, sigma)
         hard, iters, _ = bp_decode_batch(graph, llr, None, max_iter)
         return np.where((hard != cw).any(axis=1), 0, -1), iters
 
@@ -224,13 +228,17 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
 
     def step(draws, sigma):
         bits, z, noise = draws
-        zmat = np.roll(z, 1, axis=1)     # z0, drawn last, to column 0
-        c0, c1, x = encode_lattice(pair, plans, bits[:, :k0], bits[:, k0:], zmat)
-        y = x + sigma * noise
+        # z0, drawn last, goes to column 0 of the encode's integer parts
+        c0, c1, x = encode_lattice(pair, plans, bits[:, :k0], bits[:, k0:],
+                                   np.roll(z, 1, axis=1))
+        y = noise                        # y = x + sigma * noise, over the noise
+        y *= sigma
+        y += x
+        del x
 
         d0, d1, dz, diag = decoder.decode_batch(y, sigma)
         bad = [(d0 != c0).any(axis=1), (d1 != c1).any(axis=1),
-               (dz != zmat).any(axis=1)]
+               (dz[:, 0] != z[:, -1]) | (dz[:, 1:] != z[:, :-1]).any(axis=1)]
         return np.select(bad, [0, 1, 2], -1), diag["it0"] + diag["it1"]
 
     return _sweep("lattice", label, vnr_points_db,

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from qclattice import codec, codes, lattice, qc, sim
-from qclattice.codec import _fold, _wrapped_sums
+from qclattice.codec import _fold, _llr_coefficients, _wrapped_sums
 from qclattice.gf2 import pack, rref_words
 
 
@@ -143,10 +143,10 @@ def wrapped_log_density(y, sigma: float, bit: int, window: int | None = None) ->
     -e^2 a + ln S(e) - ln(2 pi sigma^2)/2, where a = 1/(2 sigma^2) and S is
     ``codec._wrapped_sums``.
     """
-    y = np.asarray(y, dtype=np.float64) - bit
-    e = _fold(y)
-    s0, _ = _wrapped_sums(e, sigma, window)
-    a = 1.0 / (2.0 * sigma * sigma)
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64) - bit)
+    a, c, d = _llr_coefficients(sigma, window)
+    e = _fold(y, np.empty_like(y))
+    s0, _ = _wrapped_sums(e, a, c, d, np.empty((5,) + e.shape))
     np.log(s0, out=s0)
     e *= e
     e *= a

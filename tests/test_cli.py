@@ -609,6 +609,39 @@ class TestSimulateCsv:
         assert code == 2
 
 
+class TestNegativeGrid:
+    """A grid that starts below zero is a value, not a flag, whether it is
+    a separate argument, joined by '=' or read from a config file."""
+
+    @pytest.mark.parametrize("command,flag", [("simulate-code", "snr"),
+                                              ("simulate-lattice", "vnr")])
+    @pytest.mark.parametrize("form", ["separate", "equals", "config-file"])
+    @pytest.mark.parametrize("grid,points", [("-1,0", ["-1", "0"]),
+                                             ("-2:0.5:1", ["-2", "-1.5", "-1", "-0.5",
+                                                           "0", "0.5", "1"]),
+                                             ("-.5", ["-0.5"])])
+    def test_accepted(self, capsys, tmp_path, command, flag, form, grid, points):
+        argv = [command, "--lattice", "example1", "--max-trials", "1",
+                "--target-errors", "1", "--iters", "0"]
+        if form == "separate":
+            argv += [f"--{flag}", grid]
+        elif form == "equals":
+            argv += [f"--{flag}={grid}"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag}={grid}\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert [row.split(",")[2] for row in out.strip().splitlines()[1:]] == points
+
+    def test_unknown_flag_still_refused(self, capsys):
+        code, _, err = run(capsys, "simulate-lattice", "--lattice", "example1",
+                           "--vnr", "-1,0", "-x")
+        assert code == 2
+        assert "-x" in err
+
+
 _OK_FLAGS = {
     "info": ["--lattice", "example1"],
     "build": ["--lattice", "example1"],

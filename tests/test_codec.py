@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,17 @@ class TestEncode:
             assert lattice.is_member(fam, x[b, 1:])
             assert np.array_equal(pair.h0.mul_vec(c0[b]), np.zeros(107, np.uint8))
             assert np.array_equal(pair.h1.mul_vec(c1[b]), s1[b])
+
+    def test_inputs_unchanged(self, example1_bundle):
+        # the point is assembled in place in its own array
+        rng = np.random.default_rng(13)
+        i0 = rng.integers(0, 2, (6, 68)).astype(np.uint8)
+        i1 = rng.integers(0, 2, (6, 132)).astype(np.uint8)
+        z = rng.integers(-2, 3, (6, 171))
+        before = [a.copy() for a in (i0, i1, z)]
+        codec.encode_lattice(example1_bundle.pair, example1_bundle.plans, i0, i1, z)
+        for a, b in zip((i0, i1, z), before):
+            assert np.array_equal(a, b)
 
     def test_toy_exhaustive_distinct_members(self, toy_setup):
         pair, fam, plans = toy_setup
@@ -223,6 +235,82 @@ class TestClosedFormLlr:
     def test_bad_sigma_refused(self, func, sigma):
         with pytest.raises(ValueError, match="sigma"):
             getattr(codec, func)(np.array([0.3, 1.2]), sigma)
+
+
+class TestLlrBlocks:
+    """``wrapped_llr`` evaluates in blocks of ``_LLR_BLOCK`` values; the
+    result cannot depend on them."""
+
+    @staticmethod
+    def _rows_alone(y, sigma):
+        return np.stack([codec.wrapped_llr(row, sigma) for row in y])
+
+    @pytest.mark.parametrize("sigma", [0.147, 0.6, 2.5])
+    def test_batch_is_its_rows(self, sigma):
+        # 31 rows of 1152: blocks of 14 rows, the last one ragged; then the
+        # strided view Y[:, 1:] that the decoder passes
+        rng = np.random.default_rng(40)
+        n = 1152
+        assert codec._LLR_BLOCK % n and 31 % (codec._LLR_BLOCK // n)
+        Y = rng.normal(scale=3.0, size=(31, n + 1))
+        for y in (np.ascontiguousarray(Y[:, 1:]), Y[:, 1:]):
+            got = codec.wrapped_llr(y, sigma)
+            assert got.shape == y.shape
+            assert np.array_equal(got, self._rows_alone(y, sigma))
+
+    def test_rows_wider_than_a_block(self):
+        rng = np.random.default_rng(41)
+        n = codec._LLR_BLOCK + 1000
+        y = rng.normal(scale=3.0, size=(3, n))
+        got = codec.wrapped_llr(y, 0.3)
+        assert np.array_equal(got, self._rows_alone(y, 0.3))
+        for i, j in itertools.product(range(3), (0, codec._LLR_BLOCK - 1,
+                                                 codec._LLR_BLOCK, n - 1)):
+            assert got[i, j] == codec.wrapped_llr(y[i, j], 0.3)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks(self, monkeypatch, block):
+        # every way a row can be cut: rows per block, a row per block, a
+        # row in several blocks with a ragged last one
+        rng = np.random.default_rng(block)
+        y = rng.normal(scale=3.0, size=(9, 20))
+        want = codec.wrapped_llr(y, 0.4)
+        monkeypatch.setattr(codec, "_LLR_BLOCK", block)
+        assert np.array_equal(codec.wrapped_llr(y, 0.4), want)
+        assert np.array_equal(codec.wrapped_llr(y[:, 3:], 0.4), want[:, 3:])
+
+    def test_shapes_kept(self):
+        y = np.array([0.3, -1.7, 2.2])
+        one = codec.wrapped_llr(y, 0.5)
+        assert one.shape == (3,)
+        point = codec.wrapped_llr(np.float64(-1.7), 0.5)
+        assert point.shape == () and point == one[1]
+        assert codec.wrapped_llr(1.0, 0.5).shape == ()
+        cube = np.stack([y, -y])[None]
+        got = codec.wrapped_llr(cube, 0.5)
+        assert got.shape == (1, 2, 3)
+        assert np.array_equal(got[0, 0], one)
+        assert codec.wrapped_llr(np.empty((0, 5)), 0.5).shape == (0, 5)
+
+    @pytest.mark.parametrize("sigma,window,match", [(0.0, None, "sigma"),
+                                                    (float("nan"), None, "sigma"),
+                                                    (0.5, -1, "window")])
+    def test_empty_input_still_checked(self, sigma, window, match):
+        for y in (np.empty(0), np.empty((4, 0))):
+            with pytest.raises(ValueError, match=match):
+                codec.wrapped_llr(y, sigma, window=window)
+
+    def test_scratch_is_bounded(self):
+        # one call over the decoder's (256, 1152) view allocates its output
+        # and block-sized scratch, nothing of the input's size besides
+        Y = np.random.default_rng(42).normal(size=(256, 1153))
+        tracemalloc.start()
+        try:
+            out = codec.wrapped_llr(Y[:, 1:], 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (1 << 20), peak
 
 
 def _decode_one(H, syndrome, llr, max_iter=100):
@@ -546,6 +634,15 @@ class TestMultistage:
         x, noise = _random_points(b, np.random.default_rng(21), 50, noise=True)
         got, _, _ = _decode_points(codec.MultistageDecoder(b.pair), x + 0.01 * noise, 0.01)
         assert np.array_equal(got, x)
+
+    def test_received_points_unchanged(self, example1_bundle):
+        # the stages work in their own residual, never in Y
+        b = example1_bundle
+        x, noise = _random_points(b, np.random.default_rng(22), 20, noise=True)
+        Y = x + 0.3 * noise
+        before = Y.copy()
+        codec.MultistageDecoder(b.pair).decode_batch(Y, 0.3)
+        assert np.array_equal(Y, before)
 
     def test_toy_sigma_to_zero_equals_nearest_point(self, toy_setup):
         pair, fam, plans = toy_setup
