@@ -7,8 +7,7 @@ from .codec import (EncoderPlan, MultistageDecoder, encode_lattice, stage_syndro
 from .codes import (NestedPair, build_h0, build_h1_row_sums, build_spc,
                     build_staircase, make_pair_row_sums)
 from .gf2 import BitMatrix, InconsistentSyndromeError, nullspace_basis
-from .lattice import (CheckFamily, LatticeProfile, balanced_check, dmin_bounds,
-                      is_member, make_family, volume_gain)
+from .lattice import LatticeProfile, balanced_check, is_member, is_nested, profile
 from .presets import BUILTIN_LATTICES, LatticeBundle, example1, get_bundle, wimax1152
 from .qc import (ProtoMatrix, apply_edits, expand, has_four_cycle,
                  random_proto_search, scale_shifts, scale_shifts_floor)
@@ -17,18 +16,18 @@ from .wmin import exact_dmin, low_weight_search
 
 __all__ = [
     "__version__",
-    "BUILTIN_LATTICES", "BitMatrix", "CheckFamily",
+    "BUILTIN_LATTICES", "BitMatrix",
     "EncoderPlan", "InconsistentSyndromeError", "LatticeBundle",
     "LatticeProfile", "MultistageDecoder", "NestedPair",
     "ProtoMatrix", "SimReport",
     "apply_edits", "balanced_check", "build_h0",
     "build_h1_row_sums", "build_spc", "build_staircase",
-    "dmin_bounds", "encode_lattice", "exact_dmin",
+    "encode_lattice", "exact_dmin",
     "example1", "expand", "get_bundle", "has_four_cycle", "is_member",
-    "low_weight_search", "make_family",
-    "make_pair_row_sums", "nullspace_basis",
+    "is_nested", "low_weight_search",
+    "make_pair_row_sums", "nullspace_basis", "profile",
     "random_proto_search", "scale_shifts",
     "scale_shifts_floor", "snr_to_sigma2",
     "stage_syndrome", "sweep_code", "sweep_lattice",
-    "vnr_to_sigma2", "volume_gain", "wrapped_llr",
+    "vnr_to_sigma2", "wrapped_llr",
 ]

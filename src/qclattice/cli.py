@@ -42,7 +42,7 @@ import time
 
 import numpy as np
 
-from . import __version__, codec, codes, presets, qc, sim, wmin
+from . import __version__, codec, codes, lattice, presets, qc, sim, wmin
 
 CSV_HEADER = ["kind", "label", "x_db", "trials", "block_errors", "bler",
               "stage0_errors", "stage1_errors", "integer_errors",
@@ -95,19 +95,25 @@ def _config_flags(path: str) -> list[str]:
     """The ``key=value`` lines of a config file as ``--key=value`` flags."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        # a directory, an unreadable file or one that is not text
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{getattr(e, 'strerror', None) or e}")
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = (s.strip() for s in line.partition("="))
-            if not (key and sep):
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            if key == "config":
-                raise ConfigError(f"{path}:{lineno}: unknown config key 'config'; "
-                                  "a config file cannot name another")
-            out.append(f"--{key}={val}")
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = (s.strip() for s in line.partition("="))
+        if not (key and sep):
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key == "config":
+            raise ConfigError(f"{path}:{lineno}: unknown config key 'config'; "
+                              "a config file cannot name another")
+        out.append(f"--{key}={val}")
     return out
 
 
@@ -299,7 +305,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 SCALE_RULES = {"mod": qc.scale_shifts, "floor": qc.scale_shifts_floor}
 # build options that only a prototype file reads; each is None when unset
-_PROTO_ONLY = ("edits", "scale_n", "scale_rule", "h1_block_row", "h1_groups")
+_PROTO_ONLY = ("edits", "scale_n", "scale_rule", "h1_groups")
 
 
 def _groups(spec: str) -> list[tuple[int, ...]]:
@@ -325,15 +331,10 @@ def _proto_pair(args: argparse.Namespace) -> codes.NestedPair:
             raise DataError(f"cannot read edits file: {e}")
         except (ValueError, qc.OutOfRangeError) as e:
             raise DataError(f"bad edits file {args.edits}: {e}")
-    if args.h1_groups is not None:
-        flag, groups = "--h1-groups", args.h1_groups
-    else:
-        # block row i is the group of one row (i,)
-        flag, groups = "--h1-block-row", [(args.h1_block_row or 0,)]
     try:
-        return codes.make_pair_row_sums(P, groups)
+        return codes.make_pair_row_sums(P, args.h1_groups or [(0,)])
     except codes.BadGroupsError as e:
-        raise ConfigError(f"{flag}: {e}")
+        raise ConfigError(f"--h1-groups: {e}")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -350,10 +351,9 @@ def cmd_build(args: argparse.Namespace) -> int:
         plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
     # one RREF per level: each plan gives its k, plan0 the nesting test
     k0, k1 = plan0.num_info, plan1.num_info
-    nested = bool(plan0.in_row_space(pair.h1.a).all())
     print(f"H0: {pair.h0.rows}x{pair.h0.cols}  rank {pair.n - k0}  k0 {k0}")
     print(f"H1: {pair.h1.rows}x{pair.h1.cols}  rank {pair.n - k1}  k1 {k1}")
-    print(f"nested: {nested}")
+    print(f"nested: {lattice.is_nested(pair, plan0)}")
     return 0
 
 
@@ -491,11 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-n", type=int, help="rescale to length n (with --proto)")
     p.add_argument("--scale-rule", choices=SCALE_RULES,
                    help="shift scaling rule for --scale-n: mod (default) or floor")
-    level1 = p.add_mutually_exclusive_group()
-    level1.add_argument("--h1-block-row", type=int,
-                        help="level-1 block row index (with --proto; default 0)")
-    level1.add_argument("--h1-groups", type=_groups,
-                        help="level-1 row-sum groups, e.g. '1+8,4+10' (with --proto)")
+    p.add_argument("--h1-groups", type=_groups,
+                   help="level-1 row-sum groups, e.g. '1+8,4+10' or block row '2' "
+                        "(with --proto; default 0)")
 
     p = command("search", "random prototype search for large d_min")
     p.add_argument("--rows", type=int, required=True, help="block rows m_b")

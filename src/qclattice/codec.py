@@ -81,6 +81,7 @@ LLR sign convention: positive favors bit 0.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -218,20 +219,31 @@ def encode_lattice(pair: NestedPair, plans: tuple[EncoderPlan, EncoderPlan],
 # wrapped-Gaussian LLRs for the mod-2 channel
 # ---------------------------------------------------------------------------
 
-def _check_sigma(sigma: float) -> float:
+# The range of sigma.  Below it, sigma^2 is not a normal float and 4a =
+# 2/sigma^2 overflows.  Above it, the default LLR window exceeds
+# MAX_LLR_WINDOW terms, each a coefficient and 4 Horner steps per block:
+# 2^16 terms (sigma 1.09e4, SNR -81 dB) take 0.4 s per 1000 values on a
+# 2-core VM, and SNR -300 dB (sigma 1e15) would never finish.
+MAX_LLR_WINDOW = 2 ** 16
+SIGMA_RANGE = (math.sqrt(sys.float_info.min), MAX_LLR_WINDOW / 6)
+
+
+def check_sigma(sigma: float) -> float:
+    """``sigma`` as a float; ValueError unless it lies in SIGMA_RANGE."""
     sigma = float(sigma)
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not SIGMA_RANGE[0] <= sigma <= SIGMA_RANGE[1]:
+        raise ValueError(f"sigma must be in [{SIGMA_RANGE[0]:.3g}, {SIGMA_RANGE[1]:.4g}], "
+                         f"got {sigma:.4g}")
     return sigma
 
 
 def _llr_coefficients(sigma: float, window: int | None) -> tuple[float, list, list]:
     """``(a, c, d)`` of :func:`_wrapped_sums` for one sigma and window:
     a = 1/(2 sigma^2) and the nonzero coefficients c_k, d_k, k = 1..w.
-    Raises ``ValueError`` for a negative window."""
+    Raises ``ValueError`` for a window outside 0..MAX_LLR_WINDOW."""
     w = max(3, math.ceil(6 * sigma)) if window is None else int(window)
-    if w < 0:
-        raise ValueError(f"window must be >= 0, got {w}")
+    if not 0 <= w <= MAX_LLR_WINDOW:
+        raise ValueError(f"window must be in 0..{MAX_LLR_WINDOW}, got {w}")
     a = 1.0 / (2.0 * sigma * sigma)
     c = [math.exp(-4.0 * k * (k - 1) * a) for k in range(1, w + 1)
          if 4.0 * k * (k - 1) * a <= 45.0]
@@ -301,8 +313,8 @@ def wrapped_llr(y, sigma: float, window: int | None = None) -> np.ndarray:
 
     (see :func:`_wrapped_sums`): two exps and one log per value.  Positive
     output favors bit 0; the output has the shape of ``y``.  Raises
-    ``ValueError`` unless sigma is positive and finite and the window is
-    >= 0, also for an empty ``y``.
+    ``ValueError`` unless sigma is in SIGMA_RANGE and the window in
+    0..MAX_LLR_WINDOW, also for an empty ``y``.
 
     The values go in blocks of at most ``_LLR_BLOCK``, whole rows of the
     last axis where they fit, so the six scratch arrays (e, p, q, the two
@@ -311,7 +323,7 @@ def wrapped_llr(y, sigma: float, window: int | None = None) -> np.ndarray:
     is the only allocation of the input's size.  Every step is
     elementwise, so the result does not depend on the blocking.
     """
-    sigma = _check_sigma(sigma)
+    sigma = check_sigma(sigma)
     a, c, d = _llr_coefficients(sigma, window)
     y = np.asarray(y, dtype=np.float64)
     out = np.empty(y.shape)

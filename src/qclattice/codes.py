@@ -53,8 +53,9 @@ class NestedPair:
     """Nested parity-check pair (H0, H1) defining a two-level construction.
 
     Both matrices act on the same n coordinates; a pair of different widths
-    is refused with ValueError.  Nesting (rows of H1 in the row space of H0)
-    is checked where the family is built (:func:`lattice.make_family`).
+    is refused with ValueError.  The pair is the lattice: see
+    :mod:`qclattice.lattice` for its congruences, and :func:`lattice.is_nested`
+    for the nesting test (rows of H1 in the row space of H0).
     """
 
     h0: BitMatrix

@@ -23,7 +23,6 @@ class LatticeBundle:
     name: str
     proto: qc.ProtoMatrix
     pair: codes.NestedPair
-    family: lattice.CheckFamily
     profile: lattice.LatticeProfile
     plan0: codec.EncoderPlan
     plan1: codec.EncoderPlan
@@ -38,12 +37,11 @@ def _bundle(name: str, proto: qc.ProtoMatrix, pair: codes.NestedPair,
     # the two plans are the bundle's only eliminations: each RREF gives its
     # level's rank, k_l = n - rank(H_l), and plan0's also the nesting test
     plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
-    fam = lattice.make_family(pair, plan0)
-    k = (plan0.num_info, plan1.num_info)
-    d2min = lattice.dmin_bounds(*design_d)[0]
-    profile = lattice.volume_gain(k, pair.n + 1, d2min, d=design_d)
-    return LatticeBundle(name=name, proto=proto, pair=pair, family=fam,
-                         profile=profile, plan0=plan0, plan1=plan1)
+    if not lattice.is_nested(pair, plan0):
+        raise lattice.NotNestedError("every row of H1 must lie in the row space of H0")
+    profile = lattice.profile((plan0.num_info, plan1.num_info), pair.n + 1, design_d)
+    return LatticeBundle(name=name, proto=proto, pair=pair, profile=profile,
+                         plan0=plan0, plan1=plan1)
 
 
 @lru_cache(maxsize=None)

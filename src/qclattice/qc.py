@@ -220,12 +220,17 @@ def random_proto_search(shape: tuple[int, int], z: int, target_weight: int,
     abandoned early once its bound cannot beat the best so far, and the
     search stops when a candidate reaches ``target_weight``.  Deterministic
     given ``seed``: candidate k uses the sub-seed sequence (seed, k).
-    Raises ValueError when the girth filter rejects all of the first
-    ``1000 * budget`` draws, so that no candidate is scored.
+    Raises ValueError for a shape or z below 1 and when the girth filter
+    rejects all of the first ``1000 * budget`` draws, so that no candidate
+    is scored.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     m_b, n_b = shape
+    for name, value in (("block rows m_b", m_b), ("block columns n_b", n_b),
+                        ("circulant size z", z)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     best: SearchResult | None = None
     scored = 0
     draws = 0

@@ -8,10 +8,11 @@ Two channels:
   point given as the volume-to-noise ratio VNR = V^(2/N) / (2*pi*e*sigma^2)
   (0 dB is the Poltyrev limit).
 
-Both sweeps run on one driver, ``_sweep``.  It checks the arguments, takes
-each batch's random draws from :func:`trial_draws` (every trial draws from
-its own stream, keyed by master seed, point index and trial index), counts
-errors by stage and builds the reports.  Each sweep declares the fields a
+Both sweeps run on one driver, ``_sweep``.  It checks the arguments and
+every point's noise before the first point runs, takes each batch's random
+draws from :func:`trial_draws` (every trial draws from its own stream,
+keyed by master seed, point index and trial index), counts errors by stage
+and builds the reports.  Each sweep declares the fields a
 trial draws (:class:`Integers`, :class:`Normals`) and supplies a
 ``step(draws, sigma)`` that runs one batch from those arrays, one row per
 trial, and returns two per-frame arrays: the first failing stage (-1 for
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (EncoderPlan, MultistageDecoder, TannerGraph, bp_decode_batch,
-                    encode_lattice, wrapped_llr)
+                    check_sigma, encode_lattice, wrapped_llr)
 from .gf2 import BitMatrix
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -76,6 +77,31 @@ def _check_sweep_args(max_trials: int, target_errors: int, seed: int,
                                ("batch", batch, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_plan(plan: EncoderPlan, H: BitMatrix, what: str) -> None:
+    """Refuse a plan of another matrix, whose codewords H does not check."""
+    if plan.matrix != H:
+        raise ValueError(f"{what} was built for a {plan.matrix.rows}x{plan.matrix.cols} "
+                         f"matrix other than the {H.rows}x{H.cols} matrix it must encode")
+
+
+def _point_sigmas(axis: str, points_db, sigma_of) -> list[float]:
+    """The noise standard deviation ``sigma_of(x_db)`` of every point, each
+    checked before any point runs; ``axis`` names the points."""
+    sigmas = []
+    for x_db in points_db:
+        try:
+            sigma = sigma_of(x_db)
+        except ArithmeticError:    # OverflowError, ZeroDivisionError
+            raise ValueError(f"{axis} {x_db:g} dB: its noise variance is out of "
+                             "floating-point range") from None
+        try:
+            sigmas.append(check_sigma(sigma))
+            check_sigma(sigma / 2)    # level 1 of a lattice decodes at sigma/2
+        except ValueError as e:
+            raise ValueError(f"{axis} {x_db:g} dB: {e}") from None
+    return sigmas
 
 
 @dataclass(frozen=True)
@@ -135,12 +161,13 @@ def _sweep(kind: str, label: str, points_db, sigma_of, fields, step, *,
     each point until max_trials or target_errors, cutting the last batch at
     the target-hitting trial; each batch gets its :func:`trial_draws` of
     ``fields``, and ``sigma_of(x_db)`` gives a point's noise standard
-    deviation.  The draws are the step's own: it may overwrite them (the
-    sweeps form the channel output over the noise)."""
+    deviation, checked for every point before the first runs.  The draws
+    are the step's own: it may overwrite them (the sweeps form the channel
+    output over the noise)."""
     _check_sweep_args(max_trials, target_errors, seed, max_iter, batch)
+    sigmas = _point_sigmas({"code": "SNR", "lattice": "VNR"}[kind], points_db, sigma_of)
     reports = []
-    for pt, x_db in enumerate(points_db):
-        sigma = sigma_of(x_db)
+    for pt, (x_db, sigma) in enumerate(zip(points_db, sigmas)):
         trials = errors = 0
         stages = np.zeros(3, dtype=np.int64)
         iter_sum = 0.0
@@ -178,8 +205,10 @@ def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
     Per trial: draw information bits, encode with zero syndrome, transmit
     the codeword with its dummy head bit over y = (word + noise) mod 2,
     decode from wrapped LLRs with the dummy pinned to 1, and count a block
-    error when the decision differs from the transmitted word.
+    error when the decision differs from the transmitted word.  Raises
+    ValueError when ``plan`` was built for another matrix than ``H``.
     """
+    _check_plan(plan, H, "plan")
     graph = TannerGraph(H)
     zero_syn = np.zeros((1, H.rows), dtype=np.uint8)
     fields = (Integers(0, 2, plan.num_info, np.uint8), Normals(H.cols + 1))
@@ -216,13 +245,17 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
     from the VNR, decode multistage, and count a block error when any
     coordinate of the recovered point differs.  Errors are attributed to the
     first failing stage (level 0, level 1, or integer rounding).  A pair
-    that is not nested is refused by the encode (:class:`OddDotError`).
+    that is not nested is refused by the encode (:class:`OddDotError`), and
+    plans built for other matrices than (H0, H1) by a ValueError that names
+    the level.
 
     ``paired_noise=True`` keys each trial's stream by (seed, trial) only, so
     every VNR point sees the same randomness; sweeps are then paired across
     points (used for monotonicity checks).
     """
     plan0, plan1 = plans
+    _check_plan(plan0, pair.h0, "level-0 plan (plans[0])")
+    _check_plan(plan1, pair.h1, "level-1 plan (plans[1])")
     k0, k1 = plan0.num_info, plan1.num_info
     decoder = MultistageDecoder(pair, max_iter=max_iter)
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from qclattice import codec, codes, lattice, qc, sim
+from qclattice import codec, codes, qc, sim
 from qclattice.codec import _fold, _llr_coefficients, _wrapped_sums
 from qclattice.gf2 import pack, rref_words
 
@@ -166,31 +166,33 @@ def ml_decode_wrapped(codebook: np.ndarray, y: np.ndarray, sigma: float) -> int:
     return best
 
 
-def lattice_points_in_box(rows, m1: int, lo: int, hi: int) -> list[tuple[int, ...]]:
-    """All integer points in [lo, hi]^n satisfying the two-level congruences."""
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.shape[1]
+def _congruences(pair) -> tuple[np.ndarray, np.ndarray]:
+    """H1 and H0 of ``pair`` as integer matrices: mod 4 and mod 2 rows."""
+    return pair.h1.a.astype(np.int64), pair.h0.a.astype(np.int64)
+
+
+def lattice_points_in_box(pair, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """All integer points in [lo, hi]^n satisfying the two-level congruences
+    of ``pair``: H1 x = 0 (mod 4) and H0 x = 0 (mod 2)."""
+    h1, h0 = _congruences(pair)
     out = []
-    for point in itertools.product(range(lo, hi + 1), repeat=n):
+    for point in itertools.product(range(lo, hi + 1), repeat=pair.n):
         x = np.array(point, dtype=np.int64)
-        dots = rows @ x
-        if (dots[:m1] % 4 == 0).all() and (dots[m1:] % 2 == 0).all():
+        if (h1 @ x % 4 == 0).all() and (h0 @ x % 2 == 0).all():
             out.append(point)
     return out
 
 
-def nearest_lattice_point(rows, m1: int, y: np.ndarray, reach: int = 3) -> np.ndarray:
+def nearest_lattice_point(pair, y: np.ndarray, reach: int = 3) -> np.ndarray:
     """Nearest congruence-satisfying point, enumerating around round(y)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    n = len(y)
+    h1, h0 = _congruences(pair)
     center = np.rint(y).astype(np.int64)
     best = None
     best_d = np.inf
     ranges = [range(int(c - reach), int(c + reach + 1)) for c in center]
     for point in itertools.product(*ranges):
         x = np.array(point, dtype=np.int64)
-        dots = rows @ x
-        if (dots[:m1] % 4).any() or (dots[m1:] % 2).any():
+        if (h1 @ x % 4).any() or (h0 @ x % 2).any():
             continue
         d = float(np.sum((y - x) ** 2))
         if d < best_d:
@@ -202,11 +204,11 @@ def nearest_lattice_point(rows, m1: int, y: np.ndarray, reach: int = 3) -> np.nd
 
 def toy_lattice():
     """The smallest two-level lattice: the all-{0} 1x2 prototype at z = 2
-    (n = 4, k0 = k1 = 1, H1 = H0).  Returns ``(pair, family, plans, V)``
-    with V = 4^(2 - 0.2 - 0.2) the normalized volume at length N = 5."""
+    (n = 4, k0 = k1 = 1, H1 = H0).  Returns ``(pair, plans, V)`` with
+    V = 4^(2 - 0.2 - 0.2) the normalized volume at length N = 5."""
     pair = codes.make_pair_row_sums(qc.ProtoMatrix.from_shifts([[0, 0]], 2), [(0,)])
     plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
-    return pair, lattice.make_family(pair, plans[0]), plans, 4.0 ** (2 - 0.2 - 0.2)
+    return pair, plans, 4.0 ** (2 - 0.2 - 0.2)
 
 
 def toy_nearest_point_errors(seed: int, trials: int, sigma: float) -> int:
@@ -218,8 +220,8 @@ def toy_nearest_point_errors(seed: int, trials: int, sigma: float) -> int:
     [0, 3]^4, so the nearest point is the nearest of the coset rounds; the
     dummy coordinate rounds in 3 + 4Z.
     """
-    pair, fam, plans, _ = toy_lattice()
-    reps = np.array(lattice_points_in_box(fam.rows, fam.m1, 0, 3), dtype=np.int64)
+    pair, plans, _ = toy_lattice()
+    reps = np.array(lattice_points_in_box(pair, 0, 3), dtype=np.int64)
     assert len(reps) == 4
     bits, z, noise = sim.trial_draws(seed, 0, 0, trials,
                                      sim._lattice_fields(1, 1, pair.n))

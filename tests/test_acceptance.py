@@ -83,11 +83,10 @@ def test_05_round_trip(name, example1_bundle, wimax_bundle):
                                          paired=True)
         zm = np.roll(z, 1, axis=1)
         c0, c1, x = codec.encode_lattice(b.pair, b.plans, bits[:, :k0], bits[:, k0:], zm)
-        # congruence membership of every encoded point
-        dots = x[:, 1:].astype(np.int64) @ b.family.rows.T.astype(np.int64)
-        m1 = b.family.m1
-        good = ((dots[:, :m1] % 4 == 0).all(axis=1)
-                & (dots[:, m1:] % 2 == 0).all(axis=1)
+        # congruence membership of every encoded point: H1 mod 4, H0 mod 2
+        xs = x[:, 1:].astype(np.int64)
+        good = ((xs @ b.pair.h1.a.T.astype(np.int64) % 4 == 0).all(axis=1)
+                & (xs @ b.pair.h0.a.T.astype(np.int64) % 2 == 0).all(axis=1)
                 & (x[:, 0] % 4 == 3))
         members += int(good.sum())
         d0, d1, dz, _ = decoder.decode_batch(x + sigma * noise, sigma)
@@ -211,7 +210,7 @@ def test_10_scaled_comparison(example1_bundle, wimax_bundle):
     dominated = all(w.bler <= e.bler for w, e in zip(r_wx, r_ex))
 
     # toy-lattice multistage versus the exact nearest-point oracle
-    pair, _, plans, nv = toy_lattice()
+    pair, plans, nv = toy_lattice()
     M, seed, vnr = 10_000, 77, 7.0
     rep = sim.sweep_lattice(pair, plans, nv, [vnr], max_trials=M,
                             target_errors=M, seed=seed, label="toy")[0]

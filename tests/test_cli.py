@@ -57,7 +57,7 @@ class TestBuild:
     def test_from_proto_file(self, capsys, tmp_path):
         p = tmp_path / "toy.proto"
         p.write_text("1 2 2\n0 0\n")
-        code, out, _ = run(capsys, "build", "--proto", str(p), "--h1-block-row", "0")
+        code, out, _ = run(capsys, "build", "--proto", str(p), "--h1-groups", "0")
         assert code == 0
         assert "H0: 4x4" in out
 
@@ -76,9 +76,9 @@ class TestBuild:
     def test_block_row_outside_grid_is_config_error(self, capsys, tmp_path, row):
         p = tmp_path / "toy.proto"
         p.write_text("1 2 2\n0 0\n")
-        code, out, err = run(capsys, "build", "--proto", str(p), "--h1-block-row", row)
+        code, out, err = run(capsys, "build", "--proto", str(p), "--h1-groups", row)
         assert code == 2 and out == ""
-        assert err.startswith("config error: --h1-block-row:") and f"block row {row}" in err
+        assert err.startswith("config error: --h1-groups:") and f"block row {row}" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_zero_block_in_block_row_is_config_error(self, capsys, tmp_path):
@@ -86,16 +86,25 @@ class TestBuild:
         p.write_text("1 2 2\n0 -1\n")
         code, out, err = run(capsys, "build", "--proto", str(p))
         assert code == 2 and out == ""
-        assert err.startswith("config error: --h1-block-row:") and "[1]" in err
+        assert err.startswith("config error: --h1-groups:") and "[1]" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_block_row_and_groups_together_refused(self, capsys):
-        # --h1-block-row was once silently ignored next to --h1-groups
+    def test_block_row_flag_is_unknown(self, capsys):
+        # --h1-groups 2 is block row 2; the flag that duplicated it is gone
         code, out, err = run(capsys, "build", "--proto", str(_EXAMPLE1_PROTO),
-                             "--h1-groups", "0+1,2", "--h1-block-row", "2")
+                             "--h1-block-row", "2")
         assert code == 2 and out == ""
-        assert err.startswith("config error:") and "not allowed with" in err
+        assert err.startswith("config error: unrecognized arguments: --h1-block-row")
         assert len(err.strip().splitlines()) == 1
+
+    def test_single_group_is_block_row(self, capsys):
+        _, default, _ = run(capsys, "build", "--proto", str(_EXAMPLE1_PROTO))
+        _, row0, _ = run(capsys, "build", "--proto", str(_EXAMPLE1_PROTO), "--h1-groups", "0")
+        code, row2, _ = run(capsys, "build", "--proto", str(_EXAMPLE1_PROTO),
+                            "--h1-groups", "2")
+        assert code == 0 and default == row0
+        assert row2 == ("H0: 107x170  rank 102  k0 68\n"
+                        "H1: 39x170  rank 38  k1 132\nnested: True\n")
 
     @pytest.mark.parametrize("edit", ["0 5 3", "0 1", "0 0 9"],
                              ids=["cell-outside-grid", "malformed-line", "bad-exponent"])
@@ -142,6 +151,18 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--rows", "2")
         assert code == 2
         assert "cols" in err
+
+    @pytest.mark.parametrize("flag, named", [("--rows", "block rows m_b"),
+                                             ("--cols", "block columns n_b"),
+                                             ("--z", "circulant size z")])
+    def test_size_below_one_is_config_error(self, capsys, flag, named):
+        # --rows 0 once raised IndexError, and --z 0 exited with numpy's
+        # message 'high <= 0'
+        flags = {"--rows": "2", "--cols": "4", "--z": "8", flag: "0"}
+        code, out, err = run(capsys, "search", *(t for kv in flags.items() for t in kv),
+                             "--target", "20")
+        assert code == 2 and out == ""
+        assert err == f"config error: {named} must be >= 1, got 0\n"
 
     def test_every_draw_rejected_is_config_error(self):
         # at z=2 every 3x5 prototype has a 4-cycle; this once ended in a
@@ -418,6 +439,24 @@ class TestBadNumbersExitTwo:
         assert err.startswith("config error:")
 
 
+class TestUnrepresentableNoise:
+    # each point once gave a traceback (OverflowError, ZeroDivisionError),
+    # and SNR -300 dB (sigma 1e15) an LLR window that grew until killed
+    @pytest.mark.parametrize("argv, value", [
+        (["simulate-lattice", "--lattice", "example1", "--vnr", "4000"], "VNR 4000 dB"),
+        (["simulate-lattice", "--lattice", "example1", "--vnr=-4000"], "VNR -4000 dB"),
+        (["simulate-code", "--lattice", "example1", "--snr=-4000"], "SNR -4000 dB"),
+        (["simulate-code", "--lattice", "example1", "--snr=12,-300"], "SNR -300 dB"),
+    ], ids=["vnr-4000", "vnr-minus-4000", "snr-minus-4000", "snr-minus-300"])
+    def test_refused_before_any_point(self, capsys, tmp_path, argv, value):
+        out = tmp_path / "rows.csv"
+        code, stdout, err = run(capsys, *argv, "--max-trials", "4", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"config error: {value}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 class TestBadGrid:
     # an empty grid once gave exit 0 and a header-only CSV; a NaN point was
     # refused only by accident, deep inside the LLR code
@@ -655,7 +694,7 @@ _OK_FLAGS = {
 _BAD_FLAGS = {
     "info": [None, ["--lattice", "nope"], [], ["--lat", "example1"]],
     "build": [["--proto", str(_EXAMPLE1_PROTO), "--scale-n", "x"], ["--lattice", "nope"],
-              [], ["--proto", str(_EXAMPLE1_PROTO), "--h1-block", "0"]],
+              [], ["--proto", str(_EXAMPLE1_PROTO), "--h1-group", "0"]],
     "search": [[*_OK_FLAGS["search"], "--budget", "x"],
                [*_OK_FLAGS["search"], "--no-girth-filter", "2"],
                _OK_FLAGS["search"][:6], [*_OK_FLAGS["search"], "--score", "5"]],
@@ -770,6 +809,13 @@ class TestConfigFile:
         code, _, err = run(capsys, "info", "--config", str(cfg))
         assert code == 2
         assert "banana" in err
+
+    def test_config_directory_refused(self, capsys, tmp_path):
+        # a directory once raised IsADirectoryError
+        code, out, err = run(capsys, "info", "--config", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: cannot read config file {tmp_path}:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "info", "--config", "/no/such.cfg")

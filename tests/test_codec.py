@@ -24,8 +24,7 @@ def toy_setup():
     P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
     pair = codes.make_pair_row_sums(P, [(0,)])
     plans = (codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1))
-    fam = lattice.make_family(pair, plans[0])
-    return pair, fam, plans
+    return pair, plans
 
 
 class TestPlanLevel:
@@ -85,7 +84,7 @@ class TestEncode:
         assert not x[0, 1:].any() and not c0.any() and not c1.any()
 
     def test_random_encodes_are_members(self, example1_bundle):
-        pair, fam = example1_bundle.pair, example1_bundle.family
+        pair = example1_bundle.pair
         rng = np.random.default_rng(12)
         draws = [(rng.integers(0, 2, 68), rng.integers(0, 2, 132),
                   rng.integers(-2, 3, 170), int(rng.integers(-2, 3)))
@@ -97,7 +96,7 @@ class TestEncode:
         for b in range(25):
             assert x[b, 0] == 3 + 4 * z0[b]
             assert np.array_equal(x[b, 1:], c0[b] + 2 * c1[b].astype(np.int64) + 4 * zv[b])
-            assert lattice.is_member(fam, x[b, 1:])
+            assert lattice.is_member(pair, x[b, 1:])
             assert np.array_equal(pair.h0.mul_vec(c0[b]), np.zeros(107, np.uint8))
             assert np.array_equal(pair.h1.mul_vec(c1[b]), s1[b])
 
@@ -113,14 +112,14 @@ class TestEncode:
             assert np.array_equal(a, b)
 
     def test_toy_exhaustive_distinct_members(self, toy_setup):
-        pair, fam, plans = toy_setup
+        pair, plans = toy_setup
         k0, k1 = plans[0].num_info, plans[1].num_info
         assert (k0, k1) == (1, 1)
         i0, i1, zv = (np.array(d) for d in zip(*itertools.product(
             range(2), range(2), itertools.product(range(2), repeat=4))))
         z = np.column_stack([np.zeros(len(zv), int), zv])
         _, _, x = codec.encode_lattice(pair, plans, i0[:, None], i1[:, None], z)
-        assert all(lattice.is_member(fam, p[1:]) for p in x)
+        assert all(lattice.is_member(pair, p[1:]) for p in x)
         assert len({tuple(p) for p in x.tolist()}) == 2 * 2 * 16  # injective encoding
 
     def test_non_nested_pair_refused(self, toy_setup):
@@ -645,20 +644,20 @@ class TestMultistage:
         assert np.array_equal(Y, before)
 
     def test_toy_sigma_to_zero_equals_nearest_point(self, toy_setup):
-        pair, fam, plans = toy_setup
+        pair, plans = toy_setup
         dec = codec.MultistageDecoder(pair)
-        members = np.array(lattice_points_in_box(fam.rows, fam.m1, -2, 2))
+        members = np.array(lattice_points_in_box(pair, -2, 2))
         x = np.column_stack([np.full(len(members), 3), members])
         got, _, _ = _decode_points(dec, x, 1e-4)
         for pt in members:
-            nearest = nearest_lattice_point(fam.rows, fam.m1, pt.astype(float))
+            nearest = nearest_lattice_point(pair, pt.astype(float))
             assert np.array_equal(nearest, pt)
         assert np.array_equal(got, x)
 
     def test_decoder_tolerates_unconverged_stage(self, toy_setup):
         # a received point whose level-0 hard decision breaks a check, with
         # no iterations to repair it: no error raised, the flag reports it
-        pair, fam, plans = toy_setup
+        pair, plans = toy_setup
         y = np.array([3.0, 1.0, 0.0, 0.0, 0.0])
         dec = codec.MultistageDecoder(pair, max_iter=0)
         x, conv0, conv1 = _decode_points(dec, [y], 0.1)

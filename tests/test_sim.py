@@ -127,6 +127,63 @@ class TestSweepCode:
         assert rep.bler >= ml - 3 * math.sqrt(p * (1 - p) / N)
 
 
+class TestSweepRefusals:
+    """Input a sweep refuses before its first trial (``trial_draws`` is
+    never called): plans of other matrices, which once gave plausible
+    wrong counts or a shape error deep in numpy, and points whose noise
+    the channel cannot represent, which once raised OverflowError or
+    ZeroDivisionError or hung in the LLR window."""
+
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "trial_draws", lambda *a, **kw: calls.append(a))
+        yield
+        assert calls == []
+
+    @pytest.mark.parametrize("h, plan", [("h1", "plan0"), ("h0", "plan1")])
+    def test_code_plan_of_another_matrix(self, example1_bundle, no_trials, h, plan):
+        b = example1_bundle
+        with pytest.raises(ValueError, match="^plan was built for a .* other than"):
+            sim.sweep_code(getattr(b.pair, h), getattr(b, plan), [12.0],
+                           max_trials=64, target_errors=64, seed=1)
+
+    @pytest.mark.parametrize("swap, level", [((1, 0), "level-0"), ((0, 0), "level-1")])
+    def test_lattice_plans_of_other_matrices(self, example1_bundle, no_trials, swap,
+                                             level):
+        b = example1_bundle
+        plans = tuple(b.plans[i] for i in swap)
+        with pytest.raises(ValueError, match=f"^{level} plan"):
+            sim.sweep_lattice(b.pair, plans, b.profile.normalized_volume, [2.0],
+                              max_trials=64, target_errors=64, seed=1)
+
+    @pytest.mark.parametrize("points, named", [
+        ([12.0, -4000.0], "SNR -4000 dB"), ([12.0, -300.0], "SNR -300 dB"),
+        ([12.0, 3200.0], "SNR 3200 dB")])
+    def test_code_points_out_of_range(self, example1_bundle, no_trials, points, named):
+        b = example1_bundle
+        with pytest.raises(ValueError, match=f"^{named}: "):
+            sim.sweep_code(b.pair.h0, b.plan0, points, max_trials=4, target_errors=4)
+
+    @pytest.mark.parametrize("point", [4000.0, -4000.0])
+    def test_lattice_points_out_of_range(self, example1_bundle, no_trials, point):
+        b = example1_bundle
+        with pytest.raises(ValueError, match=f"^VNR {point:g} dB: "):
+            sim.sweep_lattice(b.pair, b.plans, b.profile.normalized_volume,
+                              [3.0, point], max_trials=4, target_errors=4)
+
+    def test_sigma_range_is_the_codec_range(self):
+        # a sweep accepts the sigmas wrapped_llr accepts, at both levels
+        lo, hi = codec.SIGMA_RANGE
+        assert math.ceil(6 * hi) == codec.MAX_LLR_WINDOW
+        assert sim._point_sigmas("SNR", [1.0], lambda db: hi) == [hi]
+        for bad in (np.nextafter(hi, np.inf), lo):    # lo / 2 is out of range
+            with pytest.raises(ValueError, match="^SNR 1 dB: sigma must be in"):
+                sim._point_sigmas("SNR", [1.0], lambda db: bad)
+        with pytest.raises(ValueError, match="window"):
+            codec.wrapped_llr(np.zeros(1), 1.0, window=codec.MAX_LLR_WINDOW + 1)
+
+
 def _ml_bler_spc33(plan, H, seed, snr_db, trials):
     basis = np.array(nullspace_basis(H))
     codebook = np.zeros((16, 10), dtype=np.uint8)
@@ -162,7 +219,7 @@ class TestSweepLattice:
         assert rep.trials == 1000
 
     def test_deterministic_and_batch_invariant(self, toy):
-        pair, fam, plans, nv = toy
+        pair, plans, nv = toy
         kw = dict(max_trials=500, target_errors=500, seed=7, label="toy")
         a = sim.sweep_lattice(pair, plans, nv, [7.0], batch=128, **kw)
         b = sim.sweep_lattice(pair, plans, nv, [7.0], batch=61, **kw)
@@ -195,7 +252,7 @@ class TestSweepLattice:
         assert proc.stdout.strip() == "debug False refused"
 
     def test_stage_attribution_sums(self, toy):
-        pair, fam, plans, nv = toy
+        pair, plans, nv = toy
         rep = sim.sweep_lattice(pair, plans, nv, [6.0], max_trials=2000,
                                 target_errors=2000, seed=13, label="toy")[0]
         assert rep.block_errors > 0
@@ -205,7 +262,7 @@ class TestSweepLattice:
     def test_multistage_versus_nearest_point_oracle(self, toy):
         # shared noise stream; exact nearest-point decoding via the four
         # cosets of 4Z^4, multistage cannot beat it and the gap stays small
-        pair, fam, plans, nv = toy
+        pair, plans, nv = toy
         M, seed, vnr = 4000, 77, 7.0
         rep = sim.sweep_lattice(pair, plans, nv, [vnr], max_trials=M,
                                 target_errors=M, seed=seed, label="toy")[0]
@@ -218,7 +275,7 @@ class TestSweepLattice:
 
     @pytest.mark.parametrize("paired", [False, True], ids=["keyed", "paired"])
     def test_batch_invariant_with_mid_batch_stop(self, toy, paired):
-        pair, fam, plans, nv = toy
+        pair, plans, nv = toy
         kw = dict(max_trials=2000, target_errors=19, seed=5, label="toy",
                   paired_noise=paired)
         reps = [sim.sweep_lattice(pair, plans, nv, [5.0, 6.0], batch=b, **kw)
@@ -230,7 +287,7 @@ class TestSweepLattice:
             assert r.trials % 7 and r.trials % 256   # the stop cuts a batch
 
     def test_paired_noise_mode(self, toy):
-        pair, fam, plans, nv = toy
+        pair, plans, nv = toy
         reps = sim.sweep_lattice(pair, plans, nv, [5.0, 7.0, 9.0],
                                  max_trials=800, target_errors=800, seed=4,
                                  label="toy", paired_noise=True)
