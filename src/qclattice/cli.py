@@ -7,9 +7,12 @@ exactly, never by abbreviation.  A flat config file given with --config
 holds ``key=value`` lines; each becomes ``--key=value`` ahead of the
 command line's own flags and the same parser reads both, so an explicit
 flag wins, a key that is not a flag of the command is refused, and so is a
-config value that an explicit flag excludes.  A flag that the chosen input
-does not read is refused too: ``build --lattice`` with a prototype option,
-``distance --proto`` with ``--matrix``.
+config value that an explicit flag excludes.  ``build --proto`` and
+``distance --proto`` read their matrix through one reader: the prototype
+file, rescaled by --scale-n and --scale-rule, then edited by --edits.  A
+flag that the chosen input does not read is refused too: ``--lattice``
+with one of those options (or build's --h1-groups), ``distance --proto``
+with ``--matrix``.
 
 Simulation commands append rows to a stable-schema CSV and write a JSON
 manifest next to it.  The manifest's top-level keys describe the latest run
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -44,9 +48,10 @@ import numpy as np
 
 from . import __version__, codec, codes, lattice, presets, qc, sim, wmin
 
-CSV_HEADER = ["kind", "label", "x_db", "trials", "block_errors", "bler",
-              "stage0_errors", "stage1_errors", "integer_errors",
-              "iterations_mean", "seed"]
+# the CSV columns are sim.SimReport's fields, in order; a field without a
+# format spec here is written as str() writes it
+CSV_HEADER = [f.name for f in dataclasses.fields(sim.SimReport)]
+_CSV_FORMATS = {"x_db": "g", "bler": ".8g", "iterations_mean": ".4g"}
 
 
 class ConfigError(Exception):
@@ -217,10 +222,8 @@ def _write_reports(reports: list[sim.SimReport], out_path: str | None,
     print(f"wrote {len(reports)} rows to {out_path}")
 
 
-def _report_row(r: sim.SimReport) -> list:
-    return [r.kind, r.label, f"{r.x_db:g}", r.trials, r.block_errors,
-            f"{r.bler:.8g}", r.stage0_errors, r.stage1_errors,
-            r.integer_errors, f"{r.iterations_mean:.4g}", r.seed]
+def _report_row(r: sim.SimReport) -> list[str]:
+    return [format(getattr(r, k), _CSV_FORMATS.get(k, "")) for k in CSV_HEADER]
 
 
 _PKG_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -280,15 +283,6 @@ def _manifest(args: argparse.Namespace) -> dict:
             "src_sha256": _src_digest()}
 
 
-def _load_proto_file(path: str) -> qc.ProtoMatrix:
-    try:
-        return qc.load_proto(path)
-    except OSError as e:
-        raise DataError(f"cannot read prototype file {path}: {e}")
-    except ValueError as e:
-        raise DataError(f"bad prototype file {path}: {e}")
-
-
 def cmd_info(args: argparse.Namespace) -> int:
     bundle = presets.get_bundle(args.lattice)
     p = bundle.profile
@@ -304,7 +298,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 SCALE_RULES = {"mod": qc.scale_shifts, "floor": qc.scale_shifts_floor}
-# build options that only a prototype file reads; each is None when unset
+# options that only a prototype file reads; each is None when unset
+# (distance has no --h1-groups)
 _PROTO_ONLY = ("edits", "scale_n", "scale_rule", "h1_groups")
 
 
@@ -317,11 +312,27 @@ def _groups(spec: str) -> list[tuple[int, ...]]:
                                          f"got {spec!r}")
 
 
-def _proto_pair(args: argparse.Namespace) -> codes.NestedPair:
-    """The nested pair that build's prototype options describe."""
+def _lattice_bundle(args: argparse.Namespace) -> presets.LatticeBundle:
+    """The built-in bundle that --lattice names; a prototype option is
+    refused, since no prototype file is read."""
+    unread = [k for k in _PROTO_ONLY if getattr(args, k, None) is not None]
+    if unread:
+        raise ConfigError(f"--{unread[0].replace('_', '-')} applies to --proto; "
+                          f"--lattice {args.lattice} does not read it")
+    return presets.get_bundle(args.lattice)
+
+
+def _prototype(args: argparse.Namespace) -> qc.ProtoMatrix:
+    """The prototype that --proto, --scale-n, --scale-rule and --edits
+    describe: the file, rescaled, then edited."""
     if args.scale_rule is not None and args.scale_n is None:
         raise ConfigError("--scale-rule applies only with --scale-n")
-    P = _load_proto_file(args.proto)
+    try:
+        P = qc.load_proto(args.proto)
+    except OSError as e:
+        raise DataError(f"cannot read prototype file {args.proto}: {e}")
+    except ValueError as e:
+        raise DataError(f"bad prototype file {args.proto}: {e}")
     if args.scale_n is not None:
         P = SCALE_RULES[args.scale_rule or "mod"](P, args.scale_n)
     if args.edits is not None:
@@ -331,20 +342,35 @@ def _proto_pair(args: argparse.Namespace) -> codes.NestedPair:
             raise DataError(f"cannot read edits file: {e}")
         except (ValueError, qc.OutOfRangeError) as e:
             raise DataError(f"bad edits file {args.edits}: {e}")
+    return P
+
+
+def _prototype_label(args: argparse.Namespace) -> str:
+    """--proto and the options that changed its matrix, as typed, with the
+    scaling rule resolved."""
+    label = args.proto
+    if args.scale_n is not None:
+        label += f" --scale-n {args.scale_n} --scale-rule {args.scale_rule or 'mod'}"
+    if args.edits is not None:
+        label += f" --edits {args.edits}"
+    return label
+
+
+def _proto_pair(args: argparse.Namespace) -> codes.NestedPair:
+    """The nested pair that build's prototype options describe."""
     try:
-        return codes.make_pair_row_sums(P, args.h1_groups or [(0,)])
+        return codes.make_pair_row_sums(_prototype(args), args.h1_groups or [(0,)])
     except codes.BadGroupsError as e:
+        if args.h1_groups is None:
+            raise ConfigError(f"level 1 is the default group (0,), as --h1-groups "
+                              f"was not given: {e}; --h1-groups picks other groups")
         raise ConfigError(f"--h1-groups: {e}")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     if args.lattice is not None:
-        unread = [k for k in _PROTO_ONLY if getattr(args, k) is not None]
-        if unread:
-            raise ConfigError(f"--{unread[0].replace('_', '-')} applies to --proto; "
-                              f"--lattice {args.lattice} does not read it")
         # building a bundle refuses a pair that is not nested
-        bundle = presets.get_bundle(args.lattice)
+        bundle = _lattice_bundle(args)
         pair, (plan0, plan1) = bundle.pair, bundle.plans
     else:
         pair = _proto_pair(args)
@@ -388,10 +414,10 @@ def cmd_distance(args: argparse.Namespace) -> int:
         if args.matrix is not None:
             raise ConfigError("--matrix picks a matrix of --lattice; "
                               "with --proto the search runs on its H_qc")
-        H, label = qc.expand(_load_proto_file(args.proto)), args.proto
+        H, label = qc.expand(_prototype(args)), _prototype_label(args)
     else:
         which = args.matrix or "hqc"
-        H = MATRICES[which](presets.get_bundle(args.lattice))
+        H = MATRICES[which](_lattice_bundle(args))
         label = f"{args.lattice}:{which}"
     t0 = time.perf_counter()
     try:
@@ -471,6 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="master seed (unsigned, default %(default)s)")
         return p
 
+    def proto_flags(p):
+        p.add_argument("--edits", help="cell edits file (with --proto)")
+        p.add_argument("--scale-n", type=int, help="rescale to length n (with --proto)")
+        p.add_argument("--scale-rule", choices=SCALE_RULES,
+                       help="shift scaling rule for --scale-n: mod (default) or floor")
+
     def sweep_flags(p):
         p.add_argument("--max-trials", type=int, default=sim.DEFAULT_MAX_TRIALS,
                        help="trial cap per point (default %(default)s)")
@@ -487,10 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--lattice", choices=lattices, help="built-in name")
     source.add_argument("--proto", help="prototype matrix file")
-    p.add_argument("--edits", help="cell edits file (with --proto)")
-    p.add_argument("--scale-n", type=int, help="rescale to length n (with --proto)")
-    p.add_argument("--scale-rule", choices=SCALE_RULES,
-                   help="shift scaling rule for --scale-n: mod (default) or floor")
+    proto_flags(p)
     p.add_argument("--h1-groups", type=_groups,
                    help="level-1 row-sum groups, e.g. '1+8,4+10' or block row '2' "
                         "(with --proto; default 0)")
@@ -513,6 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--lattice", choices=lattices, help="built-in name")
     source.add_argument("--proto", help="prototype matrix file; searches its H_qc")
+    proto_flags(p)
     p.add_argument("--matrix", choices=MATRICES,
                    help="with --lattice: hqc (default), h0 or h1")
     p.add_argument("--iterations", type=int, default=10000,

@@ -220,7 +220,7 @@ def encode_lattice(pair: NestedPair, plans: tuple[EncoderPlan, EncoderPlan],
 # ---------------------------------------------------------------------------
 
 # The range of sigma.  Below it, sigma^2 is not a normal float and 4a =
-# 2/sigma^2 overflows.  Above it, the default LLR window exceeds
+# 2/sigma^2 overflows.  Above it, the LLR window exceeds
 # MAX_LLR_WINDOW terms, each a coefficient and 4 Horner steps per block:
 # 2^16 terms (sigma 1.09e4, SNR -81 dB) take 0.4 s per 1000 values on a
 # 2-core VM, and SNR -300 dB (sigma 1e15) would never finish.
@@ -237,13 +237,12 @@ def check_sigma(sigma: float) -> float:
     return sigma
 
 
-def _llr_coefficients(sigma: float, window: int | None) -> tuple[float, list, list]:
-    """``(a, c, d)`` of :func:`_wrapped_sums` for one sigma and window:
-    a = 1/(2 sigma^2) and the nonzero coefficients c_k, d_k, k = 1..w.
-    Raises ``ValueError`` for a window outside 0..MAX_LLR_WINDOW."""
-    w = max(3, math.ceil(6 * sigma)) if window is None else int(window)
-    if not 0 <= w <= MAX_LLR_WINDOW:
-        raise ValueError(f"window must be in 0..{MAX_LLR_WINDOW}, got {w}")
+def _llr_coefficients(sigma: float) -> tuple[float, list, list]:
+    """``(a, c, d)`` of :func:`_wrapped_sums` for one sigma: a = 1/(2 sigma^2)
+    and the nonzero coefficients c_k, d_k, k = 1..w, over the window
+    w = max(3, ceil(6 sigma)), at most MAX_LLR_WINDOW for a sigma that
+    :func:`check_sigma` accepts."""
+    w = max(3, math.ceil(6 * sigma))
     a = 1.0 / (2.0 * sigma * sigma)
     c = [math.exp(-4.0 * k * (k - 1) * a) for k in range(1, w + 1)
          if 4.0 * k * (k - 1) * a <= 45.0]
@@ -275,7 +274,7 @@ def _wrapped_sums(e: np.ndarray, a: float, c: list, d: list,
     the powers go by Horner's rule.  Every term is at most its coefficient
     and S >= 1, so nothing overflows, and coefficients below e^-45 are
     dropped (:func:`_llr_coefficients`): together they cannot move S by a
-    relative 1e-18.  The window w defaults to max(3, ceil(6 sigma)).
+    relative 1e-18.  The window is w = max(3, ceil(6 sigma)).
 
     ``work`` holds five float64 arrays of e's shape (p, q, the two sums and
     the Horner term); the sums are returned as two of them.
@@ -298,23 +297,22 @@ def _wrapped_sums(e: np.ndarray, a: float, c: list, d: list,
     return s0, s1
 
 
-def wrapped_llr(y, sigma: float, window: int | None = None) -> np.ndarray:
+def wrapped_llr(y, sigma: float) -> np.ndarray:
     """Log-likelihood ratio of bit 0 (even integers) vs bit 1 (odd) under
     Gaussian noise wrapped mod 2.
 
         llr_i = ln sum_k exp(-(y_i-2k)^2/2s^2) - ln sum_k exp(-(y_i-1-2k)^2/2s^2)
 
     Each sum runs over the 2w+1 integers of its parity nearest to y_i,
-    w = max(3, ceil(6 sigma)) unless ``window`` is given, which is accurate
-    to better than 1e-9 relative error against a much wider window.  In
-    closed form, with e = |y_i - 2 round(y_i/2)| and a = 1/(2 sigma^2),
+    w = max(3, ceil(6 sigma)), which is accurate to better than 1e-9
+    relative error against a much wider window.  In closed form, with
+    e = |y_i - 2 round(y_i/2)| and a = 1/(2 sigma^2),
 
         llr_i = (1 - 2e) a + ln S(e) - ln S(1 - e)
 
     (see :func:`_wrapped_sums`): two exps and one log per value.  Positive
     output favors bit 0; the output has the shape of ``y``.  Raises
-    ``ValueError`` unless sigma is in SIGMA_RANGE and the window in
-    0..MAX_LLR_WINDOW, also for an empty ``y``.
+    ``ValueError`` unless sigma is in SIGMA_RANGE, also for an empty ``y``.
 
     The values go in blocks of at most ``_LLR_BLOCK``, whole rows of the
     last axis where they fit, so the six scratch arrays (e, p, q, the two
@@ -324,7 +322,7 @@ def wrapped_llr(y, sigma: float, window: int | None = None) -> np.ndarray:
     elementwise, so the result does not depend on the blocking.
     """
     sigma = check_sigma(sigma)
-    a, c, d = _llr_coefficients(sigma, window)
+    a, c, d = _llr_coefficients(sigma)
     y = np.asarray(y, dtype=np.float64)
     out = np.empty(y.shape)
     if y.size == 0:

@@ -80,9 +80,6 @@ class ProtoMatrix:
     def m(self) -> int:
         return self.z * self.m_b
 
-    def cell(self, i: int, j: int) -> Cell:
-        return self.cells[i][j]
-
 
 def expand(P: ProtoMatrix) -> BitMatrix:
     """Expand to the (z*m_b) x (z*n_b) binary matrix.

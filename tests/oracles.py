@@ -135,7 +135,7 @@ def wrapped_logpdf(y, sigma: float, bit: int, half_width: int = 60):
     return np.log(total) - 0.5 * math.log(2 * math.pi * sigma * sigma)
 
 
-def wrapped_log_density(y, sigma: float, bit: int, window: int | None = None) -> np.ndarray:
+def wrapped_log_density(y, sigma: float, bit: int) -> np.ndarray:
     """Log density of the wrapped channel output given a transmitted bit.
 
     The density of (bit + noise) mod 2 on [0, 2), summed over the same
@@ -144,7 +144,7 @@ def wrapped_log_density(y, sigma: float, bit: int, window: int | None = None) ->
     ``codec._wrapped_sums``.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64) - bit)
-    a, c, d = _llr_coefficients(sigma, window)
+    a, c, d = _llr_coefficients(sigma)
     e = _fold(y, np.empty_like(y))
     s0, _ = _wrapped_sums(e, a, c, d, np.empty((5,) + e.shape))
     np.log(s0, out=s0)

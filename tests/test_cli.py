@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 import qclattice
-from qclattice import cli, presets, wmin
+from qclattice import cli, presets, qc, wmin
 
-_EXAMPLE1_PROTO = Path(qclattice.__file__).parent / "data" / "example1_3x5_z34.txt"
+_DATA = Path(qclattice.__file__).parent / "data"
+_EXAMPLE1_PROTO = _DATA / "example1_3x5_z34.txt"
+_WIMAX_Z96 = _DATA / "wimax_r12_z96.txt"
+_WIMAX_EDITS = _DATA / "wimax_r12_edits_n1152.txt"
 _EXAMPLE1_BUILD = "H0: 107x170  rank 102  k0 68\nH1: 39x170  rank 38  k1 132\nnested: True\n"
 _WIMAX_BUILD = "H0: 600x1152  rank 588  k0 564\nH1: 120x1152  rank 118  k1 1034\nnested: True\n"
 
@@ -82,12 +85,22 @@ class TestBuild:
         assert len(err.strip().splitlines()) == 1
 
     def test_zero_block_in_block_row_is_config_error(self, capsys, tmp_path):
+        # without --h1-groups the message names the default group it used
         p = tmp_path / "toy.proto"
         p.write_text("1 2 2\n0 -1\n")
         code, out, err = run(capsys, "build", "--proto", str(p))
         assert code == 2 and out == ""
-        assert err.startswith("config error: --h1-groups:") and "[1]" in err
+        assert err.startswith("config error: level 1 is the default group (0,), "
+                              "as --h1-groups was not given: block columns [1] ")
+        assert err.rstrip().endswith("; --h1-groups picks other groups")
         assert len(err.strip().splitlines()) == 1
+
+    def test_zero_block_in_named_block_row_is_config_error(self, capsys, tmp_path):
+        p = tmp_path / "toy.proto"
+        p.write_text("1 2 2\n0 -1\n")
+        code, out, err = run(capsys, "build", "--proto", str(p), "--h1-groups", "0")
+        assert code == 2 and out == ""
+        assert err == "config error: --h1-groups: block columns [1] not covered by any group\n"
 
     def test_block_row_flag_is_unknown(self, capsys):
         # --h1-groups 2 is block row 2; the flag that duplicated it is gone
@@ -296,6 +309,15 @@ class TestDistance:
         assert re.fullmatch(r"example1:hqc: search took \d+\.\d\d s "
                             r"\(budget 3 iterations\)\n", err)
 
+    def test_proto_with_scaling_and_edits(self, capsys):
+        # the stdout label names the options that changed the file's matrix
+        code, out, _ = run(capsys, "distance", "--proto", str(_WIMAX_Z96),
+                           "--scale-n", "1152", "--scale-rule", "mod",
+                           "--edits", str(_WIMAX_EDITS), "--iterations", "3", "--seed", "1")
+        assert code == 0
+        label = f"{_WIMAX_Z96} --scale-n 1152 --scale-rule mod --edits {_WIMAX_EDITS}"
+        assert re.fullmatch(re.escape(label) + r": found codeword weight \d+ "
+                            r"\(iterations <= 3, seed 1\); upper bound on d_min\n", out)
 
     @pytest.mark.parametrize("stop", ["0", "-1"])
     def test_stop_at_below_one_is_config_error(self, capsys, stop):
@@ -306,6 +328,51 @@ class TestDistance:
         assert code == 2 and out == ""
         assert err.startswith("config error:") and "stop_at" in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestDistanceProtoMatrix:
+    """``distance --proto`` searches the matrix that ``build --proto`` reads."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lattice", "example1", "--edits", str(_WIMAX_EDITS)],
+         "--edits applies to --proto; --lattice example1 does not read it"),
+        (["--lattice", "example1", "--scale-n", "1152"],
+         "--scale-n applies to --proto; --lattice example1 does not read it"),
+        (["--lattice", "example1", "--scale-rule", "floor"],
+         "--scale-rule applies to --proto; --lattice example1 does not read it"),
+        (["--proto", str(_WIMAX_Z96), "--scale-rule", "floor"],
+         "--scale-rule applies only with --scale-n"),
+    ], ids=["lattice-edits", "lattice-scale-n", "lattice-scale-rule",
+            "scale-rule-without-scale-n"])
+    def test_refused(self, capsys, argv, message):
+        assert run_refused(capsys, ["distance", *argv]) == f"config error: {message}\n"
+
+    @staticmethod
+    def searched(capsys, monkeypatch, *argv):
+        seen = []
+        search = wmin.low_weight_search
+
+        def spy(H, iters, seed, stop_at=None):
+            seen.append(H)
+            return search(H, 1, seed, stop_at=stop_at)
+        monkeypatch.setattr(cli.wmin, "low_weight_search", spy)
+        code, _, _ = run(capsys, "distance", *argv, "--iterations", "1")
+        assert code == 0 and len(seen) == 1
+        return seen[0]
+
+    def test_mod_scaling_with_edits(self, capsys, monkeypatch):
+        H = self.searched(capsys, monkeypatch, "--proto", str(_WIMAX_Z96),
+                          "--scale-n", "1152", "--scale-rule", "mod",
+                          "--edits", str(_WIMAX_EDITS))
+        P = qc.apply_edits(qc.scale_shifts(qc.wimax_proto_2304(), 1152),
+                           qc.load_edits(_WIMAX_EDITS))
+        assert H == qc.expand(P)
+
+    def test_floor_scaling_with_edits_is_the_preset(self, capsys, monkeypatch):
+        H = self.searched(capsys, monkeypatch, "--proto", str(_WIMAX_Z96),
+                          "--scale-n", "1152", "--scale-rule", "floor",
+                          "--edits", str(_WIMAX_EDITS))
+        assert H == self.searched(capsys, monkeypatch, "--lattice", "wimax1152")
 
 
 class TestDistanceWitnessCheck:

@@ -180,7 +180,7 @@ class TestWrappedLlr:
     def test_truncation_window_accuracy(self, y, sigma):
         narrow = codec.wrapped_llr(np.array([y]), sigma)[0]
         w = max(3, math.ceil(6 * sigma))
-        wide = codec.wrapped_llr(np.array([y]), sigma, window=10 * w)[0]
+        wide = ref_wrapped_llr(np.array([y]), sigma, window=10 * w)[0]
         assert narrow == pytest.approx(wide, rel=1e-9, abs=1e-12)
 
     def test_matches_direct_sum(self):
@@ -215,18 +215,15 @@ class TestClosedFormLlr:
         return np.concatenate([wide, near]), grid
 
     @pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
-    @pytest.mark.parametrize("window", [None, 40])
-    def test_matches_logaddexp_chain(self, sigma, window):
+    @pytest.mark.parametrize("ref_window", [None, 40])
+    def test_matches_logaddexp_chain(self, sigma, ref_window):
+        # the chain over the kernel's own window, and over a much wider one
         batch, grid = self._points(ORACLE_SIGMAS.index(sigma))
         for y in (batch, grid):
-            got = codec.wrapped_llr(y, sigma, window=window)
-            want = ref_wrapped_llr(y, sigma, window=window)
+            got = codec.wrapped_llr(y, sigma)
+            want = ref_wrapped_llr(y, sigma, window=ref_window)
             assert got.shape == y.shape
-            assert np.abs(got - want).max() <= 1e-12, (sigma, window)
-
-    def test_negative_window_refused(self):
-        with pytest.raises(ValueError, match="window"):
-            codec.wrapped_llr(np.array([0.3]), 0.5, window=-1)
+            assert np.abs(got - want).max() <= 1e-12, (sigma, ref_window)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf"),
                                        0.0, -0.5])
@@ -291,13 +288,11 @@ class TestLlrBlocks:
         assert np.array_equal(got[0, 0], one)
         assert codec.wrapped_llr(np.empty((0, 5)), 0.5).shape == (0, 5)
 
-    @pytest.mark.parametrize("sigma,window,match", [(0.0, None, "sigma"),
-                                                    (float("nan"), None, "sigma"),
-                                                    (0.5, -1, "window")])
-    def test_empty_input_still_checked(self, sigma, window, match):
+    @pytest.mark.parametrize("sigma", [0.0, float("nan")])
+    def test_empty_input_still_checked(self, sigma):
         for y in (np.empty(0), np.empty((4, 0))):
-            with pytest.raises(ValueError, match=match):
-                codec.wrapped_llr(y, sigma, window=window)
+            with pytest.raises(ValueError, match="sigma"):
+                codec.wrapped_llr(y, sigma)
 
     def test_scratch_is_bounded(self):
         # one call over the decoder's (256, 1152) view allocates its output

@@ -180,8 +180,6 @@ class TestSweepRefusals:
         for bad in (np.nextafter(hi, np.inf), lo):    # lo / 2 is out of range
             with pytest.raises(ValueError, match="^SNR 1 dB: sigma must be in"):
                 sim._point_sigmas("SNR", [1.0], lambda db: bad)
-        with pytest.raises(ValueError, match="window"):
-            codec.wrapped_llr(np.zeros(1), 1.0, window=codec.MAX_LLR_WINDOW + 1)
 
 
 def _ml_bler_spc33(plan, H, seed, snr_db, trials):
