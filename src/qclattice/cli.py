@@ -324,7 +324,9 @@ def _lattice_bundle(args: argparse.Namespace) -> presets.LatticeBundle:
 
 def _prototype(args: argparse.Namespace) -> qc.ProtoMatrix:
     """The prototype that --proto, --scale-n, --scale-rule and --edits
-    describe: the file, rescaled, then edited."""
+    describe: the file, rescaled, then edited.  The 802.16e rules give
+    length n only to a 24-column table, so a --scale-n that does not give
+    this prototype length n is refused."""
     if args.scale_rule is not None and args.scale_n is None:
         raise ConfigError("--scale-rule applies only with --scale-n")
     try:
@@ -335,6 +337,10 @@ def _prototype(args: argparse.Namespace) -> qc.ProtoMatrix:
         raise DataError(f"bad prototype file {args.proto}: {e}")
     if args.scale_n is not None:
         P = SCALE_RULES[args.scale_rule or "mod"](P, args.scale_n)
+        if P.n_b * P.z != args.scale_n:
+            raise ConfigError(f"--scale-n {args.scale_n}: the {P.m_b}x{P.n_b} prototype "
+                              f"{args.proto} scales to length {P.n_b * P.z}; the 802.16e "
+                              "rule gives length n only to a 24-column table")
     if args.edits is not None:
         try:
             P = qc.apply_edits(P, qc.load_edits(args.edits))

@@ -416,8 +416,11 @@ def _slot_layout(deg, nodes, edge_ids, node0=0):
 def _exclusive_products(t: np.ndarray, sgn: np.ndarray, out: np.ndarray) -> None:
     """For a (d, m, batch) slot block ``t`` of m checks, write to ``out``
     each edge's signed product ``sgn * prod(t over the check's other
-    edges)``: prefix products forward, then suffix products backward
-    (``t`` is overwritten with them).
+    edges)``: prefix products forward into ``out``, suffix products
+    backward over ``t``, then every middle slot's prefix times the suffix
+    after it in one call.  Each element is the product of the same two
+    operands as in the slot-by-slot loop that ``tests/oracles.py`` keeps,
+    so the bits are the same.
 
     ``t`` is tanh of the half-domain variable-to-check message, clipped
     to +/-``MSG_CLIP``/2 = +/-15: the same values the full-domain rule
@@ -437,8 +440,8 @@ def _exclusive_products(t: np.ndarray, sgn: np.ndarray, out: np.ndarray) -> None
     for j in range(2, d):
         np.multiply(out[j - 1], t[j - 1], out=out[j])
     for j in range(d - 2, 0, -1):
-        out[j] *= t[j + 1]
         t[j] *= t[j + 1]
+    out[1:d - 1] *= t[2:]
     np.multiply(sgn, t[1], out=out[0])
 
 

@@ -87,9 +87,13 @@ class BitMatrix:
         return self.a[idx]
 
     def mul_vec(self, v: np.ndarray) -> np.ndarray:
-        """Return ``M v^T`` over GF(2) as a uint8 vector."""
+        """Return ``M v^T`` over GF(2) as a uint8 vector: the XOR of the
+        columns where ``v`` is odd, so only those columns are copied."""
         v = np.asarray(v, dtype=np.uint8)
-        return (self.a.astype(np.int64) @ v.astype(np.int64) & 1).astype(np.uint8)
+        if v.shape != (self.cols,):
+            raise ValueError(f"vector of shape {v.shape} for a matrix with "
+                             f"{self.cols} columns")
+        return np.bitwise_xor.reduce(self.a[:, np.flatnonzero(v & 1)], axis=1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BitMatrix) and np.array_equal(self.a, other.a)

@@ -113,7 +113,9 @@ def scale_shifts(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
     """Rescale a z=96 prototype to length ``n`` by reducing exponents mod z.
 
     The new circulant size is z = 96*n/2304, which must come out a positive
-    integer; empty cells stay empty.
+    integer; empty cells stay empty.  ``n`` is the length of the 24-column
+    802.16e table: a prototype of another width gets the same z, and so
+    length n_b*z.
     """
     z_new = _scaled_z(P2304, n)
 
@@ -132,7 +134,9 @@ def scale_shifts_floor(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
 
     Exponents become floor(b * z / 96); this is the 802.16e scaling rule for
     the rate-1/2 family and, unlike the plain modulo reduction, keeps the
-    scaled rate-1/2 matrix free of 4-cycles at z=48.
+    scaled rate-1/2 matrix free of 4-cycles at z=48.  As in
+    :func:`scale_shifts`, z = 96*n/2304 and ``n`` is the length of the
+    24-column table.
     """
     z_new = _scaled_z(P2304, n)
     cells = tuple(

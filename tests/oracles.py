@@ -355,6 +355,24 @@ def ref_bp_decode_batch(H, llrs, syndromes=None, max_iter: int = 100):
     return hard_out, iters_out, conv_out
 
 
+def ref_exclusive_products(t: np.ndarray, sgn: np.ndarray, out: np.ndarray) -> None:
+    """Frozen copy of the slot-by-slot loop that ``codec._exclusive_products``
+    replaced: prefix products forward, then each middle slot's suffix
+    product and ``t``'s own suffix product together, one slot at a time;
+    same in-place contract on (d, m, batch) blocks."""
+    d = t.shape[0]
+    if d == 1:
+        np.multiply(sgn, codec._ATANH_CAP, out=out[0])
+        return
+    np.multiply(sgn, t[0], out=out[1])
+    for j in range(2, d):
+        np.multiply(out[j - 1], t[j - 1], out=out[j])
+    for j in range(d - 2, 0, -1):
+        out[j] *= t[j + 1]
+        t[j] *= t[j + 1]
+    np.multiply(sgn, t[1], out=out[0])
+
+
 def ref_rref(a) -> tuple[np.ndarray, list[int]]:
     """Frozen copy of the uint8-row GF(2) RREF that the packed-word kernel
     in ``qclattice.gf2`` replaced; same ``(R, pivot_cols)`` contract."""

@@ -347,6 +347,20 @@ class TestDistanceProtoMatrix:
     def test_refused(self, capsys, argv, message):
         assert run_refused(capsys, ["distance", *argv]) == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["build", "distance"])
+    @pytest.mark.parametrize("rule", ["mod", "floor"])
+    def test_scale_n_that_misses_the_length_is_refused(self, capsys, tmp_path,
+                                                        command, rule):
+        # the 802.16e rule sets z = 96*n/2304, length n only for a 24-column
+        # table; this 1x2 table once built at length 96 with exit 0
+        p = tmp_path / "narrow.proto"
+        p.write_text("1 2 96\n0 5\n")
+        err = run_refused(capsys, [command, "--proto", str(p), "--scale-n", "1152",
+                                   "--scale-rule", rule])
+        assert err == (f"config error: --scale-n 1152: the 1x2 prototype {p} scales "
+                       "to length 96; the 802.16e rule gives length n only to a "
+                       "24-column table\n")
+
     @staticmethod
     def searched(capsys, monkeypatch, *argv):
         seen = []
@@ -883,6 +897,19 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert err.startswith(f"config error: cannot read config file {tmp_path}:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_readme_curve_lines_read_curves_cfg(self):
+        # README's six curve sweeps share curves.cfg at the repository root:
+        # each of its keys must be a flag of the command that reads it
+        root = Path(__file__).resolve().parents[1]
+        lines = [argv for argv in _readme_cli_commands() if "--config" in argv]
+        assert len(lines) == 6
+        for argv in lines:
+            cfg = root / argv[argv.index("--config") + 1]
+            args = cli.build_parser().parse_args(
+                [argv[0], *cli._config_flags(str(cfg)), *argv[1:]])
+            assert (args.seed, args.max_trials, args.target_errors) == (1, 200_000, 200)
+            assert args.out.startswith("curves/")
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "info", "--config", "/no/such.cfg")

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (lattice_points_in_box, nearest_lattice_point,
-                     ref_bp_decode_batch, ref_wrapped_llr, tree_bitwise_map,
-                     wide_llr)
+                     ref_bp_decode_batch, ref_exclusive_products, ref_wrapped_llr,
+                     tree_bitwise_map, wide_llr)
 from qclattice import codec, codes, lattice, presets, qc
 from qclattice.gf2 import BitMatrix
 
@@ -537,6 +537,21 @@ class TestBpKernelEquivalence:
         _, iters, conv = ref_bp_decode_batch(H, llrs, syn, 100)
         assert conv.any() and not conv.all()
         assert (iters[conv] == 0).any() and (iters[conv] > 0).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 34, 48])
+    def test_exclusive_products_match_frozen_loop(self, d):
+        # bit for bit, exact and signed zeros included; 34 and 48 are the
+        # staircase check degrees of example1 and wimax1152
+        rng = np.random.default_rng(d)
+        t = np.tanh(rng.uniform(-15.0, 15.0, (d, 4, 6)))
+        t[rng.random(t.shape) < 0.1] = 0.0
+        t[rng.random(t.shape) < 0.1] = -0.0
+        sgn = 1.0 - 2.0 * rng.integers(0, 2, (4, 6))
+        t_ref, out, out_ref = t.copy(), np.full_like(t, np.nan), np.full_like(t, np.nan)
+        codec._exclusive_products(t, sgn, out)
+        ref_exclusive_products(t_ref, sgn, out_ref)
+        assert np.array_equal(out.view(np.uint64), out_ref.view(np.uint64))
+        assert np.array_equal(t.view(np.uint64), t_ref.view(np.uint64))
 
     def test_messages_stay_finite(self):
         # a degree-1 check has an empty exclusive product (|excl| = 1); it is

