@@ -3,10 +3,11 @@
 Encoding is sequential and batched, in one function (:func:`encode_lattice`,
 which the lattice sweep calls once per batch): solve level 0 for syndrome
 zero, take the level-1 syndrome from c0 (:func:`stage_syndrome`), solve
-level 1 for it.  A prescribed syndrome is realized as a syndrome column
-prepended at the left of the parity-check matrix plus a dummy coordinate
-pinned to bit 1 at the head of each component codeword.  The transmitted
-integer point is
+level 1 for it.  It takes the two levels' encoder plans and reads H0 and
+H1 from them, so a plan and its matrix cannot disagree.  A prescribed
+syndrome is realized as a syndrome column prepended at the left of the
+parity-check matrix plus a dummy coordinate pinned to bit 1 at the head of
+each component codeword.  The transmitted integer point is
 
     x = (3 + 4*z0,  c0 + 2*c1 + 4*zvec)
 
@@ -28,15 +29,17 @@ the half-LLR domain the kernel works in, see below); input LLRs saturate
 at +/-64.
 
 The channel LLRs come from a closed form of the wrapped-Gaussian sums
-(:func:`wrapped_llr`): two exps and one log per value, evaluated in blocks
-of ``_LLR_BLOCK`` values (2^14), so its scratch is at most 768 KiB and the
-output is its only array of the input's size.  The encode assembles each
-point in place in one array, and the multistage decoder works in one
-residual array of the received points' size, which it leaves unchanged.
+(:func:`wrapped_llr`): two exps and one log per value, a series cut at its
+first coefficient below e^-45, evaluated in blocks of ``_LLR_BLOCK``
+values (2^14), so its scratch is at most 768 KiB and the output is its
+only array of the input's size.  The encode assembles each point in place
+in one array, and the multistage decoder works in one residual array of
+the received points' size, which it leaves unchanged.
 
 The BP kernel works frame-minor: every message array is (edges, frames)
 with one contiguous row per edge, edges laid out slot-major within groups
-of equal-degree checks (see :class:`TannerGraph`).  Gathers are whole-row
+of equal-degree checks (see :class:`TannerGraph`; degree-0 nodes are one
+more group, with no path of their own).  Gathers are whole-row
 ``np.take(..., axis=0)`` copies, and each iteration updates preallocated
 buffers in place.  The check update works in the product domain: t =
 tanh(x/2) once per edge, each edge's product over the other edges of its
@@ -86,7 +89,7 @@ import sys
 import numpy as np
 
 from .codes import NestedPair
-from .gf2 import BitMatrix, InconsistentSyndromeError, in_row_space, rref
+from .gf2 import BitMatrix, InconsistentSyndromeError, rref
 
 LLR_SAT = 64.0      # saturation used to pin known bits
 MSG_CLIP = 30.0     # message clip inside the sum-product updates
@@ -142,10 +145,22 @@ class EncoderPlan:
         return int(self.free_cols.size)
 
     def in_row_space(self, rows: np.ndarray) -> np.ndarray:
-        """Which of the (batch, n) ``rows`` lie in the GF(2) row space of
-        H: :func:`qclattice.gf2.in_row_space` on the kept ``R_H[:r, free]``
-        block, with no elimination."""
-        return in_row_space(self.pivot_cols, self.free_cols, self._blocks[0].T, rows)
+        """Which of the (batch, n) ``rows`` lie in the GF(2) row space of H,
+        as a (batch,) bool array.
+
+        ``R_H[:r]`` is a basis that is the identity on the pivots, so v is
+        in the row space iff ``v[free] == v[pivots] @ R_H[:r, free]``
+        (mod 2): one float32 product on the kept block and no elimination,
+        exact since each entry sums at most r < 2^24 values of 0 or 1.
+        """
+        V = np.atleast_2d(np.asarray(rows, dtype=np.uint8)) & 1
+        n = self.matrix.cols
+        if V.ndim != 2 or V.shape[1] != n:
+            raise ValueError(f"rows of length {V.shape[-1]} tested against a row "
+                             f"space of length {n}")
+        combo = (V[:, self.pivot_cols].astype(np.float32)
+                 @ self._blocks[0].T.astype(np.float32))
+        return ((combo.astype(np.int64) & 1) == V[:, self.free_cols]).all(axis=1)
 
     def encode_batch(self, syndromes: np.ndarray, infos: np.ndarray) -> np.ndarray:
         """Solve ``H c^T = s^T`` for (batch, n) codewords with ``c`` equal
@@ -185,24 +200,26 @@ def stage_syndrome(level1_rows: np.ndarray, c0: np.ndarray) -> tuple[np.ndarray,
     return ((dots >> 1) & 1).astype(np.uint8), (dots & 1).astype(bool)
 
 
-def encode_lattice(pair: NestedPair, plans: tuple[EncoderPlan, EncoderPlan],
+def encode_lattice(plans: tuple[EncoderPlan, EncoderPlan],
                    infos0: np.ndarray, infos1: np.ndarray,
                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sequential two-level encode of a batch of lattice points.
 
-    ``infos0`` (batch, k0) and ``infos1`` (batch, k1) are the info bits and
-    ``z`` (batch, n+1) the integer parts, z0 in column 0.  Level 0 solves
-    for syndrome zero; the level-1 syndrome is derived from c0 and solved
-    next; the integer parts translate the point by 4Z^(n+1).  Returns
-    ``(c0, c1, x)`` with x = (3 + 4*z0, c0 + 2*c1 + 4*zvec) row by row.
+    ``plans`` are the encoder plans of H0 and H1, which are read from their
+    ``matrix``.  ``infos0`` (batch, k0) and ``infos1`` (batch, k1) are the
+    info bits and ``z`` (batch, n+1) the integer parts, z0 in column 0.
+    Level 0 solves for syndrome zero; the level-1 syndrome is derived from
+    c0 and solved next; the integer parts translate the point by
+    4Z^(n+1).  Returns ``(c0, c1, x)`` with x = (3 + 4*z0, c0 + 2*c1 +
+    4*zvec) row by row.
 
     Raises :class:`OddDotError` if a level-1 row has an odd dot product
     with c0, i.e. the pair is not nested.
     """
     plan0, plan1 = plans
     z = np.asarray(z, dtype=np.int64)
-    c0 = plan0.encode_batch(np.zeros((z.shape[0], pair.h0.rows), dtype=np.uint8), infos0)
-    s1, odd = stage_syndrome(pair.h1.a, c0)
+    c0 = plan0.encode_batch(np.zeros((z.shape[0], plan0.matrix.rows), dtype=np.uint8), infos0)
+    s1, odd = stage_syndrome(plan1.matrix.a, c0)
     if odd.any():
         b, j = np.argwhere(odd)[0]
         raise OddDotError(f"level-1 row {j} has an odd dot product with the "
@@ -220,10 +237,11 @@ def encode_lattice(pair: NestedPair, plans: tuple[EncoderPlan, EncoderPlan],
 # ---------------------------------------------------------------------------
 
 # The range of sigma.  Below it, sigma^2 is not a normal float and 4a =
-# 2/sigma^2 overflows.  Above it, the LLR window exceeds
-# MAX_LLR_WINDOW terms, each a coefficient and 4 Horner steps per block:
-# 2^16 terms (sigma 1.09e4, SNR -81 dB) take 0.4 s per 1000 values on a
-# 2-core VM, and SNR -300 dB (sigma 1e15) would never finish.
+# 2/sigma^2 overflows.  Above it the LLR sums grow too long: they keep
+# every coefficient down to e^-45, about sqrt(45/2) sigma = 4.74 sigma of
+# each kind, and each costs 4 Horner steps per block.  At the top (sigma
+# MAX_LLR_WINDOW/6 = 1.09e4, SNR -81 dB) that is 51,811 terms, 0.36 s per
+# 1000 values on a 2-core VM; SNR -300 dB (sigma 1e15) would never finish.
 MAX_LLR_WINDOW = 2 ** 16
 SIGMA_RANGE = (math.sqrt(sys.float_info.min), MAX_LLR_WINDOW / 6)
 
@@ -239,15 +257,17 @@ def check_sigma(sigma: float) -> float:
 
 def _llr_coefficients(sigma: float) -> tuple[float, list, list]:
     """``(a, c, d)`` of :func:`_wrapped_sums` for one sigma: a = 1/(2 sigma^2)
-    and the nonzero coefficients c_k, d_k, k = 1..w, over the window
-    w = max(3, ceil(6 sigma)), at most MAX_LLR_WINDOW for a sigma that
-    :func:`check_sigma` accepts."""
-    w = max(3, math.ceil(6 * sigma))
+    and the coefficients c_k, d_k, k = 1, 2, ..., as long as they are at
+    least e^-45.  Both fall with k, and d_k < c_k, so the loop runs while
+    c_k is kept."""
     a = 1.0 / (2.0 * sigma * sigma)
-    c = [math.exp(-4.0 * k * (k - 1) * a) for k in range(1, w + 1)
-         if 4.0 * k * (k - 1) * a <= 45.0]
-    d = [math.exp(-4.0 * k * k * a) for k in range(1, w + 1)
-         if 4.0 * k * k * a <= 45.0]
+    c, d = [], []
+    k = 1
+    while 4.0 * k * (k - 1) * a <= 45.0:
+        c.append(math.exp(-4.0 * k * (k - 1) * a))
+        if 4.0 * k * k * a <= 45.0:
+            d.append(math.exp(-4.0 * k * k * a))
+        k += 1
     return a, c, d
 
 
@@ -265,16 +285,16 @@ def _wrapped_sums(e: np.ndarray, a: float, c: list, d: list,
                   work) -> tuple[np.ndarray, np.ndarray]:
     """``(S(e), S(1 - e))``, where for e in [0, 1] and a = 1/(2 sigma^2)
 
-        sum_{|k| <= w} exp(-(e - 2k)^2 a) = exp(-e^2 a) S(e),
-        S(e) = 1 + sum_{k=1..w} c_k q^k + d_k p^k,
+        sum_{k in Z} exp(-(e - 2k)^2 a) = exp(-e^2 a) S(e),
+        S(e) = 1 + sum_{k>=1} c_k q^k + d_k p^k,
         p = exp(-4 e a),  q = exp(-4 (1-e) a),
         c_k = exp(-4 k (k-1) a),  d_k = exp(-4 k^2 a),
 
     and S(1 - e) is the same sum with p and q swapped.  Two exps per value;
     the powers go by Horner's rule.  Every term is at most its coefficient
-    and S >= 1, so nothing overflows, and coefficients below e^-45 are
-    dropped (:func:`_llr_coefficients`): together they cannot move S by a
-    relative 1e-18.  The window is w = max(3, ceil(6 sigma)).
+    and S >= 1, so nothing overflows.  The sums stop where the coefficients
+    fall below e^-45 (:func:`_llr_coefficients`): together the dropped
+    terms cannot move S by a relative 1e-18.
 
     ``work`` holds five float64 arrays of e's shape (p, q, the two sums and
     the Horner term); the sums are returned as two of them.
@@ -303,14 +323,14 @@ def wrapped_llr(y, sigma: float) -> np.ndarray:
 
         llr_i = ln sum_k exp(-(y_i-2k)^2/2s^2) - ln sum_k exp(-(y_i-1-2k)^2/2s^2)
 
-    Each sum runs over the 2w+1 integers of its parity nearest to y_i,
-    w = max(3, ceil(6 sigma)), which is accurate to better than 1e-9
-    relative error against a much wider window.  In closed form, with
+    Each sum runs over all integers of its parity.  In closed form, with
     e = |y_i - 2 round(y_i/2)| and a = 1/(2 sigma^2),
 
         llr_i = (1 - 2e) a + ln S(e) - ln S(1 - e)
 
-    (see :func:`_wrapped_sums`): two exps and one log per value.  Positive
+    (see :func:`_wrapped_sums`): two exps and one log per value.  The
+    series S stops at its first coefficient below e^-45, accurate to better
+    than 1e-9 relative error against a much wider window.  Positive
     output favors bit 0; the output has the shape of ``y``.  Raises
     ``ValueError`` unless sigma is in SIGMA_RANGE, also for an empty ``y``.
 
@@ -361,6 +381,12 @@ class TannerGraph:
     per-check reduction is a reduction over axis 0.  Variables are grouped by
     degree the same way (edges of a variable in ascending check order), with
     ``vgather`` mapping the variable-side slots to edge rows.
+
+    Degree-0 nodes, all-zero rows or columns of H, form a ``d = 0`` group
+    like any other, so the kernel needs no side path for them: a reduction
+    over no edges gives its identity, 0.  An idle check's parity is then 0,
+    so one whose syndrome bit is 1 keeps its frame from converging; an idle
+    variable's sum is 0, so its posterior stays its channel LLR.
     """
 
     def __init__(self, H: BitMatrix):
@@ -369,9 +395,7 @@ class TannerGraph:
         self.n_edges = int(chk.size)
 
         deg_chk = np.bincount(chk, minlength=self.n_checks)
-        self.idle_chk = np.nonzero(deg_chk == 0)[0]
-        active = np.nonzero(deg_chk)[0]
-        self.chk_perm = active[np.argsort(deg_chk[active], kind="stable")]
+        self.chk_perm = np.argsort(deg_chk, kind="stable")
         self.chk_groups, eperm = _slot_layout(
             deg_chk, self.chk_perm, np.arange(self.n_edges))
 
@@ -383,25 +407,22 @@ class TannerGraph:
         edge_row[eperm] = np.arange(self.n_edges)
         self.vpos = self.var_row[var[eperm]]
         var_order = edge_row[np.argsort(var, kind="stable")]
-        # degree-0 variables come first
-        self.n_idle_vars = int((deg_var == 0).sum())
-        self.var_groups, self.vgather = _slot_layout(
-            deg_var, self.var_perm[self.n_idle_vars:], var_order, self.n_idle_vars)
+        self.var_groups, self.vgather = _slot_layout(deg_var, self.var_perm, var_order)
 
 
-def _slot_layout(deg, nodes, edge_ids, node0=0):
-    """Slot-major layout of the edges of ``nodes`` (sorted by degree).
+def _slot_layout(deg, nodes, edge_ids):
+    """Slot-major layout of the edges of ``nodes`` (every node, sorted by
+    degree).
 
     ``edge_ids`` lists every edge grouped by node in ascending node order.
     Returns the groups ``(row0, d, m, node_row)`` -- rows ``row0 : row0+d*m``
     hold slot ``j`` of the group's ``i``-th node at ``row0 + j*m + i``, and
     the group's nodes sit at rows ``node_row : node_row+m`` of a node array
-    whose first ``node0`` rows are not in ``nodes`` -- and the edge ids in
-    that row order.
+    in ``nodes`` order -- and the edge ids in that row order.
     """
     start = np.concatenate([[0], np.cumsum(deg)])[:-1]
     groups, rows = [], []
-    row0 = 0
+    row0 = node0 = 0
     for d in np.unique(deg[nodes]):
         group = nodes[deg[nodes] == d]
         m = group.size
@@ -427,14 +448,15 @@ def _exclusive_products(t: np.ndarray, sgn: np.ndarray, out: np.ndarray) -> None
     gets from tanh(x/2) with x clipped to +/-30, exactly (see the module
     docstring for the subnormal caveat).  So |t| <= tanh(15) < _ATANH_CAP
     and a product over one or more edges needs no cap; a degree-1 check
-    has an empty product, which is capped here.  In the kernel ``t`` is a
-    block of the edge scratch buffer and ``out`` of the ``c2v`` buffer,
-    whose old messages are dead once ``t`` is formed; atanh of ``out`` is
-    the new half-domain check-to-variable message.
+    has an empty product, which is capped here, and a degree-0 check has
+    no edge to write.  In the kernel ``t`` is a block of the edge scratch
+    buffer and ``out`` of the ``c2v`` buffer, whose old messages are dead
+    once ``t`` is formed; atanh of ``out`` is the new half-domain
+    check-to-variable message.
     """
     d = t.shape[0]
-    if d == 1:
-        np.multiply(sgn, _ATANH_CAP, out=out[0])
+    if d < 2:
+        np.multiply(sgn, _ATANH_CAP, out=out[:d])
         return
     np.multiply(sgn, t[0], out=out[1])
     for j in range(2, d):
@@ -463,7 +485,7 @@ class _Work:
     """
 
     def __init__(self, graph: TannerGraph, size: int):
-        E, n, m = graph.n_edges, graph.n_vars, graph.chk_perm.size
+        E, n, m = graph.n_edges, graph.n_vars, graph.n_checks
 
         def pair(rows, dtype=np.float64):
             return [np.empty(rows * size, dtype), np.empty(rows * size, dtype)]
@@ -534,7 +556,7 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
     Messages, ``post`` and ``llr`` are in the half-LLR domain (see the
     module docstring)."""
     B, n = llrs.shape
-    E, m = graph.n_edges, graph.chk_perm.size
+    E, m = graph.n_edges, graph.n_checks
     clip = 0.5 * MSG_CLIP
 
     # frame-minor layout: one row per (permuted) variable, edge or check,
@@ -549,9 +571,6 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
                   out=_rows(work.syn[0], m, B), mode="clip")
     sgn = np.multiply(syn, -2.0, out=_rows(work.sgn[0], m, B))
     sgn += 1.0                 # the syndrome as a +/-1 tanh factor
-    # frames whose idle (degree-0) checks demand parity 1 can never converge
-    never = (syndromes[:, graph.idle_chk] != 0).any(axis=1) \
-        if graph.idle_chk.size else np.zeros(B, dtype=bool)
     active = np.arange(B)
     hard_t = _rows(work.hard_t, n, B)
     c2v = None                 # unset until the first check update writes it
@@ -567,7 +586,6 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
                                   out=par[r0:r0 + mg])
         par ^= syn
         bad = par.any(axis=0)
-        bad |= never
         if not bad.all():
             ok = np.flatnonzero(~bad)
             done = active[ok]
@@ -586,7 +604,6 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
             sgn = _compact(work.sgn, sgn, keep)
             if c2v is not None:
                 c2v = _compact(work.c2v, c2v, keep)
-            never = never[keep]
         if it == max_iter:
             hard_t[:, active] = np.less(post, 0.0, out=_rows(work.hard, n, nb))
             break
@@ -606,13 +623,12 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
                                 sgn[r0:r0 + mg], c2v[rows].reshape(d, mg, nb))
         np.arctanh(c2v, out=c2v)
 
-        # variable-node update; degree-0 variables (the first rows) keep
-        # post = llr
+        # variable-node update
         g = np.take(c2v, graph.vgather, axis=0, out=_rows(work.c2v[1], E, nb), mode="clip")
         for s0, d, mv, v0 in graph.var_groups:
             np.add.reduce(g[s0:s0 + d * mv].reshape(d, mv, nb), axis=0,
                           out=post[v0:v0 + mv])
-        post[graph.n_idle_vars:] += llr[graph.n_idle_vars:]
+        post += llr
 
     hard_out[:] = hard_t[graph.var_row].T
 

@@ -6,18 +6,18 @@ works through the one elimination kernel in this module,
 into little-endian uint64 words whose padding bits (columns n and up) are
 zero.  It eliminates 8 columns at a time with the Method of Four Russians:
 one table of XOR combinations of up to 8 pivot rows per chunk, applied to
-every row in one gather-XOR.  ``rref``, ``echelon`` and
-``nullspace_basis`` run on it, and so do the encoder maps in
-:mod:`qclattice.codec` and the low-weight search in :mod:`qclattice.wmin`.
-The kernel also takes a stack of packed matrices and runs one chunk loop
-for all of them; the search eliminates a block of permuted generators that
-way, and everything else passes one matrix.
+every row in one gather-XOR.  ``rref`` and ``nullspace_basis`` run on it,
+and so do the encoder maps in :mod:`qclattice.codec` and the low-weight
+search in :mod:`qclattice.wmin`.  The kernel also takes a stack of packed
+matrices and runs one chunk loop for all of them; the search eliminates a
+block of permuted generators that way, and everything else passes one
+matrix.
 
-Row-space membership runs on an RREF that is already there:
-:func:`in_row_space` tests a batch of rows with one float32 product and no
-elimination, on ``echelon(M)`` or on an encoder plan's RREF
-(:meth:`qclattice.codec.EncoderPlan.in_row_space`), so testing H1 against
-H0 costs no elimination once the encoder plan of H0 exists.
+Row-space membership has one home, the encoder plan
+(:meth:`qclattice.codec.EncoderPlan.in_row_space`): it tests a batch of
+rows with one float32 product on the RREF the plan already holds, so
+testing H1 against H0 costs no elimination once the encoder plan of H0
+exists.
 
 Matrices are plain uint8 numpy arrays with entries in {0, 1}, wrapped in an
 immutable :class:`BitMatrix`.
@@ -79,9 +79,6 @@ class BitMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
-
-    def row(self, i: int) -> np.ndarray:
-        return self.a[i]
 
     def __getitem__(self, idx):
         return self.a[idx]
@@ -317,18 +314,6 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return unpack(W, n), pivots
 
 
-def echelon(M: BitMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One RREF of ``M``, as ``(pivot_cols, free_cols, reduced)``: the
-    pivot columns, the other columns, and ``R[:r, free_cols]``, the pivot
-    rows of the RREF R on the other columns (R is the identity on the
-    pivots).  The triple that :func:`nullspace_basis` and
-    :func:`in_row_space` read."""
-    R, pivots = rref(M.a)
-    pivot_cols = np.array(pivots, dtype=np.int64)
-    free_cols = np.setdiff1d(np.arange(M.cols), pivot_cols)
-    return pivot_cols, free_cols, R[: pivot_cols.size][:, free_cols]
-
-
 def nullspace_basis(M: BitMatrix) -> list[np.ndarray]:
     """Basis of the right nullspace: vectors v with ``M v^T = 0`` over GF(2).
 
@@ -336,30 +321,10 @@ def nullspace_basis(M: BitMatrix) -> list[np.ndarray]:
     Vector j is 1 on the j-th non-pivot column of the RREF R, 0 on the
     other non-pivot columns and ``R[i, free_j]`` on pivot i.
     """
-    pivots, free, reduced = echelon(M)
+    R, pivots = rref(M.a)
+    free = np.setdiff1d(np.arange(M.cols), pivots)
     basis = np.zeros((free.size, M.cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = reduced.T
+    basis[:, pivots] = R[: len(pivots), free].T
     return list(basis)
 
-
-def in_row_space(pivot_cols: np.ndarray, free_cols: np.ndarray,
-                 reduced: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Which rows of ``V`` lie in the GF(2) row space of a matrix whose
-    RREF ``R`` has rank r, pivots ``pivot_cols`` and the other columns
-    ``free_cols``; ``reduced`` is ``R[:r, free_cols]``.
-
-    The rows ``R[:r]`` are a basis that is the identity on the pivots, so
-    the only combination that can equal v is ``v[pivots] @ R[:r]``, and v
-    is in the row space iff ``v[free] == v[pivots] @ R[:r, free]``
-    (mod 2).  That is one float32 product and no elimination; it is exact,
-    since each entry sums at most r < 2^24 values of 0 or 1.  Returns a
-    (rows,) bool array.
-    """
-    V = _as_bits(np.atleast_2d(V))
-    n = pivot_cols.size + free_cols.size
-    if V.ndim != 2 or V.shape[1] != n:
-        raise ValueError(f"rows of length {V.shape[-1]} tested against a row "
-                         f"space of length {n}")
-    combo = V[:, pivot_cols].astype(np.float32) @ reduced.astype(np.float32)
-    return ((combo.astype(np.int64) & 1) == V[:, free_cols]).all(axis=1)

@@ -262,7 +262,7 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
     def step(draws, sigma):
         bits, z, noise = draws
         # z0, drawn last, goes to column 0 of the encode's integer parts
-        c0, c1, x = encode_lattice(pair, plans, bits[:, :k0], bits[:, k0:],
+        c0, c1, x = encode_lattice(plans, bits[:, :k0], bits[:, k0:],
                                    np.roll(z, 1, axis=1))
         y = noise                        # y = x + sigma * noise, over the noise
         y *= sigma

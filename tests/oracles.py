@@ -126,6 +126,19 @@ def ref_wrapped_llr(y, sigma: float, window: int | None = None) -> np.ndarray:
     return num - den
 
 
+def ref_llr_coefficients(sigma: float) -> tuple[float, list, list]:
+    """Frozen copy of the earlier ``codec._llr_coefficients``: the e^-45
+    coefficient cut inside the window w = max(3, ceil(6 sigma)), kept so
+    that the cut alone can be checked to give the same lists."""
+    w = max(3, math.ceil(6 * sigma))
+    a = 1.0 / (2.0 * sigma * sigma)
+    c = [math.exp(-4.0 * k * (k - 1) * a) for k in range(1, w + 1)
+         if 4.0 * k * (k - 1) * a <= 45.0]
+    d = [math.exp(-4.0 * k * k * a) for k in range(1, w + 1)
+         if 4.0 * k * k * a <= 45.0]
+    return a, c, d
+
+
 def wrapped_logpdf(y, sigma: float, bit: int, half_width: int = 60):
     """Log density of (bit + noise) mod 2 at y, direct sum."""
     y = np.asarray(y, dtype=np.float64)
@@ -225,7 +238,7 @@ def toy_nearest_point_errors(seed: int, trials: int, sigma: float) -> int:
     assert len(reps) == 4
     bits, z, noise = sim.trial_draws(seed, 0, 0, trials,
                                      sim._lattice_fields(1, 1, pair.n))
-    _, _, x = codec.encode_lattice(pair, plans, bits[:, :1], bits[:, 1:],
+    _, _, x = codec.encode_lattice(plans, bits[:, :1], bits[:, 1:],
                                    np.roll(z, 1, axis=1))
     y = x + sigma * noise
     x0 = 3 + 4 * np.rint((y[:, 0] - 3) / 4).astype(np.int64)

@@ -82,7 +82,7 @@ def test_05_round_trip(name, example1_bundle, wimax_bundle):
         bits, z, noise = sim.trial_draws(515, 0, done, min(done + batch, trials), fields,
                                          paired=True)
         zm = np.roll(z, 1, axis=1)
-        c0, c1, x = codec.encode_lattice(b.pair, b.plans, bits[:, :k0], bits[:, k0:], zm)
+        c0, c1, x = codec.encode_lattice(b.plans, bits[:, :k0], bits[:, k0:], zm)
         # congruence membership of every encoded point: H1 mod 4, H0 mod 2
         xs = x[:, 1:].astype(np.int64)
         good = ((xs @ b.pair.h1.a.T.astype(np.int64) % 4 == 0).all(axis=1)

@@ -5,7 +5,8 @@ import pytest
 
 from oracles import exhaustive_nullspace, ref_rank
 from qclattice import codes, qc, wmin
-from qclattice.gf2 import BitMatrix, echelon, in_row_space, nullspace_basis, vstack
+from qclattice.codec import EncoderPlan
+from qclattice.gf2 import BitMatrix, nullspace_basis, vstack
 
 
 class TestStaircase:
@@ -151,8 +152,9 @@ class TestNestedPair:
 
 
 def nested(pair: codes.NestedPair) -> bool:
-    """Every row of H1 in the row space of H0: one RREF of H0."""
-    return bool(in_row_space(*echelon(pair.h0), pair.h1.a).all())
+    """Every row of H1 in the row space of H0: one RREF, the encoder plan
+    of H0."""
+    return bool(EncoderPlan(pair.h0).in_row_space(pair.h1.a).all())
 
 
 class TestVerifyNesting:
@@ -164,7 +166,8 @@ class TestVerifyNesting:
 
     def test_one_elimination(self, wimax_bundle, eliminations):
         assert nested(wimax_bundle.pair)
-        assert eliminations == [(600, 18)]  # H0 alone
+        # the plan's [H0 | I]: 1152 + 600 columns in 28 words
+        assert eliminations == [(600, 28)]
 
     def test_random_row_breaks_nesting(self, example1_bundle):
         pair = example1_bundle.pair

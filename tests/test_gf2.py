@@ -10,8 +10,8 @@ from oracles import (exhaustive_nullspace, kernel_rank, ref_nullspace_basis, ref
 from qclattice import qc
 from qclattice.codec import EncoderPlan
 from qclattice.codes import build_spc
-from qclattice.gf2 import (BitMatrix, InconsistentSyndromeError, echelon, in_row_space,
-                           nullspace_basis, pack, rref, rref_words, unpack, vstack)
+from qclattice.gf2 import (BitMatrix, InconsistentSyndromeError, nullspace_basis, pack,
+                           rref, rref_words, unpack, vstack)
 
 
 @st.composite
@@ -380,8 +380,9 @@ class TestSolveCoset:
 
 
 def row_space_contains(M: BitMatrix, v) -> bool:
-    """One vector against the row space of M: one RREF, then in_row_space."""
-    return bool(in_row_space(*echelon(M), v)[0])
+    """One vector against the row space of M: one encoder plan (one RREF),
+    then its in_row_space."""
+    return bool(EncoderPlan(M).in_row_space(v)[0])
 
 
 class TestRowSpaceContains:
@@ -431,7 +432,8 @@ def _combinations_and_flips(M: BitMatrix, count: int, seed: int):
 
 
 class TestInRowSpace:
-    """Batched membership on an RREF, against rank augmentation."""
+    """Batched membership on an encoder plan's RREF, against rank
+    augmentation."""
 
     @given(bit_matrices(max_rows=6, max_cols=10), st.integers(0, 2 ** 31))
     @settings(max_examples=100)
@@ -440,7 +442,6 @@ class TestInRowSpace:
         rand = np.random.default_rng(seed + 1).integers(0, 2, (4, M.cols)).astype(np.uint8)
         rows = np.vstack([V, flipped, rand])
         expected = [ref_rank(np.vstack([M.a, v[None, :]])) == ref_rank(M.a) for v in rows]
-        assert in_row_space(*echelon(M), rows).tolist() == expected
         assert EncoderPlan(M).in_row_space(rows).tolist() == expected
         assert all(expected[:4])
 
@@ -454,21 +455,20 @@ class TestInRowSpace:
         r = kernel_rank(H)
         expected = [kernel_rank(vstack(H, BitMatrix(v[None, :]))) == r for v in flipped]
         assert not any(expected)
-        for got in (in_row_space(*echelon(H), np.vstack([V, flipped])),
-                    b.plan0.in_row_space(np.vstack([V, flipped]))):
-            assert got.tolist() == [True] * 6 + expected
+        got = b.plan0.in_row_space(np.vstack([V, flipped]))
+        assert got.tolist() == [True] * 6 + expected
 
     def test_rank_zero_and_full_rank(self):
         zero = BitMatrix.zeros(2, 3)
         rows = np.array([[0, 0, 0], [0, 1, 0]])
-        assert in_row_space(*echelon(zero), rows).tolist() == [True, False]
+        assert EncoderPlan(zero).in_row_space(rows).tolist() == [True, False]
         full = BitMatrix.identity(3)
-        assert in_row_space(*echelon(full), rows).tolist() == [True, True]
+        assert EncoderPlan(full).in_row_space(rows).tolist() == [True, True]
 
     def test_wrong_length_refused(self):
         M = BitMatrix.identity(3)
         with pytest.raises(ValueError, match="length 4"):
-            in_row_space(*echelon(M), np.ones((2, 4), np.uint8))
+            EncoderPlan(M).in_row_space(np.ones((2, 4), np.uint8))
         with pytest.raises(ValueError, match="length 4"):
             EncoderPlan(M).in_row_space(np.ones(4, np.uint8))
 

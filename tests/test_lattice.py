@@ -160,7 +160,7 @@ class TestMembership:
         rng = np.random.default_rng(23)
         t = 60
         z = rng.integers(-2, 3, (t, 171))
-        _, _, x = codec.encode_lattice(pair, b.plans, rng.integers(0, 2, (t, 68)),
+        _, _, x = codec.encode_lattice(b.plans, rng.integers(0, 2, (t, 68)),
                                        rng.integers(0, 2, (t, 132)), z)
         points = [p[1:] for p in x]
         for p in x[:, 1:]:
