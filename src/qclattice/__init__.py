@@ -9,8 +9,8 @@ from .codes import (NestedPair, build_h0, build_h1_row_sums, build_spc,
 from .gf2 import BitMatrix, InconsistentSyndromeError, nullspace_basis
 from .lattice import LatticeProfile, balanced_check, is_member, is_nested, profile
 from .presets import BUILTIN_LATTICES, LatticeBundle, example1, get_bundle, wimax1152
-from .qc import (ProtoMatrix, apply_edits, expand, has_four_cycle,
-                 random_proto_search, scale_shifts, scale_shifts_floor)
+from .qc import (ProtoMatrix, apply_edits, expand, has_four_cycle, scale_shifts,
+                 scale_shifts_floor)
 from .sim import SimReport, snr_to_sigma2, sweep_code, sweep_lattice, vnr_to_sigma2
 from .wmin import exact_dmin, low_weight_search
 
@@ -26,8 +26,7 @@ __all__ = [
     "example1", "expand", "get_bundle", "has_four_cycle", "is_member",
     "is_nested", "low_weight_search",
     "make_pair_row_sums", "nullspace_basis", "profile",
-    "random_proto_search", "scale_shifts",
-    "scale_shifts_floor", "snr_to_sigma2",
+    "scale_shifts", "scale_shifts_floor", "snr_to_sigma2",
     "stage_syndrome", "sweep_code", "sweep_lattice",
     "vnr_to_sigma2", "wrapped_llr",
 ]

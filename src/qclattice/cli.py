@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: info, build, search, distance, simulate-code, simulate-lattice.
+Subcommands: info, build, distance, simulate-code, simulate-lattice.
 :func:`build_parser` declares each flag once: its type, default, choices,
 whether it is required and which flags exclude it.  Flag names match
 exactly, never by abbreviation.  A flat config file given with --config
@@ -389,27 +389,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    if args.out:
-        _check_out_dir(args.out)
-    res = qc.random_proto_search((args.rows, args.cols), args.z, args.target,
-                                 not args.no_girth_filter, args.budget, args.seed,
-                                 score_iterations=args.score_iters)
-    text = qc.format_proto(res.proto)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise DataError(f"cannot write {args.out}: {e}")
-        print(f"wrote prototype to {args.out}")
-    else:
-        sys.stdout.write(text)
-    print(f"found weight bound {res.weight_bound} "
-          f"after scoring {res.candidates_scored} candidates (seed {args.seed})")
-    return 0
-
-
 MATRICES = {"hqc": lambda b: qc.expand(b.proto),
             "h0": lambda b: b.pair.h0,
             "h1": lambda b: b.pair.h1}
@@ -530,20 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level-1 row-sum groups, e.g. '1+8,4+10' or block row '2' "
                         "(with --proto; default 0)")
 
-    p = command("search", "random prototype search for large d_min")
-    p.add_argument("--rows", type=int, required=True, help="block rows m_b")
-    p.add_argument("--cols", type=int, required=True, help="block columns n_b")
-    p.add_argument("--z", type=int, required=True, help="circulant size")
-    p.add_argument("--target", type=int, required=True, help="target minimum weight")
-    p.add_argument("--budget", type=int, default=10,
-                   help="candidates to score (default %(default)s)")
-    p.add_argument("--score-iters", type=int, default=2000,
-                   help="low-weight-search iterations per candidate "
-                        "(default %(default)s)")
-    p.add_argument("--no-girth-filter", type=int, choices=(0, 1), default=0,
-                   help="1 to allow 4-cycles in candidates")
-    p.add_argument("--out", help="output prototype file")
-
     p = command("distance", "probabilistic low-weight codeword search")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--lattice", choices=lattices, help="built-in name")
@@ -572,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
 COMMANDS = {
     "info": cmd_info,
     "build": cmd_build,
-    "search": cmd_search,
     "distance": cmd_distance,
     "simulate-code": cmd_simulate_code,
     "simulate-lattice": cmd_simulate_lattice,

@@ -240,10 +240,9 @@ def encode_lattice(plans: tuple[EncoderPlan, EncoderPlan],
 # 2/sigma^2 overflows.  Above it the LLR sums grow too long: they keep
 # every coefficient down to e^-45, about sqrt(45/2) sigma = 4.74 sigma of
 # each kind, and each costs 4 Horner steps per block.  At the top (sigma
-# MAX_LLR_WINDOW/6 = 1.09e4, SNR -81 dB) that is 51,811 terms, 0.36 s per
-# 1000 values on a 2-core VM; SNR -300 dB (sigma 1e15) would never finish.
-MAX_LLR_WINDOW = 2 ** 16
-SIGMA_RANGE = (math.sqrt(sys.float_info.min), MAX_LLR_WINDOW / 6)
+# 2^16/6 = 1.09e4, SNR -81 dB) that is 51,811 terms, 0.36 s per 1000
+# values on a 2-core VM; SNR -300 dB (sigma 1e15) would never finish.
+SIGMA_RANGE = (math.sqrt(sys.float_info.min), 2 ** 16 / 6)
 
 
 def check_sigma(sigma: float) -> float:

@@ -144,10 +144,6 @@ _SCRAMBLE = np.random.default_rng(0).permutation(np.arange(1, 256))
 _UNIT = 1 << np.arange(8)
 _ARANGE = np.arange(256)
 _BITS = [np.flatnonzero(v >> np.arange(8) & 1) for v in range(256)]
-# the smallest stack worth the masked pivot search: per matrix, a stack of
-# two costs 1.2-1.6x a lone matrix's pure-Python pass (n = 170 to 1152),
-# three about break even, and 16 a half or less
-_STACK_MIN = 3
 
 
 def _table(W: np.ndarray, src: np.ndarray, w0: int) -> np.ndarray:
@@ -259,12 +255,11 @@ def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
     the row's key for chunk j.  Each matrix picks P <= 8 of its rows not yet
     used as pivots whose keys span those of the others; the chunk's pivots
     are the lowest bits of that span's echelon basis.  A stack of one picks
-    them in a pure-Python pass over the distinct keys; a stack of
-    ``_STACK_MIN`` or more runs 8 masked bit steps on all its keys at once,
-    and a smaller one is eliminated one matrix at a time.  Each matrix gets
-    a table of the XOR combinations of its picked rows, and one gather-XOR
-    over the whole stack then clears the pivot bits of every row (above and
-    below at once); each picked row becomes the reduced row of one pivot in
+    them in a pure-Python pass over the distinct keys; a larger stack runs
+    8 masked bit steps on all its keys at once.  Each matrix gets a table
+    of the XOR combinations of its picked rows, and one gather-XOR over the
+    whole stack then clears the pivot bits of every row (above and below
+    at once); each picked row becomes the reduced row of one pivot in
     place.  One reorder at the end moves the pivot rows to the top in
     column order; rows at or past the rank come out zero on the first n
     columns.
@@ -275,8 +270,6 @@ def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
     """
     W3 = W if W.ndim == 3 else W[None]
     B, m, _ = W3.shape
-    if 1 < B < _STACK_MIN:
-        return [rref_words(Wm, n) for Wm in W3]
     Wb = W3.view(np.uint8)
     pick = _pick_one if B == 1 else _pick_stack
     unused = np.ones((B, m), dtype=bool)

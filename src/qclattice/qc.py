@@ -6,8 +6,9 @@ matrices (CPMs).  An empty cell is the zero block, one exponent is a single
 CPM, two exponents are a weight-2 "double" CPM (the GF(2) sum of two CPMs).
 
 Also here: length scaling for the 802.16e family (shift exponents reduced
-modulo the new circulant size), cell edits, structural 4-cycle detection,
-and a random design search scored by low-weight codeword search.
+modulo the new circulant size), cell edits, structural 4-cycle detection
+and the text formats of prototype and edits files.  The prototypes are
+taken as given: the bundled designs are read, never searched for.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from importlib import resources
 import numpy as np
 
 from .gf2 import BitMatrix
-from .wmin import low_weight_search
 
 BASE_LENGTH = 2304
 BASE_Z = 96
@@ -201,64 +201,6 @@ def has_four_cycle(P: ProtoMatrix) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    proto: ProtoMatrix
-    weight_bound: int
-    witness: np.ndarray
-    candidates_scored: int
-
-
-def random_proto_search(shape: tuple[int, int], z: int, target_weight: int,
-                        girth4_filter: bool, budget: int, seed: int,
-                        score_iterations: int = 2000) -> SearchResult:
-    """Random search for a prototype whose code has large minimum weight.
-
-    Draws all-CPM prototypes with exponents uniform over 0..z-1, optionally
-    rejecting candidates with 4-cycles, and scores each by
-    :func:`low_weight_search` (an upper bound on the true minimum distance).
-    Keeps the candidate with the largest found weight; a candidate is
-    abandoned early once its bound cannot beat the best so far, and the
-    search stops when a candidate reaches ``target_weight``.  Deterministic
-    given ``seed``: candidate k uses the sub-seed sequence (seed, k).
-    Raises ValueError for a shape or z below 1 and when the girth filter
-    rejects all of the first ``1000 * budget`` draws, so that no candidate
-    is scored.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    m_b, n_b = shape
-    for name, value in (("block rows m_b", m_b), ("block columns n_b", n_b),
-                        ("circulant size z", z)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    best: SearchResult | None = None
-    scored = 0
-    draws = 0
-    max_draws = 1000 * budget
-
-    while scored < budget and draws < max_draws:
-        cand_rng = np.random.default_rng([seed, draws])
-        draws += 1
-        shifts = cand_rng.integers(0, z, size=(m_b, n_b))
-        P = ProtoMatrix.from_shifts(shifts, z)
-        if girth4_filter and has_four_cycle(P):
-            continue
-        scored += 1
-        stop = best.weight_bound if best is not None else None
-        w, c = low_weight_search(expand(P), score_iterations,
-                                 seed=int(cand_rng.integers(2 ** 31)), stop_at=stop)
-        if best is None or w > best.weight_bound:
-            best = SearchResult(P, w, c, scored)
-        if best.weight_bound >= target_weight:
-            break
-
-    if best is None:
-        raise ValueError(f"the girth filter rejected all {max_draws} draws of a "
-                         f"{m_b}x{n_b} prototype at z={z} (each has a 4-cycle)")
-    return SearchResult(best.proto, best.weight_bound, best.witness, scored)
-
-
 # ---------------------------------------------------------------------------
 # text formats
 #
@@ -283,12 +225,6 @@ def parse_cell_token(tok: str) -> Cell:
     return tuple(int(p) for p in parts)
 
 
-def format_cell(cell: Cell) -> str:
-    if not cell:
-        return "-1"
-    return "+".join(str(e) for e in cell)
-
-
 def parse_proto(text: str) -> ProtoMatrix:
     lines = _data_lines(text)
     if not lines:
@@ -306,13 +242,6 @@ def parse_proto(text: str) -> ProtoMatrix:
             raise ValueError(f"expected {n_b} tokens per row, got {len(toks)}")
         cells.append(tuple(parse_cell_token(t) for t in toks))
     return ProtoMatrix(m_b, n_b, z, tuple(cells))
-
-
-def format_proto(P: ProtoMatrix) -> str:
-    lines = [f"{P.m_b} {P.n_b} {P.z}"]
-    for row in P.cells:
-        lines.append(" ".join(format_cell(c) for c in row))
-    return "\n".join(lines) + "\n"
 
 
 def parse_edits(text: str) -> list[tuple[int, int, Cell]]:

@@ -13,12 +13,12 @@ given by a parity-check matrix:
   its overlaps (one float32 matmul) over those columns alone.
 
 The search eliminates its permutations a block at a time: one call of the
-stacked kernel :func:`qclattice.gf2.rref_words` row-reduces up to
-``_BLOCK`` permuted generators together, which shares the kernel's
-per-chunk numpy overhead across the block.  Each RREF is unique and the
-permutations are drawn in the same order from the same generator, so every
-seed's search path is the one of a search that eliminates one permutation
-at a time.
+stacked kernel :func:`qclattice.gf2.rref_words` row-reduces ``_BLOCK``
+permuted generators together (the last block may hold fewer), which shares
+the kernel's per-chunk numpy overhead across the block.  Each RREF is
+unique and the permutations are drawn in the same order from the same
+generator, so every seed's search path is the one of a search that
+eliminates one permutation at a time.
 """
 
 from __future__ import annotations
@@ -76,25 +76,19 @@ def exact_dmin(H: BitMatrix) -> int:
     return best
 
 
-def _eliminated(G0T: np.ndarray, iterations: int, rng: np.random.Generator,
-                grow: bool):
+def _eliminated(G0T: np.ndarray, iterations: int, rng: np.random.Generator):
     """Yield ``(perm, W, pivots)`` for each iteration in order: the column
     permutation, the packed RREF of the permuted generator (whose transpose
     is ``G0T``) and its pivots.  Permutations are drawn and eliminated a
-    block at a time; with ``grow`` the blocks grow 1, 2, 4, ... up to
-    ``_BLOCK``, otherwise all but the last hold ``_BLOCK``."""
+    block at a time; every block but the last holds ``_BLOCK``."""
     n, k = G0T.shape
-    size = 1 if grow else _BLOCK
-    left = iterations
-    while left:
-        size = min(size, left)
+    for start in range(0, iterations, _BLOCK):
+        size = min(_BLOCK, iterations - start)
         perms = [rng.permutation(n) for _ in range(size)]
         W = np.empty((size, k, (n + 63) // 64), dtype=np.uint64)
         for b, perm in enumerate(perms):
             W[b] = pack(G0T[perm].T)
         yield from zip(perms, W, _rref_packed(W, n))
-        left -= size
-        size = min(2 * size, _BLOCK)
 
 
 def low_weight_search(H: BitMatrix, iterations: int, seed: int,
@@ -107,15 +101,14 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     always satisfies ``H c^T = 0``.  Deterministic for a given seed.
 
     ``stop_at`` (at least 1) ends the search as soon as a codeword of weight
-    <= stop_at is found, which lets design loops prune candidates early.
+    <= stop_at is found, for a user who only needs a bound that low.
 
-    The iterations run in blocks: a block's permutations are drawn in
-    iteration order, eliminated in one stacked call and then scanned in
-    order, with ``stop_at`` checked after each.  Blocks hold ``_BLOCK``
-    permutations; under ``stop_at`` they grow 1, 2, 4, ... up to
-    ``_BLOCK``, so an early exit leaves fewer eliminations unused than it
-    has used.  The result is bit-identical to eliminating one permutation
-    per iteration.
+    The iterations run in blocks of ``_BLOCK`` permutations (the last block
+    may be shorter): a block's permutations are drawn in iteration order,
+    eliminated in one stacked call and then scanned in order, with
+    ``stop_at`` checked after each.  A search that stops inside a block
+    leaves that block's later eliminations unused.  The result is
+    bit-identical to eliminating one permutation per iteration.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -134,7 +127,7 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     best_w = n + 1
     best_c: np.ndarray | None = None
 
-    for perm, W, pivots in _eliminated(G0T, iterations, rng, stop_at is not None):
+    for perm, W, pivots in _eliminated(G0T, iterations, rng):
         rows = W[: len(pivots)]
         R = unpack(rows, n)
         # weights from the packed rows, whose padding bits are zero

@@ -276,10 +276,19 @@ def ref_bp_decode_batch(H, llrs, syndromes=None, max_iter: int = 100):
     """Frozen copy of the original flooding sum-product kernel.
 
     Kept verbatim (boolean-mask sign flips, axis-1 fancy-index gathers,
-    fresh temporaries every iteration) so that a rewritten
-    ``codec.bp_decode_batch`` can be checked bit for bit against it.  It
-    builds its own edge lists from ``H`` (a 0/1 array or BitMatrix) instead
-    of using ``codec.TannerGraph``.
+    fresh temporaries every iteration) as the reference for
+    ``codec.bp_decode_batch``.  It builds its own edge lists from ``H`` (a
+    0/1 array or BitMatrix) instead of using ``codec.TannerGraph``.
+
+    It works in the log domain and the kernel in the product domain, so
+    the two agree bit for bit only on tame graphs: the preset matrices,
+    the hand-built ``idle-row`` and ``edge-degrees`` matrices of
+    ``test_codec.py::KERNEL_CASES``, and random graphs up to 2 iterations.
+    On small random graphs with idle or repeated rows and contradictory
+    syndromes they part from 3 iterations on, in 1 to 10 of 3,000 cases of
+    ``test_idle_nodes_anywhere``'s generator: messages sit at the clip,
+    where atanh magnifies the two domains' rounding.  ``test_idle_nodes_anywhere`` caps its iterations for that
+    reason.
     """
     a = np.asarray(getattr(H, "a", H), dtype=np.uint8)
     n_checks, n_vars = a.shape

@@ -148,68 +148,8 @@ class TestBuild:
         assert len(eliminations) == 2
 
 
-class TestSearch:
-    def test_writes_reproducible_file(self, capsys, tmp_path):
-        out1 = tmp_path / "a.proto"
-        out2 = tmp_path / "b.proto"
-        for out in (out1, out2):
-            code, _, _ = run(capsys, "search", "--rows", "2", "--cols", "4",
-                             "--z", "8", "--target", "200", "--budget", "2",
-                             "--score-iters", "40", "--seed", "5",
-                             "--out", str(out))
-            assert code == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_missing_key_is_config_error(self, capsys):
-        code, _, err = run(capsys, "search", "--rows", "2")
-        assert code == 2
-        assert "cols" in err
-
-    @pytest.mark.parametrize("flag, named", [("--rows", "block rows m_b"),
-                                             ("--cols", "block columns n_b"),
-                                             ("--z", "circulant size z")])
-    def test_size_below_one_is_config_error(self, capsys, flag, named):
-        # --rows 0 once raised IndexError, and --z 0 exited with numpy's
-        # message 'high <= 0'
-        flags = {"--rows": "2", "--cols": "4", "--z": "8", flag: "0"}
-        code, out, err = run(capsys, "search", *(t for kv in flags.items() for t in kv),
-                             "--target", "20")
-        assert code == 2 and out == ""
-        assert err == f"config error: {named} must be >= 1, got 0\n"
-
-    def test_every_draw_rejected_is_config_error(self):
-        # at z=2 every 3x5 prototype has a 4-cycle; this once ended in a
-        # RuntimeError traceback
-        proc = run_process("search", "--rows", "3", "--cols", "5", "--z", "2",
-                           "--target", "4", "--budget", "1")
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("config error: the girth filter rejected all")
-        assert len(proc.stderr.strip().splitlines()) == 1
-
-    @pytest.mark.parametrize("flags, girth4_filter", [
-        ([], False),
-        (["--no-girth-filter", "0"], True),
-    ], ids=["config-value", "flag-overrides-config"])
-    def test_no_girth_filter_from_config(self, capsys, tmp_path, monkeypatch,
-                                         flags, girth4_filter):
-        # the config value was once ignored: the flag's default hid it
-        cfg = tmp_path / "search.cfg"
-        cfg.write_text("no-girth-filter=1\n")
-        seen = []
-
-        def fake_search(shape, z, target, girth4, budget, seed, score_iterations):
-            seen.append(girth4)
-            raise ValueError("stop after the call")
-        monkeypatch.setattr(cli.qc, "random_proto_search", fake_search)
-        code, _, _ = run(capsys, "search", "--config", str(cfg), "--rows", "2",
-                         "--cols", "4", "--z", "8", "--target", "20", *flags)
-        assert code == 2
-        assert seen == [girth4_filter]
-
-
 class TestOutputDirectory:
-    # a missing directory once cost the whole sweep or search, then a
+    # a missing directory once cost the whole sweep, then a
     # FileNotFoundError traceback; it is refused before any work
     @pytest.mark.parametrize("command, grid, work", [
         ("simulate-code", "--snr", "sweep_code"),
@@ -237,17 +177,6 @@ class TestOutputDirectory:
         assert err.startswith("data error:") and "is a directory" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_search_refused_before_it_runs(self, capsys, tmp_path, monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("search started despite the missing directory")
-        monkeypatch.setattr(cli.qc, "random_proto_search", no_search)
-        out = tmp_path / "missing" / "p.txt"
-        code, _, err = run(capsys, "search", "--rows", "2", "--cols", "4",
-                           "--z", "8", "--target", "20", "--out", str(out))
-        assert code == 3
-        assert err.startswith("data error: cannot write") and "does not exist" in err
-        assert len(err.strip().splitlines()) == 1
-
     def test_failed_csv_write_is_data_error(self, capsys, tmp_path, monkeypatch):
         # the directory goes away while the sweep runs
         where = tmp_path / "gone"
@@ -262,23 +191,6 @@ class TestOutputDirectory:
         code, out, err = run(capsys, "simulate-code", "--lattice", "example1",
                              "--snr", "12", "--max-trials", "4", "--out",
                              str(where / "rows.csv"))
-        assert code == 3 and out == ""
-        assert err.startswith("data error: cannot write")
-        assert len(err.strip().splitlines()) == 1
-
-    def test_failed_prototype_write_is_data_error(self, capsys, tmp_path, monkeypatch):
-        where = tmp_path / "gone"
-        where.mkdir()
-        search = cli.qc.random_proto_search
-
-        def search_then_remove(*args, **kwargs):
-            res = search(*args, **kwargs)
-            where.rmdir()
-            return res
-        monkeypatch.setattr(cli.qc, "random_proto_search", search_then_remove)
-        code, out, err = run(capsys, "search", "--rows", "2", "--cols", "4",
-                             "--z", "8", "--target", "200", "--budget", "1",
-                             "--score-iters", "10", "--out", str(where / "p.txt"))
         assert code == 3 and out == ""
         assert err.startswith("data error: cannot write")
         assert len(err.strip().splitlines()) == 1
@@ -511,13 +423,6 @@ class TestBadNumbersExitTwo:
         assert proc.stderr.startswith("config error:")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert not out.exists()
-
-    def test_library_value_error_exits_two(self, capsys):
-        # --budget 0 is refused by the search library itself
-        code, _, err = run(capsys, "search", "--rows", "2", "--cols", "4",
-                           "--z", "8", "--target", "20", "--budget", "0")
-        assert code == 2
-        assert err.startswith("config error:")
 
 
 class TestUnrepresentableNoise:
@@ -765,7 +670,6 @@ class TestNegativeGrid:
 _OK_FLAGS = {
     "info": ["--lattice", "example1"],
     "build": ["--lattice", "example1"],
-    "search": ["--rows", "2", "--cols", "4", "--z", "8", "--target", "20"],
     "distance": ["--lattice", "example1"],
     "simulate-code": ["--lattice", "example1", "--snr", "5"],
     "simulate-lattice": ["--lattice", "example1", "--vnr", "5"],
@@ -776,9 +680,6 @@ _BAD_FLAGS = {
     "info": [None, ["--lattice", "nope"], [], ["--lat", "example1"]],
     "build": [["--proto", str(_EXAMPLE1_PROTO), "--scale-n", "x"], ["--lattice", "nope"],
               [], ["--proto", str(_EXAMPLE1_PROTO), "--h1-group", "0"]],
-    "search": [[*_OK_FLAGS["search"], "--budget", "x"],
-               [*_OK_FLAGS["search"], "--no-girth-filter", "2"],
-               _OK_FLAGS["search"][:6], [*_OK_FLAGS["search"], "--score", "5"]],
     "distance": [["--lattice", "example1", "--iterations", "x"],
                  ["--lattice", "example1", "--matrix", "h2"], ["--iterations", "5"],
                  ["--lattice", "example1", "--iter", "5"]],
@@ -830,6 +731,14 @@ class TestParseErrors:
     def test_unknown_flag_named(self, capsys):
         assert "--bogus" in run_refused(capsys, ["info", "--lattice", "example1",
                                                  "--bogus", "1"])
+
+    def test_tables_cover_every_command(self):
+        # a retired command's rows would pass as refusals of an unknown command
+        assert set(_OK_FLAGS) == set(_BAD_FLAGS) == set(cli.COMMANDS)
+
+    def test_retired_search_refused(self, capsys):
+        err = run_refused(capsys, ["search", "--rows", "2"])
+        assert "invalid choice" in err and "search" in err
 
     @pytest.mark.parametrize("command", _OK_FLAGS)
     def test_config_key_config_refused(self, capsys, tmp_path, command):

@@ -175,7 +175,7 @@ class TestSweepRefusals:
     def test_sigma_range_is_the_codec_range(self):
         # a sweep accepts the sigmas wrapped_llr accepts, at both levels
         lo, hi = codec.SIGMA_RANGE
-        assert math.ceil(6 * hi) == codec.MAX_LLR_WINDOW
+        assert len(codec._llr_coefficients(hi)[1]) == 51_811
         assert sim._point_sigmas("SNR", [1.0], lambda db: hi) == [hi]
         for bad in (np.nextafter(hi, np.inf), lo):    # lo / 2 is out of range
             with pytest.raises(ValueError, match="^SNR 1 dB: sigma must be in"):

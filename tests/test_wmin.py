@@ -140,30 +140,28 @@ class TestLowWeightSearch:
                 assert w == w_ref
                 assert np.array_equal(c, c_ref)
 
-    def test_full_blocks_without_stop_at(self, example1_bundle, monkeypatch):
-        sizes = _record_blocks(monkeypatch)
-        wmin.low_weight_search(qc.expand(example1_bundle.proto), 21, seed=0)
-        assert sizes == [wmin._BLOCK, 21 - wmin._BLOCK]
-
-    # (seed, stop_at, iteration that first reaches it, stack sizes) on the
-    # wimax1152 H_qc: past the first, each stop falls inside a block of the
-    # growing sequence 1, 2, 4, 8, 16 and leaves its later eliminations unused
-    @pytest.mark.parametrize("seed,stop_at,stops_after,sizes", [
-        (0, 156, 1, [1]), (3, 162, 2, [1, 2]), (3, 142, 6, [1, 2, 4]),
-        (4, 152, 9, [1, 2, 4, 8]), (3, 132, 19, [1, 2, 4, 8, 16])])
-    def test_stop_inside_growing_blocks(self, seed, stop_at, stops_after, sizes,
-                                        wimax_bundle, monkeypatch):
+    # (seed, stop_at, iterations, iterations run, stack sizes) on the
+    # wimax1152 H_qc: blocks hold _BLOCK = 16 permutations whether or not
+    # stop_at is given, so a stop inside a block leaves the rest of it
+    # unused, and only the last block may be shorter
+    @pytest.mark.parametrize("seed,stop_at,iterations,stops_after,sizes", [
+        (0, 156, 100, 1, [16]), (3, 162, 100, 2, [16]), (3, 142, 100, 6, [16]),
+        (4, 152, 100, 9, [16]), (3, 132, 100, 19, [16, 16]),
+        (0, None, 21, 21, [16, 5])])
+    def test_block_schedule(self, seed, stop_at, iterations, stops_after, sizes,
+                            wimax_bundle, monkeypatch):
+        assert wmin._BLOCK == 16
         H = qc.expand(wimax_bundle.proto)
         ref_calls = []
         ref_kernel = oracles.ref_rref_words
         monkeypatch.setattr(oracles, "ref_rref_words",
                             lambda W, n: ref_calls.append(1) or ref_kernel(W, n))
-        w_ref, c_ref = ref_low_weight_search(H, 100, seed, stop_at=stop_at)
+        w_ref, c_ref = ref_low_weight_search(H, iterations, seed, stop_at=stop_at)
         # one elimination for the generator, then one per iteration
         assert len(ref_calls) - 1 == stops_after
         got_sizes = _record_blocks(monkeypatch)
-        w, c = wmin.low_weight_search(H, 100, seed, stop_at=stop_at)
-        assert w == w_ref <= stop_at
+        w, c = wmin.low_weight_search(H, iterations, seed, stop_at=stop_at)
+        assert w == w_ref and (stop_at is None or w <= stop_at)
         assert np.array_equal(c, c_ref)
         assert got_sizes == sizes
 
