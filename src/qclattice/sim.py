@@ -261,9 +261,10 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
 
     def step(draws, sigma):
         bits, z, noise = draws
-        # z0, drawn last, goes to column 0 of the encode's integer parts
-        c0, c1, x = encode_lattice(plans, bits[:, :k0], bits[:, k0:],
-                                   np.roll(z, 1, axis=1))
+        # z0, drawn last, goes to column 0 of the encode's integer parts;
+        # rolled in place, so that no second (batch, n+1) array stays live
+        z[:] = np.roll(z, 1, axis=1)
+        c0, c1, x = encode_lattice(plans, bits[:, :k0], bits[:, k0:], z)
         y = noise                        # y = x + sigma * noise, over the noise
         y *= sigma
         y += x
@@ -271,7 +272,7 @@ def sweep_lattice(pair, plans: tuple[EncoderPlan, EncoderPlan],
 
         d0, d1, dz, diag = decoder.decode_batch(y, sigma)
         bad = [(d0 != c0).any(axis=1), (d1 != c1).any(axis=1),
-               (dz[:, 0] != z[:, -1]) | (dz[:, 1:] != z[:, :-1]).any(axis=1)]
+               (dz != z).any(axis=1)]
         return np.select(bad, [0, 1, 2], -1), diag["it0"] + diag["it1"]
 
     return _sweep("lattice", label, vnr_points_db,

@@ -6,11 +6,12 @@ given by a parity-check matrix:
 * :func:`exact_dmin` enumerates the whole code (only for dimension k <= 28)
   and is exact; it doubles as the oracle for the randomized search.
 * :func:`low_weight_search` is an information-set-decoding style randomized
-  search (random column permutation, elimination, scan of single rows and
-  row pairs of the systematic generator).  It certifies an upper bound only.
-  The pivot columns of the eliminated generator are an identity, so two
-  distinct rows overlap only on the non-pivot columns; the pair scan takes
-  its overlaps (one float32 matmul) over those columns alone.
+  search (random column permutation, elimination, one argmin over a float32
+  table of the weights of single rows and row pairs of the systematic
+  generator).  It certifies an upper bound only.  The pivot columns of the
+  eliminated generator are an identity, so two distinct rows overlap only
+  on the non-pivot columns; the table takes its overlaps (one float32
+  matmul) over those columns alone.
 
 The search eliminates its permutations a block at a time: one call of the
 stacked kernel :func:`qclattice.gf2.rref_words` row-reduces ``_BLOCK``
@@ -96,7 +97,10 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     """Randomized low-weight codeword search on the nullspace of ``H``.
 
     Each iteration permutes the columns of a generator matrix, row-reduces,
-    and scans all single rows and row pairs (a Stern-style search with p=2).
+    and scans all single rows and row pairs (a Stern-style search with p=2)
+    in one table: entry (i, j) is the weight of rows i + j, entry (i, i) is
+    that of row i less 1/2, so that a row wins a tie with a pair.  The
+    table's argmin replaces the best codeword so far when it is lighter.
     Returns ``(weight, witness)`` for the best codeword found; the witness
     always satisfies ``H c^T = 0``.  Deterministic for a given seed.
 
@@ -125,44 +129,34 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     rng = np.random.default_rng(seed)
 
     best_w = n + 1
-    best_c: np.ndarray | None = None
+    best = None    # (perm, packed word) of the best codeword so far
 
     for perm, W, pivots in _eliminated(G0T, iterations, rng):
         rows = W[: len(pivots)]
-        R = unpack(rows, n)
         # weights from the packed rows, whose padding bits are zero
-        w_rows = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-
-        i_best = int(np.argmin(w_rows))
-        if w_rows[i_best] < best_w:
-            best_w = int(w_rows[i_best])
-            c = np.zeros(n, dtype=np.uint8)
-            c[perm] = R[i_best]
-            best_c = c
-        if R.shape[0] >= 2:
-            free = np.ones(n, dtype=bool)
-            free[pivots] = False
-            Rf = np.take(R, np.flatnonzero(free), axis=1).astype(np.float32)
-            # pair weights w_i + w_j - 2 overlap_ij, made in place in the
-            # float32 overlap matrix: every value is an integer of magnitude
-            # at most 2n < 2^24, so each step is exact and the argmin is
-            # that of the same sums in integers
-            pair_w = Rf @ Rf.T
-            pair_w *= -2.0
-            w_f = w_rows.astype(np.float32)
-            pair_w += w_f[:, None]
-            pair_w += w_f[None, :]
-            np.fill_diagonal(pair_w, n + 1)
-            ij = int(np.argmin(pair_w))
-            i, j = divmod(ij, R.shape[0])
-            if pair_w[i, j] < best_w and pair_w[i, j] > 0:
-                best_w = int(pair_w[i, j])
-                c = np.zeros(n, dtype=np.uint8)
-                c[perm] = R[i] ^ R[j]
-                best_c = c
+        w_f = np.bitwise_count(rows).sum(axis=1).astype(np.float32)
+        Rf = np.delete(unpack(rows, n), pivots, axis=1).astype(np.float32)
+        # pair weights w_i + w_j - 2 overlap_ij, made in place in the float32
+        # overlap matrix, with w_i - 1/2 on the diagonal: every value is a
+        # multiple of 1/2 below 2n < 2^23, so each step is exact
+        table = Rf @ Rf.T
+        table *= -2.0
+        table += w_f[:, None]
+        table += w_f[None, :]
+        np.fill_diagonal(table, w_f - 0.5)
+        i, j = divmod(int(np.argmin(table)), len(rows))
+        if table[i, j] < best_w - 0.5:
+            # a copy, not a view, which would pin the whole elimination block
+            word = rows[i] ^ rows[j] if i != j else rows[i].copy()
+            best_w = int(np.bitwise_count(word).sum())
+            best = perm, word
         if stop_at is not None and best_w <= stop_at:
             break
 
-    if best_c is None or not best_c.any() or H.mul_vec(best_c).any():
+    # the first iteration sets best: its table is below n + 1/2
+    perm, word = best
+    c = np.zeros(n, dtype=np.uint8)
+    c[perm] = unpack(word[None], n)[0]
+    if not c.any() or H.mul_vec(c).any():
         raise WitnessError("low-weight search produced no nonzero codeword of H")
-    return best_w, best_c
+    return best_w, c

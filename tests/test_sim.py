@@ -216,6 +216,25 @@ class TestSweepLattice:
         assert rep.block_errors == 0
         assert rep.trials == 1000
 
+    def test_stage0_is_the_level0_code(self, example1_bundle):
+        # in the waterfall, stage 0 of the lattice sweep at VNR v is the
+        # level-0 code on the mod-2 channel at SNR = -10 log10 sigma^2(v):
+        # their error counts agree within a wide two-proportion interval,
+        # which a wrong volume or VNR conversion leaves far behind
+        b = example1_bundle
+        M, vnr = 4000, 2.5
+        lat = sim.sweep_lattice(b.pair, b.plans, b.profile.normalized_volume, [vnr],
+                                max_trials=M, target_errors=M, seed=1,
+                                label="example1")[0]
+        snr = -10 * math.log10(sim.vnr_to_sigma2(vnr, b.profile.normalized_volume))
+        code = sim.sweep_code(b.pair.h0, b.plan0, [snr], max_trials=M,
+                              target_errors=M, seed=1, label="example1:g0")[0]
+        assert lat.trials == code.trials == M
+        assert 0 < code.block_errors < M    # the point is in the waterfall
+        p = (lat.stage0_errors + code.block_errors) / (2 * M)
+        z = (lat.stage0_errors - code.block_errors) / M / math.sqrt(p * (1 - p) * 2 / M)
+        assert abs(z) <= 3.3, (lat.stage0_errors, code.block_errors, z)
+
     def test_deterministic_and_batch_invariant(self, toy):
         pair, plans, nv = toy
         kw = dict(max_trials=500, target_errors=500, seed=7, label="toy")

@@ -18,6 +18,19 @@ def _record_blocks(monkeypatch) -> list[int]:
     return sizes
 
 
+def _small_searches(count: int, seed: int) -> list:
+    """``count`` searches ``(H, iterations, seed, None)`` of random codes
+    with m in 2..7 checks, n in m+1..15 columns and 1..5 iterations."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        m = int(rng.integers(2, 8))
+        n = int(rng.integers(m + 1, 16))
+        H = BitMatrix(rng.integers(0, 2, (m, n)).astype(np.uint8))
+        cases.append((H, int(rng.integers(1, 6)), int(rng.integers(2 ** 31)), None))
+    return cases
+
+
 HAMMING_7_4 = BitMatrix.from_rows([
     [1, 0, 1, 0, 1, 0, 1],
     [0, 1, 1, 0, 0, 1, 1],
@@ -122,23 +135,30 @@ class TestLowWeightSearch:
             assert found == exact
 
     @pytest.mark.parametrize("name,iterations,stop_at",
-                             [("example1", 21, 20), ("wimax1152", 5, 155)],
-                             ids=["example1-20", "wimax1152-155"])
+                             [("example1", 21, 20), ("wimax1152", 5, 155),
+                              ("small", None, None)],
+                             ids=["example1-20", "wimax1152-155", "small-random"])
     def test_matches_frozen_search(self, name, iterations, stop_at, example1_bundle,
                                    wimax_bundle):
-        # the chunked kernel, the pair scan over non-pivot columns and the
-        # block eliminations leave every seed's search path as it was; 21
-        # iterations span a full block and part of the next; each stop_at
-        # ends some seed early (example1 seed 2 after one iteration, wimax
-        # seed 3 after 3)
-        bundle = example1_bundle if name == "example1" else wimax_bundle
-        H = qc.expand(bundle.proto)
-        for seed in range(4):
-            for stop in (None, stop_at):
-                w, c = wmin.low_weight_search(H, iterations, seed, stop_at=stop)
-                w_ref, c_ref = ref_low_weight_search(H, iterations, seed, stop_at=stop)
-                assert w == w_ref
-                assert np.array_equal(c, c_ref)
+        # the chunked kernel, the pair scan over non-pivot columns, the block
+        # eliminations and the one row-and-pair table leave every seed's
+        # search path as it was; 21 iterations span a full block and part
+        # of the next; each stop_at ends some seed early (example1 seed 2
+        # after one iteration, wimax seed 3 after 3); on the small random
+        # codes a single row often ties with a pair of the same weight, and
+        # the row must win
+        if name == "small":
+            cases = _small_searches(300, seed=22)
+        else:
+            bundle = example1_bundle if name == "example1" else wimax_bundle
+            H = qc.expand(bundle.proto)
+            cases = [(H, iterations, seed, stop)
+                     for seed in range(4) for stop in (None, stop_at)]
+        for H, iterations, seed, stop in cases:
+            w, c = wmin.low_weight_search(H, iterations, seed, stop_at=stop)
+            w_ref, c_ref = ref_low_weight_search(H, iterations, seed, stop_at=stop)
+            assert w == w_ref
+            assert np.array_equal(c, c_ref)
 
     # (seed, stop_at, iterations, iterations run, stack sizes) on the
     # wimax1152 H_qc: blocks hold _BLOCK = 16 permutations whether or not
