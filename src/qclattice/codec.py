@@ -63,12 +63,16 @@ full-domain rule.  The one caveat is the subnormal range: a value whose
 half falls below 2^-1022 can lose its last bit, so the two domains could
 part only on LLRs or messages within about 1e-308 of zero.
 
-A batch is decoded in frame tiles of about ``_TILE_EDGE_FRAMES`` edge-frames
-each (2^19, so one float64 (edges, tile) array is about 4 MB): the work
-arrays are O(edges * tile) whatever the batch size, and each tile's results
-are written straight into the (batch, ...) outputs.  Frames are decoded
-independently, so the results do not depend on the tiling.  The work
-buffers (:class:`_Work`) are allocated once per call and shared by its
+A batch is decoded in equal frame tiles whose work set fits
+``_TILE_BYTES`` (6 MiB): the bytes per frame come from :class:`_Work`'s
+buffer table, so the work memory is bounded whatever the batch size and
+the graph's shape (example1's H0 decodes 512 frames as 2 tiles of 256,
+wimax1152's H0 takes at most 46 frames per tile and its H1 73), and each
+tile's results are written straight into the (batch, ...) outputs.  The
+budget is not smaller because each tile pays a fixed Python cost: tiles
+of 26 frames on wimax1152's H0 cost about 7% of lattice trials/s.
+Frames are decoded independently, so the results do not depend on the
+tiling.  The work buffers are allocated once per call and shared by its
 tiles; nothing of edge or node size is allocated inside the iteration
 loop.  Two (edges, tile) buffers hold the messages: ``c2v`` lives in one,
 and the other is the scratch (t, then the variable-side gather g); the
@@ -94,7 +98,7 @@ from .gf2 import BitMatrix, InconsistentSyndromeError, rref
 LLR_SAT = 64.0      # saturation used to pin known bits
 MSG_CLIP = 30.0     # message clip inside the sum-product updates
 _ATANH_CAP = 1.0 - 1e-15   # |excl| cap for atanh: only a degree-1 check reaches 1
-_TILE_EDGE_FRAMES = 1 << 19  # BP work per frame tile: edges * frames
+_TILE_BYTES = 6 << 20       # BP work set per call: bytes of _Work's buffers
 _LLR_BLOCK = 1 << 14         # values per block of wrapped_llr's scratch
 
 
@@ -476,25 +480,43 @@ class _Work:
     largest tile; every array of a tile is a (rows, frames) view of the
     head of one of them (:func:`_rows`).
 
-    An array that shrinks as frames converge (``c2v``, ``post``, ``llr``,
-    ``syn``, ``sgn``) owns a pair of buffers: it lives at the head of
-    ``pair[0]``, and :func:`_compact` moves its kept columns to
-    ``pair[1]`` and swaps the two.  The spare of ``c2v``'s pair is the
+    ``BUFFERS`` declares each buffer once: its name, its rows per frame (a
+    :class:`TannerGraph` size), its dtype and whether it is a pair.  An
+    array that shrinks as frames converge owns a pair of buffers: it lives
+    at the head of ``pair[0]``, and :func:`_compact` moves its kept columns
+    to ``pair[1]`` and swaps the two.  The spare of ``c2v``'s pair is the
     iteration's edge scratch (``t``, then ``g``).
     """
 
+    BUFFERS = (("c2v", "n_edges", np.float64, True),
+               ("post", "n_vars", np.float64, True),
+               ("llr", "n_vars", np.float64, True),
+               ("sgn", "n_checks", np.float64, True),
+               ("syn", "n_checks", np.uint8, True),
+               ("hard", "n_vars", np.bool_, False),
+               ("hard_done", "n_vars", np.bool_, False),
+               ("hard_t", "n_vars", np.bool_, False),
+               ("hard_e", "n_edges", np.uint8, False),
+               ("par", "n_checks", np.uint8, False))
+
+    @classmethod
+    def frame_bytes(cls, graph: TannerGraph) -> int:
+        """Bytes of the work set per frame of a tile."""
+        return sum(getattr(graph, rows) * np.dtype(dtype).itemsize * (1 + pair)
+                   for _, rows, dtype, pair in cls.BUFFERS)
+
     def __init__(self, graph: TannerGraph, size: int):
-        E, n, m = graph.n_edges, graph.n_vars, graph.n_checks
+        for name, rows, dtype, pair in self.BUFFERS:
+            bufs = [np.empty(getattr(graph, rows) * size, dtype) for _ in range(1 + pair)]
+            setattr(self, name, bufs if pair else bufs[0])
 
-        def pair(rows, dtype=np.float64):
-            return [np.empty(rows * size, dtype), np.empty(rows * size, dtype)]
 
-        self.c2v, self.post, self.llr, self.sgn = pair(E), pair(n), pair(n), pair(m)
-        self.syn = pair(m, np.uint8)
-        self.hard, self.hard_done, self.hard_t = (np.empty(n * size, dtype=bool)
-                                                  for _ in range(3))
-        self.hard_e = np.empty(E * size, dtype=np.uint8)
-        self.par = np.empty(m * size, dtype=np.uint8)
+def _tile_size(graph: TannerGraph, batch: int) -> int:
+    """Frames per tile of a batch: the fewest equal tiles (the last one may
+    be shorter) whose work set fits ``_TILE_BYTES``, at least one frame."""
+    fit = max(1, _TILE_BYTES // _Work.frame_bytes(graph))
+    tiles = max(1, -(-batch // fit))
+    return max(1, -(-batch // tiles))
 
 
 def _compact(pair: list[np.ndarray], a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -518,12 +540,12 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     frames keep their final hard decisions.  Frame results do not depend on
     how the batch is composed.  ``max_iter`` must be >= 0.
 
-    The batch runs as ceil(batch * edges / ``_TILE_EDGE_FRAMES``) equal
-    tiles of consecutive frames (the last one may be shorter), so the work
-    memory is O(edges * tile) for any batch size; the results are those of
-    one call over the whole batch, since frames are independent.  The work
-    buffers (:class:`_Work`) are allocated once per call and shared by the
-    tiles.
+    The batch runs as the fewest equal tiles of consecutive frames (the
+    last one may be shorter) whose work buffers (:class:`_Work`) fit
+    ``_TILE_BYTES``, a tile of one frame at least (:func:`_tile_size`), so
+    the work memory is bounded for any batch size; the results are those of
+    one call over the whole batch, since frames are independent.  The
+    buffers are allocated once per call and shared by the tiles.
     """
     B, n = llrs.shape
     if n != graph.n_vars:
@@ -537,8 +559,7 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     hard = np.empty((B, n), dtype=np.uint8)
     iters = np.full(B, max_iter, dtype=np.int64)
     conv = np.zeros(B, dtype=bool)
-    tiles = max(1, -(-B * graph.n_edges // _TILE_EDGE_FRAMES))
-    size = max(1, -(-B // tiles))
+    size = _tile_size(graph, B)
     work = _Work(graph, size)
     for lo in range(0, B, size):
         rows = slice(lo, lo + size)

@@ -88,8 +88,10 @@ def _check_plan(plan: EncoderPlan, H: BitMatrix, what: str) -> None:
 
 def _point_sigmas(axis: str, points_db, sigma_of) -> list[float]:
     """The noise standard deviation ``sigma_of(x_db)`` of every point, each
-    checked before any point runs; ``axis`` names the points."""
-    sigmas = []
+    checked before any point runs; ``axis`` names the points.  A grid that
+    names one point twice is refused: its two rows would come from two
+    different streams."""
+    sigmas, seen = [], set()
     for x_db in points_db:
         try:
             sigma = sigma_of(x_db)
@@ -101,12 +103,18 @@ def _point_sigmas(axis: str, points_db, sigma_of) -> list[float]:
             check_sigma(sigma / 2)    # level 1 of a lattice decodes at sigma/2
         except ValueError as e:
             raise ValueError(f"{axis} {x_db:g} dB: {e}") from None
+        if x_db in seen:
+            raise ValueError(f"{axis} {x_db:g} dB is listed twice; a grid names "
+                             "each point once")
+        seen.add(x_db)
     return sigmas
 
 
 @dataclass(frozen=True)
 class Integers:
-    """``width`` integers per trial, uniform in [lo, hi), as ``dtype``."""
+    """``width`` integers per trial, uniform in [lo, hi), stored as
+    ``dtype``.  They are drawn as int64 and cast on store, so the storage
+    type never changes a stream; [lo, hi) must fit ``dtype``."""
 
     lo: int
     hi: int
@@ -149,9 +157,11 @@ def trial_draws(seed: int, point: int, t0: int, t1: int, fields,
 
 def _lattice_fields(k0: int, k1: int, n: int) -> tuple:
     """What a lattice trial draws: the info bits of both levels, the integer
-    parts in [-ZRANGE, ZRANGE] with z0 drawn last, and the noise."""
+    parts in [-ZRANGE, ZRANGE] with z0 drawn last, and the noise.  The
+    integer parts are stored as int8, an eighth of int64's bytes, since
+    they stay live through both decode stages."""
     return (Integers(0, 2, k0 + k1, np.uint8),
-            Integers(-ZRANGE, ZRANGE + 1, n + 1), Normals(n + 1))
+            Integers(-ZRANGE, ZRANGE + 1, n + 1, np.int8), Normals(n + 1))
 
 
 def _sweep(kind: str, label: str, points_db, sigma_of, fields, step, *,

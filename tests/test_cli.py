@@ -502,7 +502,7 @@ class TestSimulateCsv:
         out = tmp_path / "run.csv"
         for _ in range(2):
             code, _, _ = run(capsys, "simulate-lattice", "--lattice", "example1",
-                             "--vnr", "5,5", "--seed", "1",
+                             "--vnr", "5,6", "--seed", "1",
                              "--max-trials", "20", "--target-errors", "20",
                              "--out", str(out))
             assert code == 0
@@ -675,7 +675,8 @@ _OK_FLAGS = {
     "simulate-lattice": ["--lattice", "example1", "--vnr", "5"],
 }
 # per command: a non-integer for an integer flag (info has none), a bad
-# choice, a required flag left out and an abbreviated flag
+# choice, a required flag left out, an abbreviated flag and, for the
+# simulate commands, a grid that names one point twice
 _BAD_FLAGS = {
     "info": [None, ["--lattice", "nope"], [], ["--lat", "example1"]],
     "build": [["--proto", str(_EXAMPLE1_PROTO), "--scale-n", "x"], ["--lattice", "nope"],
@@ -685,17 +686,20 @@ _BAD_FLAGS = {
                  ["--lattice", "example1", "--iter", "5"]],
     "simulate-code": [[*_OK_FLAGS["simulate-code"], "--iters", "x"],
                       [*_OK_FLAGS["simulate-code"], "--code", "g2"],
-                      ["--lattice", "example1"], [*_OK_FLAGS["simulate-code"], "--max", "5"]],
+                      ["--lattice", "example1"], [*_OK_FLAGS["simulate-code"], "--max", "5"],
+                      ["--lattice", "example1", "--snr", "4,5,4"]],
     "simulate-lattice": [[*_OK_FLAGS["simulate-lattice"], "--max-trials", "x"],
                          ["--lattice", "nope", "--vnr", "5"], ["--vnr", "5"],
-                         [*_OK_FLAGS["simulate-lattice"], "--target", "5"]],
+                         [*_OK_FLAGS["simulate-lattice"], "--target", "5"],
+                         ["--lattice", "example1", "--vnr", "4,4"]],
 }
 _PARSE_ERRORS = [
     *[pytest.param([cmd, *ok, "--bogus", "1"], id=f"{cmd}-unknown-flag")
       for cmd, ok in _OK_FLAGS.items()],
     *[pytest.param([cmd, *flags], id=f"{cmd}-{kind}")
       for cmd, cases in _BAD_FLAGS.items()
-      for kind, flags in zip(["not-integer", "bad-choice", "missing", "abbreviated"], cases)
+      for kind, flags in zip(["not-integer", "bad-choice", "missing", "abbreviated",
+                              "point-twice"], cases)
       if flags is not None],
     # flags that the chosen input does not read
     pytest.param(["build", "--lattice", "example1", "--h1-groups", "0+1,2",

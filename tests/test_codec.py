@@ -445,23 +445,41 @@ def _same(got, want):
                for g, w in zip(got, want))
 
 
-def _tiling(n_edges, batch):
-    """(tiles, tile size, last tile size) of a batch, by the rule that
-    bp_decode_batch documents."""
-    tiles = max(1, math.ceil(batch * n_edges / codec._TILE_EDGE_FRAMES))
-    size = math.ceil(batch / tiles)
+def _tiling(graph, batch):
+    """(tiles, tile size, last tile size) of a batch, by the codec's rule."""
+    size = codec._tile_size(graph, batch)
+    tiles = math.ceil(batch / size)
     return tiles, size, batch - (tiles - 1) * size
 
 
-def _multi_tile_batch(n_edges):
+def _multi_tile_batch(graph):
     """A batch of about 2.5 tiles whose last tile is shorter than the rest."""
-    batch = 5 * codec._TILE_EDGE_FRAMES // (2 * n_edges)
-    tiles, size, last = _tiling(n_edges, batch)
+    batch = 5 * codec._TILE_BYTES // (2 * codec._Work.frame_bytes(graph))
+    tiles, size, last = _tiling(graph, batch)
     while last == size:
         batch += 1
-        tiles, size, last = _tiling(n_edges, batch)
+        tiles, size, last = _tiling(graph, batch)
     assert tiles >= 3 and 0 < last < size, (batch, tiles, size, last)
     return batch
+
+
+def _record_work(monkeypatch):
+    """The list that every :class:`codec._Work` made from now on joins."""
+    made = []
+
+    class Recorded(codec._Work):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(codec, "_Work", Recorded)
+    return made
+
+
+def _work_bytes(work):
+    """Bytes of every buffer a work set holds, pairs counted twice."""
+    return sum(b.nbytes for v in vars(work).values()
+               for b in (v if isinstance(v, list) else [v]))
 
 
 class TestBpKernelEquivalence:
@@ -496,8 +514,8 @@ class TestBpKernelEquivalence:
         # 24-frame calls (one tile each) and in shuffled order
         H = _kernel_matrix(label)
         graph = codec.TannerGraph(H)
-        batch = _multi_tile_batch(graph.n_edges)
-        assert _tiling(graph.n_edges, 24)[0] == 1
+        batch = _multi_tile_batch(graph)
+        assert _tiling(graph, 24)[0] == 1
         rng = np.random.default_rng([len(KERNEL_CASES), max_iter])
         llrs, syn = _kernel_frames(H, rng, batch, syn_kind)
         got = codec.bp_decode_batch(graph, llrs, syn, max_iter)
@@ -507,7 +525,7 @@ class TestBpKernelEquivalence:
         want = tuple(np.concatenate(parts) for parts in zip(*chunks))
         assert _same(got, want), label
         if max_iter == 100:   # the last tile mixes converged and failed frames
-            tiles, size, _ = _tiling(graph.n_edges, batch)
+            tiles, size, _ = _tiling(graph, batch)
             last = want[2][(tiles - 1) * size:]
             assert last.any() and not last.all()
         perm = rng.permutation(batch)
@@ -524,19 +542,48 @@ class TestBpKernelEquivalence:
         # messages and compaction turns the buffer pairs more than once
         H = _kernel_matrix(label)
         graph = codec.TannerGraph(H)
-        monkeypatch.setattr(codec, "_TILE_EDGE_FRAMES", 40 * graph.n_edges)
+        monkeypatch.setattr(codec, "_TILE_BYTES", 40 * codec._Work.frame_bytes(graph))
         rng = np.random.default_rng(8)
         words = rng.integers(0, 2, (120, H.cols)).astype(np.uint8)
         syn = (words.astype(np.int64) @ H.a.T.astype(np.int64) % 2).astype(np.uint8)
         scale = np.tile(np.linspace(0.2, 1.2, 40), 3)[:, None]
         llrs = (1.0 - 2.0 * words) * 2.0 * (1.0 + scale * rng.normal(size=words.shape))
         want = ref_bp_decode_batch(H, llrs, syn, 100)
-        assert _tiling(graph.n_edges, 120) == (3, 40, 40)
+        assert _tiling(graph, 120) == (3, 40, 40)
         for lo in range(0, 120, 40):
             iters, conv = want[1][lo:lo + 40], want[2][lo:lo + 40]
             assert not conv.all() and (iters[conv] == 0).any()
             assert np.unique(iters[conv]).size >= 3
         assert _same(codec.bp_decode_batch(graph, llrs, syn, 100), want), label
+
+    @pytest.mark.parametrize("label", ["example1-h0", "example1-h1",
+                                       "wimax1152-h0", "wimax1152-h1"])
+    def test_work_set_within_budget(self, label, monkeypatch):
+        # one call allocates one work set within _TILE_BYTES at any batch
+        # size, and a sweep's batch is not cut into tiles under 40 frames
+        graph = codec.TannerGraph(_kernel_matrix(label))
+        made = _record_work(monkeypatch)
+        llr = np.full(graph.n_vars, 8.0)
+        for batch in (1, 24, 256, 512, 4096):
+            made.clear()
+            llrs = np.broadcast_to(llr, (batch, graph.n_vars))
+            assert codec.bp_decode_batch(graph, llrs, None, 0)[2].all()
+            size = codec._tile_size(graph, batch)
+            assert len(made) == 1 and size >= min(batch, 40), (label, batch)
+            assert _work_bytes(made[0]) <= codec._TILE_BYTES, (label, batch)
+            assert _work_bytes(made[0]) == size * codec._Work.frame_bytes(graph)
+
+    def test_frame_over_budget_is_one_tile(self, monkeypatch):
+        # a frame whose work set alone exceeds the budget still decodes,
+        # one frame per tile, as in one tile
+        H = _kernel_matrix("example1-h1")
+        graph = codec.TannerGraph(H)
+        llrs, syn = _kernel_frames(H, np.random.default_rng(4), 24, "coset")
+        want = codec.bp_decode_batch(graph, llrs, syn, 100)
+        made = _record_work(monkeypatch)
+        monkeypatch.setattr(codec, "_TILE_BYTES", codec._Work.frame_bytes(graph) - 1)
+        assert _same(codec.bp_decode_batch(graph, llrs, syn, 100), want)
+        assert len(made) == 1 and _work_bytes(made[0]) == codec._Work.frame_bytes(graph)
 
     def test_cases_cover_convergence_mix(self):
         # the generated batches really mix early, late and no convergence
@@ -598,9 +645,9 @@ class TestBpKernelEquivalence:
     def test_idle_check_frame_in_a_later_tile(self):
         H = _kernel_matrix("idle-row")
         graph = codec.TannerGraph(H)
-        batch = _multi_tile_batch(graph.n_edges)
+        batch = _multi_tile_batch(graph)
         never = batch - 2          # past the first tile
-        assert never >= _tiling(graph.n_edges, batch)[1]
+        assert never >= _tiling(graph, batch)[1]
         syn = np.zeros((batch, H.rows), np.uint8)
         syn[never, -1] = 1
         hard, iters, conv = codec.bp_decode_batch(graph, np.full((batch, 10), 8.0), syn, 7)

@@ -172,6 +172,19 @@ class TestSweepRefusals:
             sim.sweep_lattice(b.pair, b.plans, b.profile.normalized_volume,
                               [3.0, point], max_trials=4, target_errors=4)
 
+    @pytest.mark.parametrize("sweep, points, named", [
+        ("code", [4.0, 5.0, 4.0], "SNR 4 dB"), ("lattice", [4.0, 4.0], "VNR 4 dB"),
+        ("lattice", [0.0, -0.0], "VNR -0 dB")])
+    def test_point_listed_twice(self, example1_bundle, no_trials, sweep, points, named):
+        # two rows of one operating point would come from two streams
+        b = example1_bundle
+        with pytest.raises(ValueError, match=f"^{named} is listed twice"):
+            if sweep == "code":
+                sim.sweep_code(b.pair.h0, b.plan0, points, max_trials=4, target_errors=4)
+            else:
+                sim.sweep_lattice(b.pair, b.plans, b.profile.normalized_volume, points,
+                                  max_trials=4, target_errors=4)
+
     def test_sigma_range_is_the_codec_range(self):
         # a sweep accepts the sigmas wrapped_llr accepts, at both levels
         lo, hi = codec.SIGMA_RANGE
@@ -377,7 +390,7 @@ class TestSweepDriver:
 
 
 # a field spec: (kind, lo, hi, width); the dtype it comes back as by kind
-_DTYPES = {"bits": np.uint8, "ints": np.int64, "normals": np.float64}
+_DTYPES = {"bits": np.uint8, "int8": np.int8, "ints": np.int64, "normals": np.float64}
 
 
 def _field(spec):
@@ -389,6 +402,9 @@ def _field(spec):
 
 _specs = st.lists(st.one_of(
     st.tuples(st.just("bits"), st.just(0), st.just(2), st.integers(1, 6)),
+    # drawn as int64 and stored as int8: a range inside -128..127
+    st.integers(-128, 127).flatmap(lambda lo: st.tuples(
+        st.just("int8"), st.just(lo), st.integers(lo + 1, 128), st.integers(1, 6))),
     st.integers(-2 ** 40, 2 ** 40).flatmap(lambda lo: st.tuples(
         st.just("ints"), st.just(lo), st.integers(lo + 1, lo + 2 ** 41),
         st.integers(1, 6))),
@@ -442,6 +458,7 @@ class TestTrialDraws:
         k0, k1, n = b.plan0.num_info, b.plan1.num_info, b.pair.n
         bits, z, noise = sim.trial_draws(seed, point, 10, 40,
                                          sim._lattice_fields(k0, k1, n), paired)
+        assert z.dtype == np.int8
         for row, t in enumerate(range(10, 40)):
             rng = np.random.default_rng([seed, t] if paired else [seed, point, t])
             i0, i1 = rng.integers(0, 2, k0), rng.integers(0, 2, k1)
