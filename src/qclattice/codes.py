@@ -22,7 +22,8 @@ from .qc import ProtoMatrix, expand
 
 
 class BadGroupsError(ValueError):
-    """Row-sum groups are empty or do not cover every block column."""
+    """Row-sum groups are empty, name a block row twice or do not cover
+    every block column."""
 
 
 def build_staircase(p: int, q: int) -> BitMatrix:
@@ -86,15 +87,19 @@ def build_h1_row_sums(P: ProtoMatrix, groups) -> BitMatrix:
     congruence rows.  The group ``(i,)`` gives CPM block row ``i`` over the
     staircase, so a zero block in that row leaves a column uncovered.
     Raises :class:`BadGroupsError` on empty groups, block rows outside the
-    prototype or uncovered block columns.
+    prototype, a group that names one block row twice (a row plus itself is
+    the zero band) or uncovered block columns.
     """
-    groups = [tuple(sorted(set(g))) for g in groups]
+    groups = [tuple(g) for g in groups]
     if not groups or any(not g for g in groups):
         raise BadGroupsError("groups must be nonempty")
     for g in groups:
-        for i in g:
+        for k, i in enumerate(g):
             if not 0 <= i < P.m_b:
                 raise BadGroupsError(f"block row {i} outside 0..{P.m_b - 1}")
+            if i in g[:k]:
+                raise BadGroupsError(f"group {'+'.join(map(str, g))} names "
+                                     f"block row {i} twice")
     A = expand(P).a
     z = P.z
     bands = []

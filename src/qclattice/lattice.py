@@ -54,10 +54,15 @@ def is_nested(pair: NestedPair, plan0: EncoderPlan) -> bool:
 
 def is_member(pair: NestedPair, x) -> bool:
     """True iff integer vector ``x`` satisfies every congruence:
-    H1 x = 0 (mod 4) and H0 x = 0 (mod 2)."""
-    x = np.asarray(x, dtype=np.int64)
+    H1 x = 0 (mod 4) and H0 x = 0 (mod 2).  Raises ValueError when an entry
+    is not an integer; integral floats are accepted."""
+    x = np.asarray(x)
     if x.shape != (pair.n,):
         raise ValueError(f"expected length-{pair.n} integer vector")
+    if x.dtype.kind not in "biu" and not (np.isfinite(x) & (np.trunc(x) == x)).all():
+        raise ValueError("every entry of x must be an integer")
+    # every congruence is mod 4 or 2, and x mod 4 is exact in any dtype
+    x = (x % 4).astype(np.int64)
     return not ((pair.h1.a @ x) % 4).any() and not ((pair.h0.a @ x) % 2).any()
 
 

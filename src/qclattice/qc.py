@@ -6,9 +6,10 @@ matrices (CPMs).  An empty cell is the zero block, one exponent is a single
 CPM, two exponents are a weight-2 "double" CPM (the GF(2) sum of two CPMs).
 
 Also here: length scaling for the 802.16e family (shift exponents reduced
-modulo the new circulant size), cell edits, structural 4-cycle detection
-and the text formats of prototype and edits files.  The prototypes are
-taken as given: the bundled designs are read, never searched for.
+modulo the new circulant size, or scaled in proportion), cell edits,
+4-cycle detection and the text formats of prototype and edits files.  The
+prototypes are taken as given: the bundled designs are read, never
+searched for.
 """
 
 from __future__ import annotations
@@ -97,36 +98,36 @@ def expand(P: ProtoMatrix) -> BitMatrix:
     return BitMatrix(a)
 
 
-def _scaled_z(P2304: ProtoMatrix, n: int) -> int:
-    """Circulant size z = 96*n/2304 of a z=96 prototype scaled to length n;
-    raises :class:`BadLengthError` unless P2304 has z=96 and z comes out a
-    positive integer."""
+def _scale(P2304: ProtoMatrix, n: int, exponent) -> ProtoMatrix:
+    """Rescale a z=96 prototype to length ``n``: z = 96*n/2304, and each
+    exponent e becomes ``exponent(e, z)``.  Raises :class:`BadLengthError`
+    unless P2304 has z=96 and z comes out a positive integer."""
     if P2304.z != BASE_Z:
         raise BadLengthError(f"scaling expects a z={BASE_Z} prototype, got z={P2304.z}")
-    z_new = BASE_Z * n // BASE_LENGTH
-    if z_new < 1 or BASE_Z * n != z_new * BASE_LENGTH:
+    z = BASE_Z * n // BASE_LENGTH
+    if z < 1 or BASE_Z * n != z * BASE_LENGTH:
         raise BadLengthError(f"length {n} does not give an integer circulant size")
-    return z_new
+
+    def scale_cell(cell: Cell) -> Cell:
+        scaled = tuple(exponent(e, z) for e in cell)
+        if len(scaled) == 2 and scaled[0] == scaled[1]:
+            return ()  # the two CPMs cancel over GF(2)
+        return scaled
+
+    cells = tuple(tuple(scale_cell(c) for c in row) for row in P2304.cells)
+    return ProtoMatrix(P2304.m_b, P2304.n_b, z, cells)
 
 
 def scale_shifts(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
     """Rescale a z=96 prototype to length ``n`` by reducing exponents mod z.
 
     The new circulant size is z = 96*n/2304, which must come out a positive
-    integer; empty cells stay empty.  ``n`` is the length of the 24-column
+    integer; empty cells stay empty, and a double cell whose two exponents
+    become equal is the zero block.  ``n`` is the length of the 24-column
     802.16e table: a prototype of another width gets the same z, and so
     length n_b*z.
     """
-    z_new = _scaled_z(P2304, n)
-
-    def scale_cell(cell: Cell) -> Cell:
-        scaled = tuple(e % z_new for e in cell)
-        if len(scaled) == 2 and scaled[0] == scaled[1]:
-            return ()  # the two CPMs cancel over GF(2)
-        return scaled
-
-    cells = tuple(tuple(scale_cell(c) for c in row) for row in P2304.cells)
-    return ProtoMatrix(P2304.m_b, P2304.n_b, z_new, cells)
+    return _scale(P2304, n, lambda e, z: e % z)
 
 
 def scale_shifts_floor(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
@@ -135,70 +136,39 @@ def scale_shifts_floor(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
     Exponents become floor(b * z / 96); this is the 802.16e scaling rule for
     the rate-1/2 family and, unlike the plain modulo reduction, keeps the
     scaled rate-1/2 matrix free of 4-cycles at z=48.  As in
-    :func:`scale_shifts`, z = 96*n/2304 and ``n`` is the length of the
-    24-column table.
+    :func:`scale_shifts`, z = 96*n/2304, ``n`` is the length of the
+    24-column table and a double cell whose exponents meet is the zero block.
     """
-    z_new = _scaled_z(P2304, n)
-    cells = tuple(
-        tuple(tuple(e * z_new // BASE_Z for e in cell) for cell in row)
-        for row in P2304.cells
-    )
-    return ProtoMatrix(P2304.m_b, P2304.n_b, z_new, cells)
+    return _scale(P2304, n, lambda e, z: e * z // BASE_Z)
 
 
 def apply_edits(P: ProtoMatrix, edits) -> ProtoMatrix:
     """Return a copy of ``P`` with the listed cells replaced.
 
     ``edits`` is an iterable of ``(i, j, cell)`` where cell is a tuple of
-    exponents (empty tuple clears the block).
+    exponents (empty tuple clears the block).  Raises ValueError when two
+    edits name one cell.
     """
     grid = [list(row) for row in P.cells]
+    edited = set()
     for i, j, cell in edits:
         if not (0 <= i < P.m_b and 0 <= j < P.n_b):
             raise OutOfRangeError(f"cell ({i}, {j}) outside {P.m_b}x{P.n_b} grid")
+        if (i, j) in edited:
+            raise ValueError(f"cell ({i}, {j}) is edited twice")
+        edited.add((i, j))
         grid[i][j] = _norm_cell(cell, P.z)
     return ProtoMatrix(P.m_b, P.n_b, P.z, tuple(tuple(r) for r in grid))
 
 
 def has_four_cycle(P: ProtoMatrix) -> bool:
-    """True iff the expanded matrix has two rows sharing ones in two columns.
-
-    Detected on the prototype: for distinct block rows, a 4-cycle exists iff
-    two block columns produce a common exponent difference (or a repeated
-    difference within one block column); within one block row, double cells
-    collide when 2*(a1-a2) = 0 mod z or two doubles share a difference.
-    """
-    z = P.z
-
-    # pairs of distinct block rows
-    for i1 in range(P.m_b):
-        for i2 in range(i1 + 1, P.m_b):
-            seen: set[int] = set()
-            for j in range(P.n_b):
-                top, bot = P.cells[i1][j], P.cells[i2][j]
-                if not top or not bot:
-                    continue
-                diffs = [(a - d) % z for a in top for d in bot]
-                if len(set(diffs)) < len(diffs):
-                    return True  # collision inside one block column
-                for dd in diffs:
-                    if dd in seen:
-                        return True
-                    seen.add(dd)
-
-    # double cells within one block row
-    for i in range(P.m_b):
-        deltas: set[int] = set()
-        for j in range(P.n_b):
-            cell = P.cells[i][j]
-            if len(cell) == 2:
-                d = (cell[0] - cell[1]) % z
-                if (2 * d) % z == 0:
-                    return True
-                if d in deltas or (z - d) % z in deltas:
-                    return True
-                deltas.add(d)
-    return False
+    """True iff the expanded matrix has two rows sharing ones in two columns,
+    that is, an off-diagonal entry of H H^T of 2 or more.  The product is
+    taken in float32, which is exact here: no entry exceeds n."""
+    h = expand(P).a.astype(np.float32)
+    g = h @ h.T
+    np.fill_diagonal(g, 0)
+    return bool((g >= 2).any())
 
 
 # ---------------------------------------------------------------------------

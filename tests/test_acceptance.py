@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The component-gap
 criterion (test 8) measures two waterfalls at >= 1e5 trials per point and
-dominates the runtime; the whole module typically finishes in 15-30 minutes
-on a desktop CPU.
+dominates the runtime.  On a 2-core VM (Python 3.11, numpy 2.4) the module
+ran in 101 s on its own, of which tests 8, 10 and 9 took 57, 21 and 20 s.
 """
 
 import math
@@ -58,11 +58,11 @@ def test_03_spc_properties():
 
 def test_04_four_cycle_freeness(wimax_bundle):
     proto = wimax_bundle.proto
-    structural = qc.has_four_cycle(proto)
+    row_product = qc.has_four_cycle(proto)
     brute = brute_four_cycle(qc.expand(proto).a)
-    ok = structural is False and brute is False
-    _report(4, ok, f"modified z=48 prototype: structural={structural}, "
-                   f"expanded brute force={brute} (both must be False)")
+    ok = row_product is False and brute is False
+    _report(4, ok, f"modified z=48 prototype: H Hᵀ check={row_product}, "
+                   f"HᵀH brute force={brute} (both must be False)")
 
 
 @pytest.mark.parametrize("name", ["example1", "wimax1152"])

@@ -84,6 +84,14 @@ class TestBuild:
         assert err.startswith("config error: --h1-groups:") and f"block row {row}" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("groups, row", [("1+1", 1), ("0,2+1+2", 2)])
+    def test_block_row_twice_in_a_group_is_config_error(self, capsys, groups, row):
+        # 1+1 once printed k1 132, the band of row 1 alone
+        err = run_refused(capsys, ["build", "--proto", str(_EXAMPLE1_PROTO),
+                                   "--h1-groups", groups])
+        group = groups.split(",")[-1]
+        assert err == f"config error: --h1-groups: group {group} names block row {row} twice\n"
+
     def test_zero_block_in_block_row_is_config_error(self, capsys, tmp_path):
         # without --h1-groups the message names the default group it used
         p = tmp_path / "toy.proto"
@@ -272,6 +280,30 @@ class TestDistanceProtoMatrix:
         assert err == (f"config error: --scale-n 1152: the 1x2 prototype {p} scales "
                        "to length 96; the 802.16e rule gives length n only to a "
                        "24-column table\n")
+
+    @pytest.mark.parametrize("command", ["build", "distance"])
+    def test_cell_edited_twice_is_data_error(self, capsys, tmp_path, command):
+        # the last edit of a cell once won silently: (1, 12) became 5
+        e = tmp_path / "twice.edits"
+        e.write_text("1 12 33\n1 12 5\n")
+        code, out, err = run(capsys, command, "--proto", str(_WIMAX_Z96),
+                             "--scale-n", "1152", "--edits", str(e))
+        assert code == 3 and out == ""
+        assert err == f"data error: bad edits file {e}: cell (1, 12) is edited twice\n"
+
+    def test_floor_rule_cancels_a_double_cell_it_maps_to_one_shift(self, capsys, tmp_path):
+        # 0+1 scales to 0+0 at z=48, the zero block; it was once refused
+        # with "a double cell needs two distinct exponents"
+        out = []
+        for cell in ("0+1", "-1"):
+            p = tmp_path / f"{cell}.proto"
+            p.write_text("2 24 96\n" + " ".join(["0"] * 24) + "\n"
+                         + " ".join([cell] + ["-1"] * 23) + "\n")
+            code, stdout, _ = run(capsys, "build", "--proto", str(p),
+                                  "--scale-n", "1152", "--scale-rule", "floor")
+            assert code == 0
+            out.append(stdout)
+        assert out[0] == out[1] and out[0].startswith("H0: 120x1152")
 
     @staticmethod
     def searched(capsys, monkeypatch, *argv):

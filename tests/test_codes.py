@@ -138,6 +138,15 @@ class TestBuildH1RowSums:
         with pytest.raises(codes.BadGroupsError):
             codes.build_h1_row_sums(P, [(0, 25)])
 
+    @pytest.mark.parametrize("groups, message", [
+        ([(1, 1)], r"group 1\+1 names block row 1 twice"),
+        ([(0,), (2, 1, 2)], r"group 2\+1\+2 names block row 2 twice"),
+    ])
+    def test_block_row_twice_in_a_group(self, example1_bundle, groups, message):
+        # a block row plus itself is the zero band; 1+1 once built row 1 alone
+        with pytest.raises(codes.BadGroupsError, match=message):
+            codes.build_h1_row_sums(example1_bundle.proto, groups)
+
 
 class TestNestedPair:
     def test_two_fields_and_n_from_h0(self, example1_bundle):

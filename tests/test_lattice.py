@@ -176,6 +176,21 @@ class TestMembership:
         with pytest.raises(ValueError, match="length-4"):
             lattice.is_member(toy_pair, np.zeros(5, dtype=int))
 
+    @pytest.mark.parametrize("value", [0.5, 4.7, -2.5, np.nan, np.inf])
+    def test_non_integer_point_refused(self, example1_bundle, value):
+        # the point was once cast to int64 first: 0.5 and 4.7 passed as 0 and 4
+        x = np.zeros(170)
+        x[7] = value
+        with pytest.raises(ValueError, match="must be an integer"):
+            lattice.is_member(example1_bundle.pair, x)
+
+    def test_integral_floats_accepted(self, example1_bundle):
+        # 2^70 is a multiple of 4 that int64 cannot hold
+        pair = example1_bundle.pair
+        assert lattice.is_member(pair, np.full(170, 4.0))
+        assert lattice.is_member(pair, np.full(170, 2.0 ** 70))
+        assert not lattice.is_member(pair, np.eye(170)[7])
+
 
 def code_dimensions(pair: codes.NestedPair) -> tuple[int, int]:
     """(k0, k1) with k_l = n - rank(H_l)."""

@@ -29,6 +29,20 @@ def protos(draw, max_mb=4, max_nb=6, max_z=8, allow_doubles=True):
     return qc.ProtoMatrix(m_b, n_b, z, tuple(cells))
 
 
+@st.composite
+def z96_protos(draw):
+    # double cells are often near pairs, or a multiple of the scaled z
+    # apart, so that each rule maps some of them to one exponent
+    m_b = draw(st.integers(1, 3))
+    n_b = draw(st.integers(1, 4))
+    gap = st.sampled_from([1, 2, 3, 24, 48, 72, 80]) | st.integers(1, 95)
+    cell = st.one_of(st.just(()), st.tuples(st.integers(0, 95)),
+                     st.builds(lambda a, d: (a, (a + d) % 96), st.integers(0, 95), gap))
+    rows = draw(st.lists(st.lists(cell, min_size=n_b, max_size=n_b),
+                         min_size=m_b, max_size=m_b))
+    return qc.ProtoMatrix(m_b, n_b, 96, tuple(tuple(r) for r in rows))
+
+
 class TestExpand:
     def test_single_zero_shift_is_identity(self):
         P = qc.ProtoMatrix.from_shifts([[0]], 3)
@@ -103,6 +117,25 @@ class TestScaleShifts:
         scaled = qc.scale_shifts_floor(P, 1152)
         assert scaled.cells[0] == ((47,), (0,), ())
 
+    @pytest.mark.parametrize("rule, exponent", [
+        (qc.scale_shifts, lambda e, z: e % z),
+        (qc.scale_shifts_floor, lambda e, z: e * z // 96),
+    ], ids=["mod", "floor"])
+    @pytest.mark.parametrize("n", [576, 1152, 1920])
+    @given(P=z96_protos())
+    @settings(max_examples=100, deadline=None)
+    def test_rule_is_its_exponent_map(self, rule, exponent, n, P):
+        # each block is the GF(2) sum of the CPMs of its mapped exponents,
+        # so a double cell whose two exponents meet is the zero block
+        z = 96 * n // 2304
+        expected = np.zeros((P.m_b * z, P.n_b * z), dtype=np.uint8)
+        for i, row in enumerate(P.cells):
+            for j, cell in enumerate(row):
+                for e in cell:
+                    cpm = np.roll(np.eye(z, dtype=np.uint8), exponent(e, z), axis=1)
+                    expected[i * z:(i + 1) * z, j * z:(j + 1) * z] ^= cpm
+        assert np.array_equal(qc.expand(rule(P, n)).a, expected)
+
 
 class TestApplyEdits:
     def test_empty_edits(self):
@@ -113,6 +146,12 @@ class TestApplyEdits:
         P = qc.ProtoMatrix(1, 1, 8, (((),),))
         Q = qc.apply_edits(P, [(0, 0, (5,))])
         assert Q.cells[0][0] == (5,)
+
+    def test_cell_edited_twice_refused(self):
+        # the last edit of a cell once replaced the earlier ones silently
+        P = qc.ProtoMatrix.from_shifts([[1, 2], [3, 4]], 5)
+        with pytest.raises(ValueError, match=r"cell \(1, 0\) is edited twice"):
+            qc.apply_edits(P, [(1, 0, (2,)), (0, 1, ()), (1, 0, (4,))])
 
     def test_out_of_range(self):
         P = qc.ProtoMatrix.from_shifts([[1]], 4)
