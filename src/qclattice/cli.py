@@ -22,7 +22,9 @@ when tracked files differ from that revision; both null outside a git
 checkout), ``src_sha256`` over the package's source files, and
 ``csv_rows``, the first and last CSV data row it wrote, counted from 1
 after the header); ``runs`` keeps one such record per run appended to the
-CSV.
+CSV.  Before a sweep, a CSV whose data-row count is not the last record's
+``csv_rows[1]`` is refused (a missing manifest, or one from before ``runs``
+was kept, accounts for 0 rows), so every row keeps a record of its run.
 
 Exit codes: 0 success, 2 config error (any parse error, as one line, and
 any ValueError raised by the library), 3 data error (including an input
@@ -133,85 +135,72 @@ def _with_config(argv: list[str]) -> list[str]:
     return [argv[0], *_config_flags(path), *argv[1:]]
 
 
-def _check_out_dir(out_path: str) -> None:
-    """Refuse an output path that is a directory or whose directory does not
-    exist, before any work whose result would have nowhere to go."""
+def _prior_output(out_path: str | None) -> tuple[int | None, list[dict]]:
+    """Check, before any work whose result would have nowhere to go, that
+    ``out_path`` can be appended to; return ``(done, runs)``: the CSV's
+    data-row count (None with no CSV to append to: stdout, or an absent or
+    empty file) and its manifest's run records (none for a fresh CSV).
+    Refuses, in this order, a directory or a path in a missing one, a CSV
+    whose header is not CSV_HEADER, a manifest that is not a JSON object
+    with a list of runs, and a CSV whose data-row count is not the last
+    run's ``csv_rows[1]`` (0 with no runs), so no row loses its provenance."""
+    if out_path is None:
+        return None, []
     where = os.path.dirname(out_path) or "."
     if not os.path.isdir(where):
         raise DataError(f"cannot write {out_path}: directory {where} does not exist")
     if os.path.isdir(out_path):
         raise DataError(f"cannot write {out_path}: it is a directory")
-
-
-def _check_csv_header(out_path: str) -> None:
-    """Refuse to append to a non-empty CSV whose header is not CSV_HEADER."""
-    if not (os.path.exists(out_path) and os.path.getsize(out_path) > 0):
-        return
     try:
         with open(out_path, newline="") as fh:
-            header = next(csv.reader(fh), None)
+            rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        rows = []
     except (UnicodeDecodeError, csv.Error):
-        header = None
-    if header != CSV_HEADER:
+        rows = [None]
+    if rows[:1] not in ([], [CSV_HEADER]):
         raise DataError(f"{out_path} has a different header; expected "
                         f"{','.join(CSV_HEADER)}")
-
-
-def _prior_runs(out_path: str | None) -> list[dict]:
-    """Check that ``out_path`` can be appended to; return the run records
-    of its manifest (none if absent).
-
-    Refuses a path in a directory that does not exist, a CSV with a
-    foreign header (see :func:`_check_csv_header`) and a manifest that is
-    not a JSON object with a list of runs, so the rows it describes never
-    lose their provenance.  A manifest from before run records were kept
-    becomes one record.
-    """
-    if out_path is None:
-        return []
-    _check_out_dir(out_path)
-    _check_csv_header(out_path)
-    path = out_path + ".manifest.json"
-    if not os.path.exists(path):
-        return []
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read manifest {path}: {e}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("runs", []), list):
+    path, doc = out_path + ".manifest.json", {}
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"cannot read manifest {path}: {e}")
+    runs = doc.get("runs", []) if isinstance(doc, dict) else None
+    if not isinstance(runs, list):
         raise DataError(f"{path} is not a qclattice manifest")
-    return doc["runs"] if "runs" in doc else [doc]
+    if not rows:
+        return None, []
+    try:
+        accounted = runs[-1]["csv_rows"][1] if runs else 0
+    except (TypeError, KeyError, IndexError):
+        raise DataError(f"{path} is not a qclattice manifest")
+    if accounted != len(rows) - 1:
+        raise DataError(f"{out_path} has {len(rows) - 1} data rows but {path} "
+                        f"accounts for {accounted}; give a new --out file")
+    return len(rows) - 1, runs
 
 
 def _write_reports(reports: list[sim.SimReport], out_path: str | None,
-                   manifest: dict, runs: list[dict]) -> None:
-    """Write the rows to stdout, or append them to ``out_path`` and rewrite
-    its manifest: the top-level keys describe this run, with the span of
-    CSV data rows it wrote, and ``runs`` holds the records of the earlier
-    runs (``runs``, dropped if the CSV was empty) followed by this one.
-    A failed write is a :class:`DataError`."""
+                   manifest: dict, done: int | None, runs: list[dict]) -> None:
+    """Write the rows to stdout, or append them to ``out_path`` (after the
+    header when ``done``, from :func:`_prior_output`, is None) and rewrite
+    its manifest: this run's record, with the span of CSV data rows it
+    wrote, as top-level keys and after ``runs``.  A failed write is a
+    DataError."""
+    rows = [_report_row(r) for r in reports]
+    if done is None:
+        rows.insert(0, CSV_HEADER)
     if out_path is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(CSV_HEADER)
-        for r in reports:
-            writer.writerow(_report_row(r))
+        csv.writer(sys.stdout).writerows(rows)
         return
     try:
-        new_file = not (os.path.exists(out_path) and os.path.getsize(out_path) > 0)
-        done = 0
-        if new_file:
-            runs = []
-        else:
-            with open(out_path, newline="") as fh:
-                done = sum(1 for _ in csv.reader(fh)) - 1
         with open(out_path, "a", newline="") as fh:
-            writer = csv.writer(fh)
-            if new_file:
-                writer.writerow(CSV_HEADER)
-            for r in reports:
-                writer.writerow(_report_row(r))
-        record = dict(manifest, csv_rows=[done + 1, done + len(reports)])
+            csv.writer(fh).writerows(rows)
+        first = (done or 0) + 1
+        record = dict(manifest, csv_rows=[first, first + len(reports) - 1])
         path = out_path + ".manifest.json"
         with open(path + ".tmp", "w") as fh:
             json.dump(dict(record, runs=[*runs, record]), fh, indent=2, sort_keys=True)
@@ -425,11 +414,11 @@ def _simulate(args: argparse.Namespace, grid: str, sweep) -> int:
     **stopping)`` runs the sweep; its rows go to stdout or --out."""
     bundle = presets.get_bundle(args.lattice)
     points = _parse_range(grid)
-    runs = _prior_runs(args.out)
+    done, runs = _prior_output(args.out)
     reports = sweep(bundle, points, max_trials=args.max_trials,
                     target_errors=args.target_errors, seed=args.seed,
                     max_iter=args.iters)
-    _write_reports(reports, args.out, _manifest(args), runs)
+    _write_reports(reports, args.out, _manifest(args), done, runs)
     return 0
 
 

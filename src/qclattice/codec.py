@@ -550,6 +550,9 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     B, n = llrs.shape
     if n != graph.n_vars:
         raise ValueError(f"llr length {n} != {graph.n_vars} variables")
+    # the tiles' clipped take would decode any other shape without a word
+    if syndromes is not None and syndromes.shape != (B, graph.n_checks):
+        raise ValueError(f"syndromes shape {syndromes.shape} != ({B}, {graph.n_checks})")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if syndromes is None:

@@ -599,6 +599,45 @@ class TestSimulateCsv:
         assert out.read_text() == "a,b,c\n1,2,3\n"
         assert manifest.read_text() == '{"command": "earlier"}\n'
 
+    # damage -> (the CSV's data rows, the rows its manifest accounts for)
+    DAMAGE = {"manifest-deleted": (2, 0), "csv-cut-to-header": (0, 2),
+              "manifest-write-failed": (4, 2), "legacy-manifest": (2, 0)}
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_rows_without_a_run_record_refused(self, capsys, tmp_path, monkeypatch,
+                                               damage):
+        # each case was once appended to and left rows that no run record names
+        out = tmp_path / "run.csv"
+        manifest = tmp_path / "run.csv.manifest.json"
+        argv = ["simulate-code", "--lattice", "example1", "--snr", "12,13",
+                "--max-trials", "10", "--target-errors", "10", "--out", str(out)]
+        assert run(capsys, *argv)[0] == 0
+        if damage == "manifest-deleted":
+            manifest.unlink()
+        elif damage == "csv-cut-to-header":
+            out.write_text(out.read_text().split("\n", 1)[0] + "\n")
+        elif damage == "manifest-write-failed":
+            # a directory where the manifest's temporary file goes
+            (tmp_path / "run.csv.manifest.json.tmp").mkdir()
+            code, _, err = run(capsys, *argv)
+            assert code == 3 and err.startswith("data error: cannot write")
+        else:
+            # a manifest from before run records were kept
+            doc = json.loads(manifest.read_text())
+            del doc["runs"], doc["csv_rows"]
+            manifest.write_text(json.dumps(doc))
+        before = out.read_bytes(), manifest.exists() and manifest.read_bytes()
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started despite rows without a run record")
+        monkeypatch.setattr(cli.sim, "sweep_code", no_sweep)
+        code, stdout, err = run(capsys, *argv)
+        assert code == 3 and stdout == ""
+        assert err.startswith("data error:") and len(err.strip().splitlines()) == 1
+        rows, accounted = self.DAMAGE[damage]
+        assert f"has {rows} data rows but {manifest} accounts for {accounted}" in err
+        assert (out.read_bytes(), manifest.exists() and manifest.read_bytes()) == before
+
     def test_simulate_code(self, capsys, tmp_path):
         out = tmp_path / "code.csv"
         code, _, _ = run(capsys, "simulate-code", "--lattice", "example1",
@@ -808,6 +847,12 @@ class TestReadme:
         assert {argv[0] for argv in commands} == set(cli.COMMANDS)
         for argv in commands:
             cli.build_parser().parse_args(argv)
+
+    def test_csv_header_is_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        after = readme.split("Simulation commands append rows", 1)[1]
+        header = after.split("```\n", 1)[1].split("\n```", 1)[0]
+        assert header == ",".join(cli.CSV_HEADER)
 
 
 class TestConfigFile:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -686,6 +687,16 @@ class TestBpKernelEquivalence:
         graph = codec.TannerGraph(codes.build_spc(2, 2))
         with pytest.raises(ValueError, match="max_iter"):
             codec.bp_decode_batch(graph, np.ones((1, 4)), None, max_iter=-3)
+
+    @pytest.mark.parametrize("shape", [(4, 38), (4, 42), (6, 39), (3, 39), (4,)], ids=str)
+    def test_syndromes_of_wrong_shape_rejected(self, example1_bundle, shape):
+        # a clipped take once decoded (4, 38), (4, 42) and (6, 39) without
+        # a word; the shape must be (batch, checks)
+        graph = codec.TannerGraph(example1_bundle.pair.h1)
+        assert graph.n_checks == 39
+        with pytest.raises(ValueError, match=re.escape(f"{shape} != (4, 39)")):
+            codec.bp_decode_batch(graph, np.ones((4, 170)),
+                                  np.zeros(shape, np.uint8), max_iter=5)
 
 
 def _decode_points(dec, Y, sigma):
