@@ -140,10 +140,12 @@ def _prior_output(out_path: str | None) -> tuple[int | None, list[dict]]:
     ``out_path`` can be appended to; return ``(done, runs)``: the CSV's
     data-row count (None with no CSV to append to: stdout, or an absent or
     empty file) and its manifest's run records (none for a fresh CSV).
-    Refuses, in this order, a directory or a path in a missing one, a CSV
-    whose header is not CSV_HEADER, a manifest that is not a JSON object
-    with a list of runs, and a CSV whose data-row count is not the last
-    run's ``csv_rows[1]`` (0 with no runs), so no row loses its provenance."""
+    Refuses, in this order, a directory or a path in a missing one, a file
+    that does not read as a text CSV (bytes that do not decode, or a NUL),
+    a CSV whose header is not CSV_HEADER, a manifest that is not a JSON
+    object with a list of runs, and a CSV whose data-row count is not the
+    last run's ``csv_rows[1]`` (0 with no runs), so no row loses its
+    provenance."""
     if out_path is None:
         return None, []
     where = os.path.dirname(out_path) or "."
@@ -153,11 +155,15 @@ def _prior_output(out_path: str | None) -> tuple[int | None, list[dict]]:
         raise DataError(f"cannot write {out_path}: it is a directory")
     try:
         with open(out_path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            lines = fh.readlines()
+        if any("\0" in line for line in lines):
+            # Python 3.10's reader refuses a NUL; 3.11 and later read it as data
+            raise csv.Error("line contains NUL")
+        rows = list(csv.reader(lines))
     except FileNotFoundError:
         rows = []
-    except (UnicodeDecodeError, csv.Error):
-        rows = [None]
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{out_path} is not a text CSV: {e}")
     if rows[:1] not in ([], [CSV_HEADER]):
         raise DataError(f"{out_path} has a different header; expected "
                         f"{','.join(CSV_HEADER)}")

@@ -5,8 +5,11 @@ works through the one elimination kernel in this module,
 :func:`rref_words`: an in-place reduced row-echelon pass over rows packed
 into little-endian uint64 words whose padding bits (columns n and up) are
 zero.  It eliminates 8 columns at a time with the Method of Four Russians:
-one table of XOR combinations of up to 8 pivot rows per chunk, applied to
-every row in one gather-XOR.  ``rref`` and ``nullspace_basis`` run on it,
+one table of XOR combinations of up to 8 pivot rows per chunk, stored
+combination-major over whole rows, applied to every row in one contiguous
+gather-XOR over whole rows.  That is exact: a row that is not yet a pivot
+is zero on every finished column, so the table is zero on the words before
+the chunk's.  ``rref`` and ``nullspace_basis`` run on it,
 and so do the encoder maps in :mod:`qclattice.codec` and the low-weight
 search in :mod:`qclattice.wmin`.  The kernel also takes a stack of packed
 matrices and runs one chunk loop for all of them; the search eliminates a
@@ -146,14 +149,17 @@ _ARANGE = np.arange(256)
 _BITS = [np.flatnonzero(v >> np.arange(8) & 1) for v in range(256)]
 
 
-def _table(W: np.ndarray, src: np.ndarray, w0: int) -> np.ndarray:
-    """``T[b, c]``: the XOR of rows ``src[b, i]`` of the stack's flattened
-    rows over the set bits i of c, from word ``w0`` on, built by doubling."""
+def _table(W: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """``T[c, b]``: the XOR of whole rows ``src[b, i]`` of the stack's
+    flattened rows over the set bits i of c, built by doubling.  The table
+    is combination-major, ``(2^P, B, words)``, so each doubling step is one
+    contiguous XOR of the first 2^i combinations of every matrix."""
     B, P = src.shape
-    rows = W.reshape(-1, W.shape[2])[src, w0:]
-    T = np.zeros((B, 1 << P, rows.shape[2]), dtype=W.dtype)
+    rows = W.reshape(-1, W.shape[2])[src.T]
+    T = np.empty((1 << P, B, W.shape[2]), dtype=W.dtype)
+    T[0] = 0
     for i in range(P):
-        np.bitwise_xor(T[:, : 1 << i], rows[:, i, None], out=T[:, 1 << i: 2 << i])
+        np.bitwise_xor(T[: 1 << i], rows[i], out=T[1 << i: 2 << i])
     return T
 
 
@@ -190,13 +196,13 @@ def _pick_one(W, keys, unused, home, j):
     slot[rest] = idx
     src = slot[chosen]
     unused[src] = False
-    T = _table(W, src[None], j >> 3)
-    # combination c of the chosen rows has key byte T[c] (byte j & 7 of its
-    # first word) and pivot pattern _PEXT[pmask, key]; that map is
-    # one-to-one, so invert it into key -> combination
+    T = _table(W, src[None])
+    # combination c of the chosen rows has key byte j of row T[c, 0] and
+    # pivot pattern _PEXT[pmask, key]; that map is one-to-one, so invert it
+    # into key -> combination
     pext = _PEXT[pmask]
     inv = np.empty(1 << P, dtype=np.intp)
-    inv[pext[T[0].view(np.uint8)[:, j & 7]]] = _ARANGE[: 1 << P]
+    inv[pext[T[:, 0].view(np.uint8)[:, j]]] = _ARANGE[: 1 << P]
     combo = inv[pext][keys]
     # chosen row i becomes the row of the i-th pivot bit: it takes the
     # combination of that bit's reduced row, less itself
@@ -218,26 +224,32 @@ def _pick_stack(W, keys, unused, home, j):
     bit in the chunk."""
     B, m = keys.shape
     ar = np.arange(B)
+    base = ar * m                       # flat index of each matrix's row 0
     state = keys.astype(np.uint16)
+    # flat views, indexed by p + base: one row of each matrix
+    state_f = state.reshape(-1)
+    unused_f = unused.reshape(-1)
     top = 0
     for b in range(8):
         col = (state & (1 << b)).astype(bool)
         cand = col & unused
         p = cand.argmax(axis=1)
-        has = cand[ar, p]
+        fp = p + base
+        has = cand.reshape(-1)[fp]
         if not has.any():
             continue
         top = b + 1
         home[has, b] = p[has]
-        unused[ar, p] ^= has            # row p is unused where has is set
-        col[ar, p] = False              # the pivot row keeps its key
-        step = (state[ar, p] | (1 << (8 + b))) * has
+        unused_f[fp] ^= has             # row p is unused where has is set
+        col.reshape(-1)[fp] = False     # the pivot row keeps its key
+        step = (state_f[fp] | (1 << (8 + b))) * has
         state ^= col * step[:, None]
     if top == 0:
         return None
     # rows of a bit without a pivot are never indexed: any row will do
-    T = _table(W, home[:, :top] + (ar * m)[:, None], j >> 3)
-    return T, (state >> 8) + (ar << top)[:, None], int(np.count_nonzero(home >= 0))
+    T = _table(W, home[:, :top] + base[:, None])
+    combo = B * (state >> 8).astype(np.intp) + ar[:, None]
+    return T, combo, int(np.count_nonzero(home >= 0))
 
 
 def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
@@ -257,12 +269,15 @@ def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
     are the lowest bits of that span's echelon basis.  A stack of one picks
     them in a pure-Python pass over the distinct keys; a larger stack runs
     8 masked bit steps on all its keys at once.  Each matrix gets a table
-    of the XOR combinations of its picked rows, and one gather-XOR over the
+    of the XOR combinations of its picked rows, combination-major over
+    whole rows, and one contiguous gather-XOR of whole table rows into the
     whole stack then clears the pivot bits of every row (above and below
     at once); each picked row becomes the reduced row of one pivot in
-    place.  One reorder at the end moves the pivot rows to the top in
-    column order; rows at or past the rank come out zero on the first n
-    columns.
+    place.  Whole rows are exact: the picked rows are not yet pivots, so
+    they are zero on every column of the earlier chunks, and so is every
+    combination of them.  One reorder at the end moves the pivot rows to
+    the top in column order; rows at or past the rank come out zero on the
+    first n columns.
 
     Columns n and up are padding: they never become pivots, and the bits
     there after the call are only defined (zero) when they were zero on
@@ -286,7 +301,7 @@ def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
             continue
         T, combo, new = picked
         left -= new
-        W3[:, :, j >> 3:] ^= np.take(T.reshape(-1, T.shape[2]), combo, axis=0)
+        W3 ^= np.take(T.reshape(-1, T.shape[2]), combo, axis=0)
     pivots = []
     for b in range(B):
         cols = np.flatnonzero(home[b] >= 0)

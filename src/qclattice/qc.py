@@ -235,7 +235,8 @@ def load_edits(path) -> list[tuple[int, int, Cell]]:
 
 
 def bundled_text(name: str) -> str:
-    return (resources.files("qclattice") / "data" / name).read_text()
+    """A data file of this package, whatever name it was imported under."""
+    return (resources.files(__package__) / "data" / name).read_text()
 
 
 def example1_proto() -> ProtoMatrix:

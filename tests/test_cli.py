@@ -599,6 +599,26 @@ class TestSimulateCsv:
         assert out.read_text() == "a,b,c\n1,2,3\n"
         assert manifest.read_text() == '{"command": "earlier"}\n'
 
+    @pytest.mark.parametrize("tail", [b"code,\xff\xfe,1\n", b"code,\x00,1\n"],
+                             ids=["undecodable", "nul"])
+    def test_non_text_csv_refused(self, capsys, tmp_path, monkeypatch, tail):
+        # the header is right: the message names the bytes, not the header
+        out = tmp_path / "run.csv"
+        data = ",".join(cli.CSV_HEADER).encode() + b"\n" + tail
+        out.write_bytes(data)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started despite the non-text CSV")
+        monkeypatch.setattr(cli.sim, "sweep_code", no_sweep)
+        code, stdout, err = run(capsys, "simulate-code", "--lattice", "example1",
+                                "--snr", "5", "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert err.startswith(f"data error: {out} is not a text CSV: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "header" not in err
+        assert out.read_bytes() == data
+        assert not (tmp_path / "run.csv.manifest.json").exists()
+
     # damage -> (the CSV's data rows, the rows its manifest accounts for)
     DAMAGE = {"manifest-deleted": (2, 0), "csv-cut-to-header": (0, 2),
               "manifest-write-failed": (4, 2), "legacy-manifest": (2, 0)}

@@ -279,6 +279,40 @@ class TestStackedKernel:
         self._same_as_alone(np.stack([G[:, rng.permutation(G.shape[1])]
                                       for _ in range(3)]))
 
+    @pytest.mark.parametrize("B", [2, 3, 4, 5])
+    def test_padding_bits_never_pivot(self, B):
+        # set padding bits change nothing on the pivots or the first n
+        # columns: the table and the gather-XOR run over whole rows
+        rng = np.random.default_rng(30 + B)
+        for m, n in ((30, 13), (10, 70), (65, 127), (5, 1)):
+            a = (rng.random((B, m, n)) < rng.random((B, 1, 1))).astype(np.uint8)
+            bits = np.unpackbits(np.stack([pack(x) for x in a]).view(np.uint8),
+                                 axis=2, bitorder="little")
+            bits[:, :, n:] = rng.integers(0, 2, bits[:, :, n:].shape)
+            W = np.packbits(bits, axis=2, bitorder="little").view("<u8").copy()
+            W_one = W.copy()
+            pivots = rref_words(W, n)
+            for b in range(B):
+                W_ref = pack(a[b])
+                assert pivots[b] == rref_words(W_one[b], n) == ref_rref_words(W_ref, n)
+                assert all(c < n for c in pivots[b])
+                assert np.array_equal(unpack(W[b], n), unpack(W_one[b], n))
+                assert np.array_equal(unpack(W[b], n), unpack(W_ref, n))
+
+    def test_traced_peak_on_wimax_block(self, wimax_bundle):
+        # one 16-matrix block of the low-weight search: the kernel's work
+        # set is the table, one gather of the stack and the final reorder
+        G = np.array(nullspace_basis(qc.expand(wimax_bundle.proto)), dtype=np.uint8)
+        rng = np.random.default_rng(26)
+        W = np.stack([pack(G[:, rng.permutation(G.shape[1])]) for _ in range(16)])
+        tracemalloc.start()
+        try:
+            rref_words(W, G.shape[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2 ** 20
+
     @given(st.integers(2, 5), st.integers(1, 20), st.integers(1, 80),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)

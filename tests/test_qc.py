@@ -1,3 +1,8 @@
+import importlib.util
+import shutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +256,28 @@ class TestTextFormats:
         assert qc.example1_proto().z == 34
         assert qc.wimax_proto_2304().z == 96
         assert qc.wimax_proto_1152().z == 48
+
+    def test_bundled_text_reads_its_own_copy(self, tmp_path):
+        # a copy of the package loaded under another name, as an in-process
+        # A/B of two checkouts loads it, reads its own data files
+        copy = tmp_path / "qclattice_copy"
+        shutil.copytree(Path(qc.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / "data" / "example1_3x5_z34.txt").write_text("1 2 5\n0 3\n")
+        spec = importlib.util.spec_from_file_location(
+            copy.name, copy / "__init__.py", submodule_search_locations=[str(copy)])
+        pkg = importlib.util.module_from_spec(spec)
+        sys.modules[copy.name] = pkg
+        try:
+            spec.loader.exec_module(pkg)
+            copy_qc = sys.modules[f"{copy.name}.qc"]
+            assert Path(copy_qc.__file__) == copy / "qc.py"
+            P = copy_qc.example1_proto()
+        finally:
+            for name in [k for k in sys.modules if k.split(".")[0] == copy.name]:
+                del sys.modules[name]
+        assert (P.m_b, P.n_b, P.z, P.cells) == (1, 2, 5, (((0,), (3,)),))
+        assert qc.example1_proto().z == 34
 
     def test_header_errors(self):
         with pytest.raises(ValueError):
