@@ -9,7 +9,9 @@ command line's own flags and the same parser reads both, so an explicit
 flag wins, a key that is not a flag of the command is refused, and so is a
 config value that an explicit flag excludes.  ``build --proto`` and
 ``distance --proto`` read their matrix through one reader: the prototype
-file, rescaled by --scale-n and --scale-rule, then edited by --edits.  A
+file, rescaled by --scale-n and --scale-rule, then edited by --edits.
+Their ``--lattice NAME`` reads the built-in's recipe of those options
+(``presets.RECIPES``) through the same steps, with no encoder plan.  A
 flag that the chosen input does not read is refused too: ``--lattice``
 with one of those options (or build's --h1-groups), ``distance --proto``
 with ``--matrix``.
@@ -27,8 +29,8 @@ CSV.  Before a sweep, a CSV whose data-row count is not the last record's
 was kept, accounts for 0 rows), so every row keeps a record of its run.
 
 Exit codes: 0 success, 2 config error (any parse error, as one line, and
-any ValueError raised by the library), 3 data error (including an input
-file, prototype or edits, that is unreadable or malformed).
+any ValueError raised by the library), 3 data error (an unreadable or
+malformed input file, prototype or edits, or a matrix too large to hold).
 """
 
 from __future__ import annotations
@@ -292,7 +294,6 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-SCALE_RULES = {"mod": qc.scale_shifts, "floor": qc.scale_shifts_floor}
 # options that only a prototype file reads; each is None when unset
 # (distance has no --h1-groups)
 _PROTO_ONLY = ("edits", "scale_n", "scale_rule", "h1_groups")
@@ -307,14 +308,14 @@ def _groups(spec: str) -> list[tuple[int, ...]]:
                                          f"got {spec!r}")
 
 
-def _lattice_bundle(args: argparse.Namespace) -> presets.LatticeBundle:
-    """The built-in bundle that --lattice names; a prototype option is
-    refused, since no prototype file is read."""
+def _lattice_pair(args: argparse.Namespace) -> tuple[qc.ProtoMatrix, codes.NestedPair]:
+    """The prototype and pair of the built-in that --lattice names, from its
+    recipe; a prototype option is refused, since the recipe fixes them."""
     unread = [k for k in _PROTO_ONLY if getattr(args, k, None) is not None]
     if unread:
         raise ConfigError(f"--{unread[0].replace('_', '-')} applies to --proto; "
                           f"--lattice {args.lattice} does not read it")
-    return presets.get_bundle(args.lattice)
+    return presets.proto_pair(args.lattice)
 
 
 def _prototype(args: argparse.Namespace) -> qc.ProtoMatrix:
@@ -331,7 +332,7 @@ def _prototype(args: argparse.Namespace) -> qc.ProtoMatrix:
     except ValueError as e:
         raise DataError(f"bad prototype file {args.proto}: {e}")
     if args.scale_n is not None:
-        P = SCALE_RULES[args.scale_rule or "mod"](P, args.scale_n)
+        P = qc.SCALE_RULES[args.scale_rule or "mod"](P, args.scale_n)
         if P.n_b * P.z != args.scale_n:
             raise ConfigError(f"--scale-n {args.scale_n}: the {P.m_b}x{P.n_b} prototype "
                               f"{args.proto} scales to length {P.n_b * P.z}; the 802.16e "
@@ -358,7 +359,9 @@ def _prototype_label(args: argparse.Namespace) -> str:
 
 
 def _proto_pair(args: argparse.Namespace) -> codes.NestedPair:
-    """The nested pair that build's prototype options describe."""
+    """The nested pair that build's --lattice or prototype options describe."""
+    if args.lattice is not None:
+        return _lattice_pair(args)[1]
     try:
         return codes.make_pair_row_sums(_prototype(args), args.h1_groups or [(0,)])
     except codes.BadGroupsError as e:
@@ -369,13 +372,8 @@ def _proto_pair(args: argparse.Namespace) -> codes.NestedPair:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.lattice is not None:
-        # building a bundle refuses a pair that is not nested
-        bundle = _lattice_bundle(args)
-        pair, (plan0, plan1) = bundle.pair, bundle.plans
-    else:
-        pair = _proto_pair(args)
-        plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
+    pair = _proto_pair(args)
+    plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
     # one RREF per level: each plan gives its k, plan0 the nesting test
     k0, k1 = plan0.num_info, plan1.num_info
     print(f"H0: {pair.h0.rows}x{pair.h0.cols}  rank {pair.n - k0}  k0 {k0}")
@@ -384,9 +382,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-MATRICES = {"hqc": lambda b: qc.expand(b.proto),
-            "h0": lambda b: b.pair.h0,
-            "h1": lambda b: b.pair.h1}
+MATRICES = {"hqc": lambda proto, pair: qc.expand(proto),
+            "h0": lambda proto, pair: pair.h0,
+            "h1": lambda proto, pair: pair.h1}
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -397,7 +395,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         H, label = qc.expand(_prototype(args)), _prototype_label(args)
     else:
         which = args.matrix or "hqc"
-        H = MATRICES[which](_lattice_bundle(args))
+        H = MATRICES[which](*_lattice_pair(args))
         label = f"{args.lattice}:{which}"
     t0 = time.perf_counter()
     try:
@@ -480,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     def proto_flags(p):
         p.add_argument("--edits", help="cell edits file (with --proto)")
         p.add_argument("--scale-n", type=int, help="rescale to length n (with --proto)")
-        p.add_argument("--scale-rule", choices=SCALE_RULES,
+        p.add_argument("--scale-rule", choices=qc.SCALE_RULES,
                        help="shift scaling rule for --scale-n: mod (default) or floor")
 
     def sweep_flags(p):
@@ -548,7 +546,8 @@ def main(argv=None) -> int:
         # below 0, zero trials, a negative iteration cap): refused input
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
+    except (DataError, MemoryError) as e:
+        # numpy refuses an array too large to allocate before touching memory
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

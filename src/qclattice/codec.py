@@ -335,7 +335,8 @@ def wrapped_llr(y, sigma: float) -> np.ndarray:
     series S stops at its first coefficient below e^-45, accurate to better
     than 1e-9 relative error against a much wider window.  Positive
     output favors bit 0; the output has the shape of ``y``.  Raises
-    ``ValueError`` unless sigma is in SIGMA_RANGE, also for an empty ``y``.
+    ``ValueError`` unless sigma is in SIGMA_RANGE, also for an empty ``y``,
+    and, before any work, for a ``y`` that holds a NaN or an infinity.
 
     The values go in blocks of at most ``_LLR_BLOCK``, whole rows of the
     last axis where they fit, so the six scratch arrays (e, p, q, the two
@@ -345,8 +346,10 @@ def wrapped_llr(y, sigma: float) -> np.ndarray:
     elementwise, so the result does not depend on the blocking.
     """
     sigma = check_sigma(sigma)
-    a, c, d = _llr_coefficients(sigma)
     y = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise ValueError(f"y holds {y[~np.isfinite(y)][0]}; wrapped LLRs need finite values")
+    a, c, d = _llr_coefficients(sigma)
     out = np.empty(y.shape)
     if y.size == 0:
         return out
@@ -538,7 +541,8 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     converged)``; a frame exits as soon as its hard decision satisfies every
     check (iteration 0 checks the channel decisions alone).  Non-converged
     frames keep their final hard decisions.  Frame results do not depend on
-    how the batch is composed.  ``max_iter`` must be >= 0.
+    how the batch is composed.  ``max_iter`` must be >= 0.  A NaN LLR is
+    refused, naming its frame; an infinite one clips to +/-``LLR_SAT``.
 
     The batch runs as the fewest equal tiles of consecutive frames (the
     last one may be shorter) whose work buffers (:class:`_Work`) fit
@@ -555,6 +559,9 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
         raise ValueError(f"syndromes shape {syndromes.shape} != ({B}, {graph.n_checks})")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    nan = np.isnan(llrs).any(axis=1)
+    if nan.any():
+        raise ValueError(f"llrs of frame {np.flatnonzero(nan)[0]} hold a NaN")
     if syndromes is None:
         syndromes = np.zeros((B, graph.n_checks), dtype=np.uint8)
     syndromes = syndromes.astype(np.uint8)
@@ -678,9 +685,11 @@ class MultistageDecoder:
         residual: (Y - (1, c0))/2 gives the level-1 LLRs; subtracting
         (1, c1) and halving again gives (Y - (1, c0) - 2 (1, c1))/4, since
         halving is exact outside the subnormal range (whose values round to
-        0 either way), and that is rounded in place to z.
-        """
+        0 either way), and that is rounded in place to z.  A non-finite
+        ``Y`` is refused."""
         Y = np.asarray(Y, dtype=np.float64)
+        if not np.isfinite(Y[:, 0]).all():     # wrapped_llr checks the rest
+            raise ValueError("column 0 of Y holds a value that is not finite")
 
         llr = wrapped_llr(Y[:, 1:], sigma)
         c0, it0, cv0 = bp_decode_batch(self.graph0, llr, None, self.max_iter)

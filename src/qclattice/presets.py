@@ -1,19 +1,26 @@
-"""Named built-in constructions.
-
-``example1``:  (3,5)-regular QC code, z=34, n=170; level 1 is block row 0
-(the group of one row (0,)) over the staircase.  Design distances (16, 4), coding gain 7.04 dB.
-
-``wimax1152``: modified 802.16e rate-1/2 code, z=48, n=1152; level 1 is the
-concatenation of the block-row sums 1+8 and 4+10 over the staircase.
-Design distances (25, 4), coding gain 8.34 dB.
+"""Named built-in constructions, as data: ``RECIPES`` gives each name the
+options of ``build --proto`` (data file names; an absent option is unset)
+and its design distances (d0, d1), and :func:`proto_pair` applies them as
+``build --proto`` applies a user's: parse, rescale, edit, split in levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import codec, codes, lattice, qc
+
+RECIPES = {
+    # (3,5)-regular QC code, z=34, n=170; level 1 is block row 0: 7.04 dB
+    "example1": dict(proto="example1_3x5_z34.txt", h1_groups=[(0,)], design_d=(16, 4)),
+    # modified 802.16e rate-1/2 code, z=48, n=1152: 8.34 dB.  The floor rule
+    # keeps it 4-cycle free; the edits make four zero blocks CPMs and clear
+    # cell (1, 6), so block rows 1+8 and 4+10 cover every block column once
+    "wimax1152": dict(proto="wimax_r12_z96.txt", scale_n=1152, scale_rule="floor",
+                      edits="wimax_r12_edits_n1152.txt", h1_groups=[(1, 8), (4, 10)],
+                      design_d=(25, 4)),
+}
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,17 @@ class LatticeBundle:
         return self.plan0, self.plan1
 
 
+def proto_pair(name: str) -> tuple[qc.ProtoMatrix, codes.NestedPair]:
+    """The prototype and nested pair of the recipe ``name``; no elimination."""
+    r = RECIPES[name]
+    P = qc.parse_proto(qc.bundled_text(r["proto"]))
+    if "scale_n" in r:
+        P = qc.SCALE_RULES[r["scale_rule"]](P, r["scale_n"])
+    if "edits" in r:
+        P = qc.apply_edits(P, qc.parse_edits(qc.bundled_text(r["edits"])))
+    return P, codes.make_pair_row_sums(P, r["h1_groups"])
+
+
 def _bundle(name: str, proto: qc.ProtoMatrix, pair: codes.NestedPair,
             design_d: tuple[int, int]) -> LatticeBundle:
     # the two plans are the bundle's only eliminations: each RREF gives its
@@ -44,26 +62,16 @@ def _bundle(name: str, proto: qc.ProtoMatrix, pair: codes.NestedPair,
                          plan0=plan0, plan1=plan1)
 
 
-@lru_cache(maxsize=None)
-def example1() -> LatticeBundle:
-    proto = qc.example1_proto()
-    pair = codes.make_pair_row_sums(proto, [(0,)])
-    return _bundle("example1", proto, pair, (16, 4))
+def _recipe_bundle(name: str) -> LatticeBundle:
+    return _bundle(name, *proto_pair(name), RECIPES[name]["design_d"])
 
 
-@lru_cache(maxsize=None)
-def wimax1152() -> LatticeBundle:
-    proto = qc.wimax_proto_1152()
-    pair = codes.make_pair_row_sums(proto, [(1, 8), (4, 10)])
-    return _bundle("wimax1152", proto, pair, (25, 4))
-
-
-BUILTIN_LATTICES = {"example1": example1, "wimax1152": wimax1152}
+BUILTIN_LATTICES = {name: lru_cache(maxsize=None)(partial(_recipe_bundle, name))
+                    for name in RECIPES}
+example1, wimax1152 = BUILTIN_LATTICES["example1"], BUILTIN_LATTICES["wimax1152"]
 
 
 def get_bundle(name: str) -> LatticeBundle:
-    try:
-        return BUILTIN_LATTICES[name]()
-    except KeyError:
-        raise KeyError(f"unknown lattice {name!r}; choose from "
-                       f"{sorted(BUILTIN_LATTICES)}") from None
+    if name not in BUILTIN_LATTICES:
+        raise KeyError(f"unknown lattice {name!r}; choose from {sorted(BUILTIN_LATTICES)}")
+    return BUILTIN_LATTICES[name]()

@@ -6,10 +6,10 @@ matrices (CPMs).  An empty cell is the zero block, one exponent is a single
 CPM, two exponents are a weight-2 "double" CPM (the GF(2) sum of two CPMs).
 
 Also here: length scaling for the 802.16e family (shift exponents reduced
-modulo the new circulant size, or scaled in proportion), cell edits,
-4-cycle detection and the text formats of prototype and edits files.  The
-prototypes are taken as given: the bundled designs are read, never
-searched for.
+modulo the new circulant size, or scaled in proportion; ``SCALE_RULES``
+names the two rules), cell edits, 4-cycle detection and the text formats
+of prototype and edits files.  The prototypes are taken as given: the
+bundled data files (:func:`bundled_text`) are read, never searched for.
 """
 
 from __future__ import annotations
@@ -142,6 +142,10 @@ def scale_shifts_floor(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
     return _scale(P2304, n, lambda e, z: e * z // BASE_Z)
 
 
+# the rescaling rules by name, as --scale-rule and the presets name them
+SCALE_RULES = {"mod": scale_shifts, "floor": scale_shifts_floor}
+
+
 def apply_edits(P: ProtoMatrix, edits) -> ProtoMatrix:
     """Return a copy of ``P`` with the listed cells replaced.
 
@@ -237,25 +241,3 @@ def load_edits(path) -> list[tuple[int, int, Cell]]:
 def bundled_text(name: str) -> str:
     """A data file of this package, whatever name it was imported under."""
     return (resources.files(__package__) / "data" / name).read_text()
-
-
-def example1_proto() -> ProtoMatrix:
-    """The bundled (3,5)-regular z=34 design prototype."""
-    return parse_proto(bundled_text("example1_3x5_z34.txt"))
-
-
-def wimax_proto_2304() -> ProtoMatrix:
-    """The bundled unmodified 802.16e rate-1/2 prototype (z=96)."""
-    return parse_proto(bundled_text("wimax_r12_z96.txt"))
-
-
-def wimax_proto_1152() -> ProtoMatrix:
-    """The modified 802.16e rate-1/2 prototype scaled to n=1152 (z=48).
-
-    Uses the rate-1/2 proportional scaling rule (:func:`scale_shifts_floor`),
-    which keeps the matrix 4-cycle free, then applies the bundled cell
-    edits: four zero blocks become CPMs and cell (1, 6) is cleared, so block
-    rows 1+8 and 4+10 jointly cover every block column exactly once.
-    """
-    P = scale_shifts_floor(wimax_proto_2304(), 1152)
-    return apply_edits(P, parse_edits(bundled_text("wimax_r12_edits_n1152.txt")))

@@ -145,7 +145,10 @@ class TestBuild:
         (["--proto", str(_EXAMPLE1_PROTO)], _EXAMPLE1_BUILD),
         (["--proto", str(_EXAMPLE1_PROTO), "--h1-groups", "0+1,2"],
          "H0: 107x170  rank 102  k0 68\nH1: 73x170  rank 70  k1 100\nnested: True\n"),
-    ], ids=["lattice-wimax1152", "lattice-example1", "proto", "proto-h1-groups"])
+        (["--proto", str(_WIMAX_Z96), "--scale-n", "1152", "--scale-rule", "floor",
+          "--edits", str(_WIMAX_EDITS), "--h1-groups", "1+8,4+10"], _WIMAX_BUILD),
+    ], ids=["lattice-wimax1152", "lattice-example1", "proto", "proto-h1-groups",
+            "proto-wimax1152"])
     def test_two_eliminations(self, capsys, monkeypatch, eliminations, args, expected):
         # one RREF per level, with the built-in bundles uncached; the
         # outputs are pinned from the build that ran 8 (--lattice) or 4
@@ -322,7 +325,7 @@ class TestDistanceProtoMatrix:
         H = self.searched(capsys, monkeypatch, "--proto", str(_WIMAX_Z96),
                           "--scale-n", "1152", "--scale-rule", "mod",
                           "--edits", str(_WIMAX_EDITS))
-        P = qc.apply_edits(qc.scale_shifts(qc.wimax_proto_2304(), 1152),
+        P = qc.apply_edits(qc.scale_shifts(qc.load_proto(_WIMAX_Z96), 1152),
                            qc.load_edits(_WIMAX_EDITS))
         assert H == qc.expand(P)
 
@@ -331,6 +334,38 @@ class TestDistanceProtoMatrix:
                           "--scale-n", "1152", "--scale-rule", "floor",
                           "--edits", str(_WIMAX_EDITS))
         assert H == self.searched(capsys, monkeypatch, "--lattice", "wimax1152")
+
+    @pytest.mark.parametrize("matrix", ["hqc", "h0", "h1"])
+    def test_lattice_runs_no_encoder_plan(self, capsys, monkeypatch, eliminations, matrix):
+        # the search reads the recipe's matrices; an uncached bundle once
+        # ran the two encoder-plan eliminations that it never used
+        for name, build in list(presets.BUILTIN_LATTICES.items()):
+            monkeypatch.setitem(presets.BUILTIN_LATTICES, name, build.__wrapped__)
+        seen, search = [], wmin.low_weight_search
+
+        def spy(H, iters, seed, stop_at=None):
+            seen.append((H, len(eliminations)))      # before the search's own
+            return search(H, 1, seed, stop_at=stop_at)
+        monkeypatch.setattr(cli.wmin, "low_weight_search", spy)
+        code, _, _ = run(capsys, "distance", "--lattice", "example1", "--matrix", matrix)
+        assert code == 0 and len(seen) == 1
+        H, count = seen[0]
+        assert count == 0
+        b = presets.get_bundle("example1")
+        assert H == {"hqc": qc.expand(b.proto), "h0": b.pair.h0, "h1": b.pair.h1}[matrix]
+
+
+class TestOversizedPrototype:
+    @pytest.mark.parametrize("command", ["build", "distance"])
+    def test_out_of_memory_is_data_error(self, capsys, tmp_path, command):
+        # z = 10^9 asks numpy for 888 PiB, which it refuses before touching
+        # memory; this was a traceback
+        p = tmp_path / "huge.proto"
+        p.write_text("1 1 1000000000\n0\n")
+        code, out, err = run(capsys, command, "--proto", str(p))
+        assert code == 3 and out == ""
+        assert err.startswith("data error: Unable to allocate")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestDistanceWitnessCheck:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from oracles import (lattice_points_in_box, nearest_lattice_point,
                      ref_bp_decode_batch, ref_exclusive_products, ref_llr_coefficients,
                      ref_wrapped_llr, tree_bitwise_map, wide_llr)
-from qclattice import codec, codes, lattice, presets, qc
+from qclattice import codec, codes, lattice, presets, qc, sim
 from qclattice.gf2 import BitMatrix
 
 
@@ -769,3 +769,135 @@ class TestMultistage:
         assert not conv0[0]
         x, conv0, conv1 = _decode_points(codec.MultistageDecoder(pair), [y], 0.1)
         assert conv0[0] and conv1[0]
+
+
+class TestNonFiniteInputs:
+    """A NaN once decoded: ``bp_decode_batch`` gave all zeros, converged
+    at iteration 0, and ``wrapped_llr`` only warned and returned NaN."""
+
+    def test_nan_llr_refused_naming_its_frame(self, example1_bundle):
+        llrs = np.full((4, 170), 5.0)
+        llrs[2, 17] = np.nan
+        graph = codec.TannerGraph(example1_bundle.pair.h0)
+        with pytest.raises(ValueError, match="frame 2 hold a NaN"):
+            codec.bp_decode_batch(graph, llrs)
+
+    def test_infinite_llr_is_a_pinned_bit(self, example1_bundle):
+        graph = codec.TannerGraph(example1_bundle.pair.h0)
+        llrs = np.full((2, 170), 0.5)
+        llrs[:, :3] = [np.inf, -np.inf, np.inf]
+        pinned = np.clip(llrs, -codec.LLR_SAT, codec.LLR_SAT)
+        assert _same(codec.bp_decode_batch(graph, llrs, max_iter=5),
+                     codec.bp_decode_batch(graph, pinned, max_iter=5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_wrapped_llr_refuses_before_any_work(self, value):
+        y = np.zeros((3, 4))
+        y[1, 2] = value
+        with pytest.raises(ValueError, match=f"y holds {value}; wrapped LLRs need finite"):
+            codec.wrapped_llr(y, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            codec.wrapped_llr(y[1:, 1:], 0.5)    # a strided view
+
+    @pytest.mark.parametrize("column", [0, 5])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_decode_batch_refuses(self, example1_bundle, column, value):
+        # column 0, the dummy coordinate, once became a garbage z0
+        Y = np.full((3, 171), 4.0)
+        Y[:, 0] = 3.0
+        Y[1, column] = value
+        with pytest.raises(ValueError, match="finite"):
+            codec.MultistageDecoder(example1_bundle.pair).decode_batch(Y, 0.3)
+
+    def test_refused_under_optimize(self):
+        # real checks, not asserts: they hold under python -O too
+        script = (
+            "import numpy as np\n"
+            "from qclattice import codec, codes\n"
+            "graph = codec.TannerGraph(codes.build_spc(2, 2))\n"
+            "for call in (lambda: codec.bp_decode_batch(graph, np.full((1, 4), np.nan)),\n"
+            "             lambda: codec.wrapped_llr(np.array([np.inf]), 0.5)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError:\n"
+            "        print('debug', __debug__, 'refused')\n")
+        env = dict(os.environ)
+        src_dir = str(Path(codec.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["debug False refused"] * 2 + [""]
+
+
+def _random_codewords(plan, rng, frames):
+    return plan.encode_batch(np.zeros((frames, plan.matrix.rows), np.uint8),
+                             rng.integers(0, 2, (frames, plan.num_info), dtype=np.uint8))
+
+
+def _code_errors(plan, u, sigma, rng):
+    """Error patterns and BP iterations of the code of ``plan`` decoding its
+    own random codewords from wrapped LLRs of (cw + sigma u) mod 2."""
+    cw = _random_codewords(plan, rng, len(u))
+    llr = codec.wrapped_llr(np.mod(cw + sigma * u, 2.0), sigma)
+    hard, iters, _ = codec.bp_decode_batch(codec.TannerGraph(plan.matrix), llr)
+    return hard ^ cw, iters
+
+
+class TestFrameIdentity:
+    """The lattice decoder is its component codes, frame by frame.
+
+    On common standard normals u, stage 0 of the lattice at sigma has, in
+    every frame, the error pattern and BP iteration count of the level-0
+    code at sigma, and stage 1, given the true c0, those of the H1 code at
+    sigma/2.  Each code decodes its own random codewords: the mod-2 channel
+    is output-symmetric and BP is odd in its messages, so a frame's errors
+    do not depend on the word sent.  The test builds its points without
+    ``stage_syndrome``, so a fault there shows in the decoder alone.
+    """
+
+    FRAMES = 300
+
+    def frames(self, name, vnr_db, seed):
+        b = presets.get_bundle(name)
+        rng = np.random.default_rng(seed)
+        sigma = math.sqrt(sim.vnr_to_sigma2(vnr_db, b.profile.normalized_volume))
+        c0 = _random_codewords(b.plan0, rng, self.FRAMES)
+        s1 = (c0.astype(np.int64) @ b.pair.h1.a.T.astype(np.int64)) % 4 // 2
+        c1 = b.plan1.encode_batch(s1.astype(np.uint8),
+                                  rng.integers(0, 2, (self.FRAMES, b.plan1.num_info),
+                                               dtype=np.uint8))
+        x = 4 * rng.integers(-2, 3, (self.FRAMES, b.pair.n + 1))
+        x[:, 0] += 3
+        x[:, 1:] += c0 + 2 * c1
+        u = rng.normal(size=x.shape)
+        return b, rng, sigma, c0, c1, x + sigma * u, u[:, 1:]
+
+    @pytest.mark.parametrize("name, vnr_db, least", [("example1", 2.5, 20),
+                                                     ("wimax1152", 1.5, 5)])
+    def test_stage0_is_the_level0_code(self, name, vnr_db, least):
+        b, rng, sigma, c0, _, Y, u = self.frames(name, vnr_db, 2701)
+        d0, _, _, diag = codec.MultistageDecoder(b.pair).decode_batch(Y, sigma)
+        errors, iters = _code_errors(b.plan0, u, sigma, rng)
+        assert np.array_equal(d0 ^ c0, errors)
+        assert np.array_equal(diag["it0"], iters)
+        assert errors.any(axis=1).sum() >= least      # the identity has errors to match
+
+    @pytest.mark.parametrize("name, vnr_db, least", [("example1", 0.0, 10),
+                                                     ("wimax1152", -1.0, 10)])
+    def test_stage1_given_c0_is_the_h1_code(self, monkeypatch, name, vnr_db, least):
+        b, rng, sigma, c0, c1, Y, u = self.frames(name, vnr_db, 2702)
+        dec = codec.MultistageDecoder(b.pair)
+        decode = codec.bp_decode_batch
+
+        def genie(graph, llrs, syndromes=None, max_iter=100):
+            # stage 0 returns the true c0; stage 1 decodes as it would
+            if graph is dec.graph0:
+                return c0.copy(), np.zeros(len(c0), np.int64), np.ones(len(c0), bool)
+            return decode(graph, llrs, syndromes, max_iter)
+        monkeypatch.setattr(codec, "bp_decode_batch", genie)
+        _, d1, _, diag = dec.decode_batch(Y, sigma)
+        errors, iters = _code_errors(b.plan1, u, sigma / 2, rng)
+        assert np.array_equal(d1 ^ c1, errors)
+        assert np.array_equal(diag["it1"], iters)
+        assert errors.any(axis=1).sum() >= least

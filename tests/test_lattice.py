@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import subprocess
@@ -51,6 +52,19 @@ class TestIsNested:
 
 
 class TestBundle:
+    @pytest.mark.parametrize("name, h0, h1, k", [
+        ("example1", "e279dc476218045e", "2d3c598aebee85aa", (68, 132)),
+        ("wimax1152", "5d0d64097e79b8c0", "57d9d8ff0dfb68a0", (564, 1034)),
+    ])
+    def test_recipe_matrices_pinned(self, name, h0, h1, k):
+        # the digests and dimensions of the per-preset constructors that the
+        # recipes replaced: sha256 of each matrix's bytes, first 16 hex digits
+        b = presets.get_bundle(name)
+        assert [hashlib.sha256(m.a.tobytes()).hexdigest()[:16]
+                for m in (b.pair.h0, b.pair.h1)] == [h0, h1]
+        assert b.profile.k == k
+        assert (b.proto, b.pair) == presets.proto_pair(name)
+
     @pytest.mark.parametrize("name", ["example1", "wimax1152"])
     def test_uncached_bundle_runs_two_eliminations(self, name, eliminations):
         # the two encoder plans, and nothing else
@@ -66,7 +80,7 @@ class TestBundle:
             "import numpy as np\n"
             "from qclattice import codes, lattice, presets, qc\n"
             "from qclattice.gf2 import BitMatrix, vstack\n"
-            "proto = qc.example1_proto()\n"
+            "proto = qc.parse_proto(qc.bundled_text('example1_3x5_z34.txt'))\n"
             "pair = codes.make_pair_row_sums(proto, [(0,)])\n"
             "h1 = vstack(pair.h1, BitMatrix(np.eye(1, 170, dtype=np.uint8)))\n"
             "bad = dataclasses.replace(pair, h1=h1)\n"

@@ -253,9 +253,9 @@ class TestTextFormats:
         assert edits == [(1, 2, ()), (0, 0, (3, 4))]
 
     def test_bundled_files_load(self):
-        assert qc.example1_proto().z == 34
-        assert qc.wimax_proto_2304().z == 96
-        assert qc.wimax_proto_1152().z == 48
+        assert qc.parse_proto(qc.bundled_text("example1_3x5_z34.txt")).z == 34
+        assert qc.parse_proto(qc.bundled_text("wimax_r12_z96.txt")).z == 96
+        assert len(qc.parse_edits(qc.bundled_text("wimax_r12_edits_n1152.txt"))) == 5
 
     def test_bundled_text_reads_its_own_copy(self, tmp_path):
         # a copy of the package loaded under another name, as an in-process
@@ -272,12 +272,12 @@ class TestTextFormats:
             spec.loader.exec_module(pkg)
             copy_qc = sys.modules[f"{copy.name}.qc"]
             assert Path(copy_qc.__file__) == copy / "qc.py"
-            P = copy_qc.example1_proto()
+            P = copy_qc.parse_proto(copy_qc.bundled_text("example1_3x5_z34.txt"))
         finally:
             for name in [k for k in sys.modules if k.split(".")[0] == copy.name]:
                 del sys.modules[name]
         assert (P.m_b, P.n_b, P.z, P.cells) == (1, 2, 5, (((0,), (3,)),))
-        assert qc.example1_proto().z == 34
+        assert qc.parse_proto(qc.bundled_text("example1_3x5_z34.txt")).z == 34
 
     def test_header_errors(self):
         with pytest.raises(ValueError):
