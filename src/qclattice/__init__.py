@@ -7,7 +7,7 @@ from .codec import (EncoderPlan, MultistageDecoder, encode_lattice, stage_syndro
 from .codes import (NestedPair, build_h0, build_h1_row_sums, build_spc,
                     build_staircase, make_pair_row_sums)
 from .gf2 import BitMatrix, InconsistentSyndromeError, nullspace_basis
-from .lattice import LatticeProfile, balanced_check, is_member, is_nested, profile
+from .lattice import LatticeProfile, balanced_check, is_member, profile
 from .presets import BUILTIN_LATTICES, LatticeBundle, example1, get_bundle, wimax1152
 from .qc import (ProtoMatrix, apply_edits, expand, has_four_cycle, scale_shifts,
                  scale_shifts_floor)
@@ -24,7 +24,7 @@ __all__ = [
     "build_h1_row_sums", "build_spc", "build_staircase",
     "encode_lattice", "exact_dmin",
     "example1", "expand", "get_bundle", "has_four_cycle", "is_member",
-    "is_nested", "low_weight_search",
+    "low_weight_search",
     "make_pair_row_sums", "nullspace_basis", "profile",
     "scale_shifts", "scale_shifts_floor", "snr_to_sigma2",
     "stage_syndrome", "sweep_code", "sweep_lattice",

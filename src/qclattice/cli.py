@@ -10,11 +10,14 @@ flag wins, a key that is not a flag of the command is refused, and so is a
 config value that an explicit flag excludes.  ``build --proto`` and
 ``distance --proto`` read their matrix through one reader: the prototype
 file, rescaled by --scale-n and --scale-rule, then edited by --edits.
-Their ``--lattice NAME`` reads the built-in's recipe of those options
-(``presets.RECIPES``) through the same steps, with no encoder plan.  A
-flag that the chosen input does not read is refused too: ``--lattice``
-with one of those options (or build's --h1-groups), ``distance --proto``
-with ``--matrix``.
+``distance --proto`` searches its H_qc; every other input is one lattice
+object, a :class:`presets.LatticeBundle`.  ``--lattice NAME`` reads the
+built-in's (``presets.get_bundle``, whose recipe of those options runs
+through the same steps), ``build --proto`` one made from the flags.  A
+bundle builds each encoder plan when a command first reads it, so
+``distance`` builds none.  A flag that the chosen input does not read is
+refused too: ``--lattice`` with one of those options (or build's
+--h1-groups), ``distance --proto`` with ``--matrix``.
 
 Simulation commands append rows to a stable-schema CSV and write a JSON
 manifest next to it.  The manifest's top-level keys describe the latest run
@@ -50,7 +53,7 @@ import time
 
 import numpy as np
 
-from . import __version__, codec, codes, lattice, presets, qc, sim, wmin
+from . import __version__, codes, presets, qc, sim, wmin
 
 # the CSV columns are sim.SimReport's fields, in order; a field without a
 # format spec here is written as str() writes it
@@ -308,21 +311,11 @@ def _groups(spec: str) -> list[tuple[int, ...]]:
                                          f"got {spec!r}")
 
 
-def _lattice_pair(args: argparse.Namespace) -> tuple[qc.ProtoMatrix, codes.NestedPair]:
-    """The prototype and pair of the built-in that --lattice names, from its
-    recipe; a prototype option is refused, since the recipe fixes them."""
-    unread = [k for k in _PROTO_ONLY if getattr(args, k, None) is not None]
-    if unread:
-        raise ConfigError(f"--{unread[0].replace('_', '-')} applies to --proto; "
-                          f"--lattice {args.lattice} does not read it")
-    return presets.proto_pair(args.lattice)
-
-
 def _prototype(args: argparse.Namespace) -> qc.ProtoMatrix:
     """The prototype that --proto, --scale-n, --scale-rule and --edits
-    describe: the file, rescaled, then edited.  The 802.16e rules give
-    length n only to a 24-column table, so a --scale-n that does not give
-    this prototype length n is refused."""
+    describe: the file, rescaled, then edited.  A --scale-n that the
+    scaling rule refuses (:class:`qc.BadLengthError`) is a config error
+    that names the flag and the file."""
     if args.scale_rule is not None and args.scale_n is None:
         raise ConfigError("--scale-rule applies only with --scale-n")
     try:
@@ -332,11 +325,10 @@ def _prototype(args: argparse.Namespace) -> qc.ProtoMatrix:
     except ValueError as e:
         raise DataError(f"bad prototype file {args.proto}: {e}")
     if args.scale_n is not None:
-        P = qc.SCALE_RULES[args.scale_rule or "mod"](P, args.scale_n)
-        if P.n_b * P.z != args.scale_n:
-            raise ConfigError(f"--scale-n {args.scale_n}: the {P.m_b}x{P.n_b} prototype "
-                              f"{args.proto} scales to length {P.n_b * P.z}; the 802.16e "
-                              "rule gives length n only to a 24-column table")
+        try:
+            P = qc.SCALE_RULES[args.scale_rule or "mod"](P, args.scale_n)
+        except qc.BadLengthError as e:
+            raise ConfigError(f"--scale-n {args.scale_n} with {args.proto}: {e}")
     if args.edits is not None:
         try:
             P = qc.apply_edits(P, qc.load_edits(args.edits))
@@ -358,33 +350,41 @@ def _prototype_label(args: argparse.Namespace) -> str:
     return label
 
 
-def _proto_pair(args: argparse.Namespace) -> codes.NestedPair:
-    """The nested pair that build's --lattice or prototype options describe."""
+def _bundle(args: argparse.Namespace) -> presets.LatticeBundle:
+    """The lattice that --lattice names, or the one that build's prototype
+    options describe.  With --lattice a prototype option is refused, since
+    the built-in's recipe fixes them."""
     if args.lattice is not None:
-        return _lattice_pair(args)[1]
+        unread = [k for k in _PROTO_ONLY if getattr(args, k, None) is not None]
+        if unread:
+            raise ConfigError(f"--{unread[0].replace('_', '-')} applies to --proto; "
+                              f"--lattice {args.lattice} does not read it")
+        return presets.get_bundle(args.lattice)
+    P = _prototype(args)
     try:
-        return codes.make_pair_row_sums(_prototype(args), args.h1_groups or [(0,)])
+        pair = codes.make_pair_row_sums(P, args.h1_groups or [(0,)])
     except codes.BadGroupsError as e:
         if args.h1_groups is None:
             raise ConfigError(f"level 1 is the default group (0,), as --h1-groups "
                               f"was not given: {e}; --h1-groups picks other groups")
         raise ConfigError(f"--h1-groups: {e}")
+    return presets.LatticeBundle(_prototype_label(args), P, pair)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    pair = _proto_pair(args)
-    plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
-    # one RREF per level: each plan gives its k, plan0 the nesting test
-    k0, k1 = plan0.num_info, plan1.num_info
-    print(f"H0: {pair.h0.rows}x{pair.h0.cols}  rank {pair.n - k0}  k0 {k0}")
-    print(f"H1: {pair.h1.rows}x{pair.h1.cols}  rank {pair.n - k1}  k1 {k1}")
-    print(f"nested: {lattice.is_nested(pair, plan0)}")
+    b = _bundle(args)
+    # one RREF per level: each plan gives its k, and plan0 raises
+    # NotNestedError (exit 2) for a pair that is not nested
+    for level, (h, plan) in enumerate(zip((b.pair.h0, b.pair.h1), b.plans)):
+        k = plan.num_info
+        print(f"H{level}: {h.rows}x{h.cols}  rank {h.cols - k}  k{level} {k}")
+    print("nested: True")
     return 0
 
 
-MATRICES = {"hqc": lambda proto, pair: qc.expand(proto),
-            "h0": lambda proto, pair: pair.h0,
-            "h1": lambda proto, pair: pair.h1}
+MATRICES = {"hqc": lambda b: qc.expand(b.proto),
+            "h0": lambda b: b.pair.h0,
+            "h1": lambda b: b.pair.h1}
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
@@ -395,7 +395,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
         H, label = qc.expand(_prototype(args)), _prototype_label(args)
     else:
         which = args.matrix or "hqc"
-        H = MATRICES[which](*_lattice_pair(args))
+        H = MATRICES[which](_bundle(args))
         label = f"{args.lattice}:{which}"
     t0 = time.perf_counter()
     try:

@@ -17,8 +17,8 @@ level-1 dot product with c0 even; the encoder refuses an odd one
 unconverged level-0 decision may break parity.  Each level's
 :class:`EncoderPlan` is that level's one GF(2) elimination: its RREF also
 gives the level's rank and, for level 0, the nesting test
-(:meth:`EncoderPlan.in_row_space`), which is how a preset bundle or
-``qclattice build`` runs two eliminations in all.
+(:meth:`EncoderPlan.in_row_space`), so a lattice bundle that builds both
+plans (as ``qclattice build`` does) runs two eliminations in all.
 
 Decoding runs a flooding tanh-rule sum-product decoder per level on the
 mod-2 wrapped channel: decode level 0, subtract, halve, decode level 1 at
@@ -123,9 +123,10 @@ class EncoderPlan:
 
     The last m - r rows of ``T`` span the left nullspace of H: a syndrome
     is achievable iff it is orthogonal to all of them.  Only these three
-    blocks are kept, as uint8.  Their float32 copies (sums of at most m + k
-    ones are exact) are made once, by the first encode, so a plan that never
-    encodes (a bundle built for a distance search) never holds them.
+    blocks are kept, transposed, as one C-contiguous float32 copy each,
+    made at init (sums of at most m + k ones are exact): ``info_map``,
+    ``syn_map`` and ``left_null``.  A bundle builds its plans on first use,
+    so no command holds a plan it does not use.
 
     ``R_H[:r]`` is also the RREF of H alone (row operations keep its row
     space), so the plan answers row-space membership
@@ -140,9 +141,9 @@ class EncoderPlan:
         r = sum(p < n for p in pivots)
         self.pivot_cols = np.array(pivots[:r], dtype=np.int64)
         self.free_cols = np.setdiff1d(np.arange(n), self.pivot_cols)
-        self._blocks = tuple(b.T.copy() for b in
-                             (R[:r, self.free_cols], R[:r, n:], R[r:, n:]))
-        self._maps: tuple[np.ndarray, ...] | None = None
+        self.info_map, self.syn_map, self.left_null = (
+            np.ascontiguousarray(b.T, dtype=np.float32)
+            for b in (R[:r, self.free_cols], R[:r, n:], R[r:, n:]))
 
     @property
     def num_info(self) -> int:
@@ -162,8 +163,7 @@ class EncoderPlan:
         if V.ndim != 2 or V.shape[1] != n:
             raise ValueError(f"rows of length {V.shape[-1]} tested against a row "
                              f"space of length {n}")
-        combo = (V[:, self.pivot_cols].astype(np.float32)
-                 @ self._blocks[0].T.astype(np.float32))
+        combo = V[:, self.pivot_cols].astype(np.float32) @ self.info_map.T
         return ((combo.astype(np.int64) & 1) == V[:, self.free_cols]).all(axis=1)
 
     def encode_batch(self, syndromes: np.ndarray, infos: np.ndarray) -> np.ndarray:
@@ -173,16 +173,13 @@ class EncoderPlan:
         Raises :class:`InconsistentSyndromeError` if a syndrome is not
         achievable (checked whenever any syndrome is nonzero).
         """
-        if self._maps is None:
-            self._maps = tuple(b.astype(np.float32) for b in self._blocks)
-        info_map, syn_map, left_null = self._maps
-        acc = infos.astype(np.float32) @ info_map
+        acc = infos.astype(np.float32) @ self.info_map
         if syndromes.any():
             s = syndromes.astype(np.float32)
-            if ((s @ left_null).astype(np.int64) & 1).any():
+            if ((s @ self.left_null).astype(np.int64) & 1).any():
                 raise InconsistentSyndromeError(
                     "syndrome outside the column space of the parity-check matrix")
-            acc += s @ syn_map
+            acc += s @ self.syn_map
         c = np.empty((infos.shape[0], self.matrix.cols), dtype=np.uint8)
         c[:, self.free_cols] = infos & 1
         c[:, self.pivot_cols] = acc.astype(np.int64) & 1

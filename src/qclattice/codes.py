@@ -55,8 +55,9 @@ class NestedPair:
 
     Both matrices act on the same n coordinates; a pair of different widths
     is refused with ValueError.  The pair is the lattice: see
-    :mod:`qclattice.lattice` for its congruences, and :func:`lattice.is_nested`
-    for the nesting test (rows of H1 in the row space of H0).
+    :mod:`qclattice.lattice` for its congruences, and
+    :attr:`qclattice.presets.LatticeBundle.plan0` for the nesting test
+    (rows of H1 in the row space of H0).
     """
 
     h0: BitMatrix

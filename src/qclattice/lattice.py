@@ -5,8 +5,10 @@ to it iff H1 x = 0 (mod 4) and H0 x = 0 (mod 2), every row of each matrix
 taken as an integer 0/1 row.  Redundant congruences are kept (they do not
 change the point set): a row of H0 that is also a row of H1 repeats,
 modulo 2, a congruence that already holds modulo 4.  All dimension counts
-come from GF(2) ranks, never from row counts.  Nesting is tested against
-the level-0 encoder plan's RREF, so it runs no elimination.
+come from GF(2) ranks, never from row counts.  A pair that is not nested
+is refused by the level-0 encoder plan of its bundle
+(:attr:`qclattice.presets.LatticeBundle.plan0`), whose RREF answers the
+test with no elimination of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import EncoderPlan
 from .codes import NestedPair
 
 DESIGN_D2MIN_CAP = 16  # 4^L for two levels
@@ -37,19 +38,6 @@ class LatticeProfile:
     d2min: int
     normalized_volume: float     # V^{2/N}
     gain_db: float
-
-
-def is_nested(pair: NestedPair, plan0: EncoderPlan) -> bool:
-    """True iff every row of H1 lies in the row space of H0.
-
-    ``plan0`` is the encoder plan of H0; its RREF answers the test
-    (:meth:`EncoderPlan.in_row_space` on all of H1), so it costs no
-    elimination.  Raises ValueError when ``plan0`` was built for another
-    matrix.
-    """
-    if plan0.matrix != pair.h0:
-        raise ValueError("plan0 must be the encoder plan of the pair's H0")
-    return bool(plan0.in_row_space(pair.h1.a).all())
 
 
 def is_member(pair: NestedPair, x) -> bool:

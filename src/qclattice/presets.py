@@ -1,13 +1,18 @@
-"""Named built-in constructions, as data: ``RECIPES`` gives each name the
-options of ``build --proto`` (data file names; an absent option is unset)
-and its design distances (d0, d1), and :func:`proto_pair` applies them as
-``build --proto`` applies a user's: parse, rescale, edit, split in levels.
+"""The lattice object, and the named built-in constructions as data.
+
+:class:`LatticeBundle` is the one lattice object every command reads: a
+prototype, its nested pair and, for a built-in, its design distances, with
+the two encoder plans and the profile built on first use.  ``RECIPES``
+gives each built-in name the options of ``build --proto`` (data file
+names; an absent option is unset) and its design distances (d0, d1);
+:func:`get_bundle` applies them as ``build --proto`` applies a user's:
+parse, rescale, edit, split in levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from . import codec, codes, lattice, qc
 
@@ -25,45 +30,57 @@ RECIPES = {
 
 @dataclass(frozen=True)
 class LatticeBundle:
-    """Everything needed to encode, decode and simulate one construction."""
+    """One two-level construction: its prototype, nested pair and design
+    distances (None for a lattice read from ``--proto`` flags).
+
+    The encoder plans and the profile are built on first use and kept.
+    The two plans are the bundle's only GF(2) eliminations: each RREF gives
+    its level's rank, k_l = n - rank(H_l), and plan0's also the nesting
+    test, so building the bundle itself runs none.
+    """
 
     name: str
     proto: qc.ProtoMatrix
     pair: codes.NestedPair
-    profile: lattice.LatticeProfile
-    plan0: codec.EncoderPlan
-    plan1: codec.EncoderPlan
+    design_d: tuple[int, int] | None = None
+
+    @cached_property
+    def plan0(self) -> codec.EncoderPlan:
+        """H0's encoder plan; raises :class:`lattice.NotNestedError` unless
+        every row of H1 lies in its row space."""
+        plan = codec.EncoderPlan(self.pair.h0)
+        if not plan.in_row_space(self.pair.h1.a).all():
+            raise lattice.NotNestedError("every row of H1 must lie in the row space of H0")
+        return plan
+
+    @cached_property
+    def plan1(self) -> codec.EncoderPlan:
+        return codec.EncoderPlan(self.pair.h1)
 
     @property
     def plans(self) -> tuple[codec.EncoderPlan, codec.EncoderPlan]:
         return self.plan0, self.plan1
 
+    @cached_property
+    def profile(self) -> lattice.LatticeProfile:
+        """The profile from the plans' dimensions and the design distances;
+        ValueError for a bundle without design distances."""
+        if self.design_d is None:
+            raise ValueError(f"lattice {self.name} has no design distances, "
+                             "so it has no profile")
+        return lattice.profile((self.plan0.num_info, self.plan1.num_info),
+                               self.pair.n + 1, self.design_d)
 
-def proto_pair(name: str) -> tuple[qc.ProtoMatrix, codes.NestedPair]:
-    """The prototype and nested pair of the recipe ``name``; no elimination."""
+
+def _recipe_bundle(name: str) -> LatticeBundle:
     r = RECIPES[name]
     P = qc.parse_proto(qc.bundled_text(r["proto"]))
     if "scale_n" in r:
         P = qc.SCALE_RULES[r["scale_rule"]](P, r["scale_n"])
     if "edits" in r:
         P = qc.apply_edits(P, qc.parse_edits(qc.bundled_text(r["edits"])))
-    return P, codes.make_pair_row_sums(P, r["h1_groups"])
-
-
-def _bundle(name: str, proto: qc.ProtoMatrix, pair: codes.NestedPair,
-            design_d: tuple[int, int]) -> LatticeBundle:
-    # the two plans are the bundle's only eliminations: each RREF gives its
-    # level's rank, k_l = n - rank(H_l), and plan0's also the nesting test
-    plan0, plan1 = codec.EncoderPlan(pair.h0), codec.EncoderPlan(pair.h1)
-    if not lattice.is_nested(pair, plan0):
-        raise lattice.NotNestedError("every row of H1 must lie in the row space of H0")
-    profile = lattice.profile((plan0.num_info, plan1.num_info), pair.n + 1, design_d)
-    return LatticeBundle(name=name, proto=proto, pair=pair, profile=profile,
-                         plan0=plan0, plan1=plan1)
-
-
-def _recipe_bundle(name: str) -> LatticeBundle:
-    return _bundle(name, *proto_pair(name), RECIPES[name]["design_d"])
+    return LatticeBundle(name, P, codes.make_pair_row_sums(P, r["h1_groups"]),
+                         r["design_d"])
 
 
 BUILTIN_LATTICES = {name: lru_cache(maxsize=None)(partial(_recipe_bundle, name))

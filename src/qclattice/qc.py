@@ -101,12 +101,17 @@ def expand(P: ProtoMatrix) -> BitMatrix:
 def _scale(P2304: ProtoMatrix, n: int, exponent) -> ProtoMatrix:
     """Rescale a z=96 prototype to length ``n``: z = 96*n/2304, and each
     exponent e becomes ``exponent(e, z)``.  Raises :class:`BadLengthError`
-    unless P2304 has z=96 and z comes out a positive integer."""
+    unless P2304 has z=96, z comes out a positive integer and the result
+    has length n, which only a 24-column table gets."""
     if P2304.z != BASE_Z:
         raise BadLengthError(f"scaling expects a z={BASE_Z} prototype, got z={P2304.z}")
     z = BASE_Z * n // BASE_LENGTH
     if z < 1 or BASE_Z * n != z * BASE_LENGTH:
         raise BadLengthError(f"length {n} does not give an integer circulant size")
+    if P2304.n_b * z != n:
+        raise BadLengthError(f"the {P2304.m_b}x{P2304.n_b} prototype scales to length "
+                             f"{P2304.n_b * z}, not {n}; the 802.16e rule gives length "
+                             "n only to a 24-column table")
 
     def scale_cell(cell: Cell) -> Cell:
         scaled = tuple(exponent(e, z) for e in cell)
@@ -124,8 +129,8 @@ def scale_shifts(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
     The new circulant size is z = 96*n/2304, which must come out a positive
     integer; empty cells stay empty, and a double cell whose two exponents
     become equal is the zero block.  ``n`` is the length of the 24-column
-    802.16e table: a prototype of another width gets the same z, and so
-    length n_b*z.
+    802.16e table: a prototype of another width, which would get length
+    n_b*z, is refused with :class:`BadLengthError`.
     """
     return _scale(P2304, n, lambda e, z: e % z)
 
@@ -137,7 +142,8 @@ def scale_shifts_floor(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
     the rate-1/2 family and, unlike the plain modulo reduction, keeps the
     scaled rate-1/2 matrix free of 4-cycles at z=48.  As in
     :func:`scale_shifts`, z = 96*n/2304, ``n`` is the length of the
-    24-column table and a double cell whose exponents meet is the zero block.
+    24-column table (another width is refused) and a double cell whose
+    exponents meet is the zero block.
     """
     return _scale(P2304, n, lambda e, z: e * z // BASE_Z)
 

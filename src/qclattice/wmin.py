@@ -102,7 +102,7 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     that of row i less 1/2, so that a row wins a tie with a pair.  The
     table's argmin replaces the best codeword so far when it is lighter.
     Returns ``(weight, witness)`` for the best codeword found; the witness
-    always satisfies ``H c^T = 0``.  Deterministic for a given seed.
+    always satisfies ``H c^T = 0``.  Deterministic for a given seed (at least 0).
 
     ``stop_at`` (at least 1) ends the search as soon as a codeword of weight
     <= stop_at is found, for a user who only needs a bound that low.
@@ -114,8 +114,9 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     leaves that block's later eliminations unused.  The result is
     bit-identical to eliminating one permutation per iteration.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    for name, value, least in (("iterations", iterations, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if stop_at is not None and stop_at < 1:
         raise ValueError(f"stop_at must be >= 1 (a nonzero codeword has weight "
                          f">= 1), got {stop_at}")

@@ -21,7 +21,10 @@ def wimax_bundle():
 @pytest.fixture
 def eliminations(monkeypatch):
     """A list that gets the packed shape of every ``gf2.rref_words`` call
-    (every GF(2) elimination but the search's) made during the test."""
+    made during the test through ``gf2``'s own name: every GF(2)
+    elimination, the low-weight search's set-up ``nullspace_basis``
+    included, but the search's stacked per-iteration calls, which go
+    through ``wmin._rref_packed``, bound at import."""
     calls = []
     kernel = gf2.rref_words
 

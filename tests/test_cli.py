@@ -158,6 +158,37 @@ class TestBuild:
         assert code == 0 and out == expected
         assert len(eliminations) == 2
 
+    def test_proto_flags_give_the_preset_lattice(self):
+        # the wimax1152 recipe's options, given as flags, build the preset's
+        # pair and plans; a lattice from flags has no design distances
+        args = cli.build_parser().parse_args([
+            "build", "--proto", str(_WIMAX_Z96), "--scale-n", "1152", "--scale-rule",
+            "floor", "--edits", str(_WIMAX_EDITS), "--h1-groups", "1+8,4+10"])
+        b, preset = cli._bundle(args), presets.get_bundle("wimax1152")
+        assert (b.proto, b.pair, b.design_d) == (preset.proto, preset.pair, None)
+        assert ([plan.num_info for plan in b.plans]
+                == [plan.num_info for plan in preset.plans] == [564, 1034])
+
+
+class TestPlansOnFirstUse:
+    """A command builds the encoder plans it reads and no other: one
+    elimination per plan, counted with the built-in bundles uncached
+    (build's two and distance's none are pinned above)."""
+
+    @pytest.mark.parametrize("argv, count", [
+        (["info", "--lattice", "example1"], 2),
+        (["simulate-lattice", "--lattice", "example1", "--vnr", "12",
+          "--max-trials", "8", "--target-errors", "8"], 2),
+        (["simulate-code", "--lattice", "example1", "--code", "g0", "--snr", "12",
+          "--max-trials", "8", "--target-errors", "8"], 1),
+    ], ids=["info", "simulate-lattice", "simulate-code-g0"])
+    def test_eliminations(self, capsys, monkeypatch, eliminations, argv, count):
+        for name, build in list(presets.BUILTIN_LATTICES.items()):
+            monkeypatch.setitem(presets.BUILTIN_LATTICES, name, build.__wrapped__)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(eliminations) == count
+
 
 class TestOutputDirectory:
     # a missing directory once cost the whole sweep, then a
@@ -242,6 +273,11 @@ class TestDistance:
         assert re.fullmatch(re.escape(label) + r": found codeword weight \d+ "
                             r"\(iterations <= 3, seed 1\); upper bound on d_min\n", out)
 
+    def test_negative_seed_names_its_flag(self, capsys):
+        # numpy's own refusal, "expected non-negative integer", did not
+        err = run_refused(capsys, ["distance", "--lattice", "example1", "--seed", "-1"])
+        assert err == "config error: seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("stop", ["0", "-1"])
     def test_stop_at_below_one_is_config_error(self, capsys, stop):
         # no nonzero codeword weighs less than 1, so such a stop_at could
@@ -280,9 +316,9 @@ class TestDistanceProtoMatrix:
         p.write_text("1 2 96\n0 5\n")
         err = run_refused(capsys, [command, "--proto", str(p), "--scale-n", "1152",
                                    "--scale-rule", rule])
-        assert err == (f"config error: --scale-n 1152: the 1x2 prototype {p} scales "
-                       "to length 96; the 802.16e rule gives length n only to a "
-                       "24-column table\n")
+        assert err == (f"config error: --scale-n 1152 with {p}: the 1x2 prototype "
+                       "scales to length 96, not 1152; the 802.16e rule gives length "
+                       "n only to a 24-column table\n")
 
     @pytest.mark.parametrize("command", ["build", "distance"])
     def test_cell_edited_twice_is_data_error(self, capsys, tmp_path, command):

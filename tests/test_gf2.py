@@ -188,7 +188,9 @@ class TestPackedKernel:
             free = np.setdiff1d(np.arange(n), pivots[:r])
             assert np.array_equal(plan.pivot_cols, pivots[:r])
             assert np.array_equal(plan.free_cols, free)
-            for got, want in zip(plan._blocks, (R[:r, free], R[:r, n:], R[r:, n:])):
+            for got, want in zip((plan.info_map, plan.syn_map, plan.left_null),
+                                 (R[:r, free], R[:r, n:], R[r:, n:])):
+                assert got.dtype == np.float32 and got.flags.c_contiguous
                 assert np.array_equal(got, want.T)
 
     def test_permuted_wimax_generator(self, wimax_bundle):

@@ -24,15 +24,19 @@ def toy_pair():
 
 
 class TestIsNested:
+    # a bundle refuses a pair that is not nested in one place, its level-0
+    # encoder plan, built on first use
     def test_not_nested_raises(self, example1_bundle):
         pair = example1_bundle.pair
         rng = np.random.default_rng(1)
         bad_h1 = vstack(pair.h1, BitMatrix(rng.integers(0, 2, (1, 170)).astype(np.uint8)))
         bad = codes.NestedPair(h0=pair.h0, h1=bad_h1)
-        assert lattice.is_nested(pair, example1_bundle.plan0) is True
-        assert lattice.is_nested(bad, example1_bundle.plan0) is False
-        with pytest.raises(lattice.NotNestedError):
-            presets._bundle("bad", example1_bundle.proto, bad, (16, 4))
+        good = presets.LatticeBundle("good", example1_bundle.proto, pair)
+        assert good.plan0.num_info == 68
+        bundle = presets.LatticeBundle("bad", example1_bundle.proto, bad, (16, 4))
+        for part in ("plan0", "plans", "profile"):
+            with pytest.raises(lattice.NotNestedError):
+                getattr(bundle, part)
 
     def test_weight_one_row_refused(self, example1_bundle):
         # H1 plus e_0, which H0's row space does not hold
@@ -40,15 +44,8 @@ class TestIsNested:
         e0 = BitMatrix(np.eye(1, 170, dtype=np.uint8))
         assert kernel_rank(vstack(pair.h0, e0)) == kernel_rank(pair.h0) + 1
         bad = dataclasses.replace(pair, h1=vstack(pair.h1, e0))
-        assert lattice.is_nested(bad, example1_bundle.plan0) is False
-
-    def test_plan_of_another_matrix_refused(self, example1_bundle):
-        pair = example1_bundle.pair
-        # H1's plan, and a plan of H0's rows reversed (same row space)
-        for plan in (example1_bundle.plan1,
-                     codec.EncoderPlan(BitMatrix(pair.h0.a[::-1]))):
-            with pytest.raises(ValueError, match="plan0 must be"):
-                lattice.is_nested(pair, plan)
+        with pytest.raises(lattice.NotNestedError, match="row space of H0"):
+            presets.LatticeBundle("bad", example1_bundle.proto, bad).plan0
 
 
 class TestBundle:
@@ -63,14 +60,33 @@ class TestBundle:
         assert [hashlib.sha256(m.a.tobytes()).hexdigest()[:16]
                 for m in (b.pair.h0, b.pair.h1)] == [h0, h1]
         assert b.profile.k == k
-        assert (b.proto, b.pair) == presets.proto_pair(name)
+        assert b.design_d == presets.RECIPES[name]["design_d"]
+        groups = presets.RECIPES[name]["h1_groups"]
+        assert codes.make_pair_row_sums(b.proto, groups) == b.pair
 
     @pytest.mark.parametrize("name", ["example1", "wimax1152"])
     def test_uncached_bundle_runs_two_eliminations(self, name, eliminations):
-        # the two encoder plans, and nothing else
+        # building the bundle runs none; its two encoder plans, each built
+        # on first use and kept, run one each, and nothing else does
         b = presets.BUILTIN_LATTICES[name].__wrapped__()
+        assert eliminations == []
+        assert b.plans == (b.plan0, b.plan1) and b.profile.k[0] == b.plan0.num_info
         m0, m1 = b.pair.h0.rows, b.pair.h1.rows
         assert [shape[0] for shape in eliminations] == [m0, m1]
+
+    def test_bundle_of_a_prototype_runs_no_elimination(self, toy_pair, eliminations):
+        b = presets.LatticeBundle("toy", qc.ProtoMatrix.from_shifts([[0, 0]], 2), toy_pair)
+        assert (b.pair, b.design_d) == (toy_pair, None)
+        assert eliminations == []
+
+    def test_profile_needs_design_distances(self, toy_pair, eliminations):
+        # refused by name, before any elimination, not a TypeError from
+        # unpacking None
+        b = presets.LatticeBundle("toy", qc.ProtoMatrix.from_shifts([[0, 0]], 2), toy_pair)
+        with pytest.raises(ValueError, match="lattice toy has no design distances"):
+            b.profile
+        assert eliminations == []
+        assert [plan.num_info for plan in b.plans] == [1, 1]
 
     def test_non_nested_pair_refused_under_optimize(self):
         # nesting is a real check, not an assert, so the bundle path
@@ -85,7 +101,7 @@ class TestBundle:
             "h1 = vstack(pair.h1, BitMatrix(np.eye(1, 170, dtype=np.uint8)))\n"
             "bad = dataclasses.replace(pair, h1=h1)\n"
             "try:\n"
-            "    presets._bundle('bad', proto, bad, (16, 4))\n"
+            "    presets.LatticeBundle('bad', proto, bad, (16, 4)).plan0\n"
             "except lattice.NotNestedError:\n"
             "    print('debug', __debug__, 'refused')\n")
         env = dict(os.environ)
@@ -150,7 +166,8 @@ class TestMembership:
             pair = codes.make_pair_row_sums(P, groups)
         except codes.BadGroupsError:
             assume(False)
-        assert lattice.is_nested(pair, codec.EncoderPlan(pair.h0))
+        # every pair of row sums is nested: its bundle's plan0 does not refuse it
+        presets.LatticeBundle("random", P, pair).plan0
         expected = set(lattice_points_in_box(pair, -2, 2))
         got = {p for p in itertools.product(range(-2, 3), repeat=pair.n)
                if lattice.is_member(pair, np.array(p))}

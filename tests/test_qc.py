@@ -37,7 +37,9 @@ def protos(draw, max_mb=4, max_nb=6, max_z=8, allow_doubles=True):
 @st.composite
 def z96_protos(draw):
     # double cells are often near pairs, or a multiple of the scaled z
-    # apart, so that each rule maps some of them to one exponent
+    # apart, so that each rule maps some of them to one exponent; the
+    # tables have 24 columns, the only width the scaling rules take, with
+    # up to 4 drawn ones ahead of empty cells
     m_b = draw(st.integers(1, 3))
     n_b = draw(st.integers(1, 4))
     gap = st.sampled_from([1, 2, 3, 24, 48, 72, 80]) | st.integers(1, 95)
@@ -45,7 +47,7 @@ def z96_protos(draw):
                      st.builds(lambda a, d: (a, (a + d) % 96), st.integers(0, 95), gap))
     rows = draw(st.lists(st.lists(cell, min_size=n_b, max_size=n_b),
                          min_size=m_b, max_size=m_b))
-    return qc.ProtoMatrix(m_b, n_b, 96, tuple(tuple(r) for r in rows))
+    return qc.ProtoMatrix(m_b, 24, 96, tuple(tuple(r) + ((),) * (24 - n_b) for r in rows))
 
 
 class TestExpand:
@@ -93,12 +95,12 @@ class TestScaleShifts:
         assert scaled.cells[0][0] == (94 % 48,) == (46,)
 
     def test_empty_cells_unchanged(self):
-        P = qc.ProtoMatrix(2, 2, 96, (((), (3,)), ((5,), ())))
+        P = qc.ProtoMatrix.from_shifts([[-1, 3] + [-1] * 22, [5] + [-1] * 23], 96)
         scaled = qc.scale_shifts(P, 1152)
         assert scaled.cells[0][0] == () and scaled.cells[1][1] == ()
 
     def test_identity_scaling(self):
-        P = qc.ProtoMatrix.from_shifts([[7]], 96)
+        P = qc.ProtoMatrix.from_shifts([[7] + [-1] * 23], 96)
         assert qc.scale_shifts(P, 2304).cells[0][0] == (7,)
 
     @pytest.mark.parametrize("rule", [qc.scale_shifts, qc.scale_shifts_floor],
@@ -112,15 +114,26 @@ class TestScaleShifts:
         with pytest.raises(qc.BadLengthError, match=match):
             rule(P, n)
 
+    @pytest.mark.parametrize("rule", [qc.scale_shifts, qc.scale_shifts_floor],
+                             ids=["mod", "floor"])
+    def test_width_other_than_24_refused(self, rule):
+        # z = 96*n/2304 gives length n only to a 24-column table; a 1x2
+        # table at n = 1152 once came out at length 96 without a word
+        P = qc.ProtoMatrix.from_shifts([[0, 5]], 96)
+        with pytest.raises(qc.BadLengthError) as e:
+            rule(P, 1152)
+        assert str(e.value) == ("the 1x2 prototype scales to length 96, not 1152; the "
+                                "802.16e rule gives length n only to a 24-column table")
+
     def test_identity_scaling_preserves_expansion(self):
         rng = np.random.default_rng(0)
-        P = qc.ProtoMatrix.from_shifts(rng.integers(-1, 96, (3, 5)), 96)
+        P = qc.ProtoMatrix.from_shifts(rng.integers(-1, 96, (3, 24)), 96)
         assert qc.expand(qc.scale_shifts(P, 2304)) == qc.expand(P)
 
     def test_floor_rule(self):
-        P = qc.ProtoMatrix.from_shifts([[94, 0, -1]], 96)
+        P = qc.ProtoMatrix.from_shifts([[94, 0] + [-1] * 22], 96)
         scaled = qc.scale_shifts_floor(P, 1152)
-        assert scaled.cells[0] == ((47,), (0,), ())
+        assert scaled.cells[0][:3] == ((47,), (0,), ())
 
     @pytest.mark.parametrize("rule, exponent", [
         (qc.scale_shifts, lambda e, z: e % z),
