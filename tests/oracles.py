@@ -520,3 +520,17 @@ def ref_low_weight_search(H, iterations: int, seed: int,
         if stop_at is not None and best_w <= stop_at:
             break
     return best_w, best_c
+
+
+def ref_lightest(R: np.ndarray, pivots) -> tuple[int, int, int]:
+    """The low-weight search's full row-and-pair table before the +/-1 scan:
+    for RREF rows ``R`` (unpacked, with ``pivots``), entry (i, j) is the
+    weight of rows i + j, from overlaps over the non-pivot columns, and
+    entry (i, i) the weight of row i less 1/2.  Returns ``(i, j, weight)``
+    of the table's first argmin in row-major order."""
+    w = R.sum(axis=1).astype(np.float32)
+    F = np.delete(R, pivots, axis=1).astype(np.float32)
+    table = w[:, None] + w[None, :] - 2 * (F @ F.T)
+    np.fill_diagonal(table, w - 0.5)
+    i, j = divmod(int(np.argmin(table)), len(R))
+    return i, j, int(table[i, j] + 0.5 * (i == j))

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import exhaustive_nullspace, ref_low_weight_search
+from oracles import exhaustive_nullspace, ref_lightest, ref_low_weight_search
 from qclattice import codes, qc, wmin
-from qclattice.gf2 import BitMatrix
+from qclattice.gf2 import BitMatrix, pack
 
 
 def _record_blocks(monkeypatch) -> list[int]:
@@ -161,12 +167,13 @@ class TestLowWeightSearch:
             assert np.array_equal(c, c_ref)
 
     # (seed, stop_at, iterations, iterations run, stack sizes) on the
-    # wimax1152 H_qc: blocks hold _BLOCK = 16 permutations whether or not
-    # stop_at is given, so a stop inside a block leaves the rest of it
-    # unused, and only the last block may be shorter
+    # wimax1152 H_qc: with stop_at the blocks grow 1, 2, 4, 8, 16, so a stop
+    # inside a block leaves fewer eliminations unused than it ran; without
+    # it they hold _BLOCK = 16 permutations, and only the last block may be
+    # shorter
     @pytest.mark.parametrize("seed,stop_at,iterations,stops_after,sizes", [
-        (0, 156, 100, 1, [16]), (3, 162, 100, 2, [16]), (3, 142, 100, 6, [16]),
-        (4, 152, 100, 9, [16]), (3, 132, 100, 19, [16, 16]),
+        (0, 156, 100, 1, [1]), (3, 162, 100, 2, [1, 2]), (3, 142, 100, 6, [1, 2, 4]),
+        (4, 152, 100, 9, [1, 2, 4, 8]), (3, 132, 100, 19, [1, 2, 4, 8, 16]),
         (0, None, 21, 21, [16, 5])])
     def test_block_schedule(self, seed, stop_at, iterations, stops_after, sizes,
                             wimax_bundle, monkeypatch):
@@ -206,3 +213,114 @@ class TestLowWeightSearch:
                             lambda H: [np.eye(H.cols, dtype=np.uint8)[0]])
         with pytest.raises(wmin.WitnessError):
             wmin.low_weight_search(H, 3, seed=0)
+
+    def test_table_disagreeing_with_word_raises(self, monkeypatch):
+        # a scan that reports a weight other than its word's (a wrapped
+        # popcount, a wrong diagonal map) is refused, not followed
+        lightest = wmin._lightest
+
+        def off_by_one(rows, free):
+            i, j, w = lightest(rows, free)
+            return i, j, w - 1
+
+        monkeypatch.setattr(wmin, "_lightest", off_by_one)
+        with pytest.raises(wmin.WitnessError, match="table gave weight"):
+            wmin.low_weight_search(codes.build_spc(3, 3), 3, seed=0)
+
+    def test_refusals_hold_under_optimize(self):
+        # both refusals are real checks, not asserts, so they still refuse
+        # under python -O
+        script = (
+            "import numpy as np\n"
+            "from qclattice import codes, wmin\n"
+            "basis, lightest = wmin.nullspace_basis, wmin._lightest\n"
+            "wmin.nullspace_basis = lambda H: [np.eye(H.cols, dtype=np.uint8)[0]]\n"
+            "try:\n"
+            "    wmin.low_weight_search(codes.build_spc(2, 2), 3, seed=0)\n"
+            "except wmin.WitnessError:\n"
+            "    print('witness refused')\n"
+            "wmin.nullspace_basis = basis\n"
+            "wmin._lightest = lambda rows, free: lightest(rows, free)[:2] + (0,)\n"
+            "try:\n"
+            "    wmin.low_weight_search(codes.build_spc(3, 3), 3, seed=0)\n"
+            "except wmin.WitnessError:\n"
+            "    print('table refused')\n"
+            "print('debug', __debug__)\n")
+        env = dict(os.environ)
+        src_dir = str(Path(wmin.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["witness refused", "table refused",
+                                            "debug False", ""]
+
+    @pytest.mark.parametrize("scan_blocks", [1, 2, 3])
+    def test_matches_frozen_search_any_scan_blocks(self, scan_blocks, monkeypatch):
+        # with few rows per scan block, the small random codes' ties (a row
+        # against a pair, two pairs) cross block borders
+        monkeypatch.setattr(wmin, "_SCAN_BLOCKS", scan_blocks)
+        for H, iterations, seed, stop in _small_searches(300, seed=22):
+            w, c = wmin.low_weight_search(H, iterations, seed, stop_at=stop)
+            w_ref, c_ref = ref_low_weight_search(H, iterations, seed, stop_at=stop)
+            assert w == w_ref
+            assert np.array_equal(c, c_ref)
+
+    @pytest.mark.parametrize("iterations,stop_at,sizes", [
+        (40, None, [16, 16, 8]), (3, 5, [1, 2]), (16, None, [16]),
+        (100, 1, [1, 2, 4, 8, 16, 16, 16, 16, 16, 5])])
+    def test_block_sizes(self, iterations, stop_at, sizes):
+        assert list(wmin._block_sizes(iterations, stop_at)) == sizes
+
+    def test_traced_peak_on_wimax_hqc(self, wimax_bundle):
+        # a 40-iteration search (blocks of 16, 16, 8) traced 10.3 MiB with a
+        # transposing pack and the full (r, r) table
+        H = qc.expand(wimax_bundle.proto)
+        tracemalloc.start()
+        try:
+            wmin.low_weight_search(H, 40, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5 * 2 ** 20
+
+
+class TestSearchSteps:
+    """The search's pack and pair scan against the code they replace."""
+
+    @given(st.integers(1, 200), st.integers(1, 40), st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None)
+    def test_pack_permuted_is_pack_of_transpose(self, n, k, seed):
+        # n % 8 != 0 and n % 64 != 0 leave padding bits, which stay zero
+        rng = np.random.default_rng(seed)
+        G0T = rng.integers(0, 2, (n, k)).astype(np.uint8)
+        perm = rng.permutation(n)
+        out = np.zeros((k, (n + 63) // 64), dtype=np.uint64)
+        wmin._pack_permuted(G0T, perm, out)
+        assert np.array_equal(out, pack(G0T[perm].T))
+
+    @given(st.integers(1, 12), st.integers(0, 30), st.sampled_from([0.05, 0.2, 0.5]),
+           st.integers(0, 2 ** 31))
+    @settings(max_examples=80, deadline=None)
+    def test_lightest_is_first_argmin_of_full_table(self, r, m, density, seed):
+        # RREF-like rows: an identity on r random pivot columns, sparse or
+        # dense bits on the m others, with planted ties: rows whose free
+        # parts repeat (pairs of weight 2) and rows of free weight 0 or 1
+        # (weight 1 or 2, tying with those pairs)
+        rng = np.random.default_rng(seed)
+        n = r + m
+        pivots = np.sort(rng.choice(n, r, replace=False))
+        free = np.setdiff1d(np.arange(n), pivots)
+        F = (rng.random((r, m)) < density).astype(np.uint8)
+        for _ in range(int(rng.integers(0, r))):
+            F[rng.integers(r)] = F[rng.integers(r)]
+        if m and rng.random() < 0.5:
+            F[rng.integers(r)] = np.eye(m, dtype=np.uint8)[rng.integers(m)]
+        R = np.zeros((r, n), dtype=np.uint8)
+        R[np.arange(r), pivots] = 1
+        R[:, free] = F
+        expected = ref_lightest(R, pivots)
+        with pytest.MonkeyPatch.context() as mp:
+            for blocks in range(1, r + 1):
+                mp.setattr(wmin, "_SCAN_BLOCKS", blocks)
+                assert wmin._lightest(pack(R), free) == expected
