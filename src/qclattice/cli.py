@@ -284,7 +284,7 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    bundle = presets.get_bundle(args.lattice)
+    bundle = _bundle(args)
     p = bundle.profile
     print(f"lattice {bundle.name}")
     print(f"  N = {p.N} (code length {p.N - 1} + dummy coordinate)")
@@ -326,7 +326,7 @@ def _prototype(args: argparse.Namespace) -> qc.ProtoMatrix:
         raise DataError(f"bad prototype file {args.proto}: {e}")
     if args.scale_n is not None:
         try:
-            P = qc.SCALE_RULES[args.scale_rule or "mod"](P, args.scale_n)
+            P = qc.scale(P, args.scale_n, args.scale_rule or "mod")
         except qc.BadLengthError as e:
             raise ConfigError(f"--scale-n {args.scale_n} with {args.proto}: {e}")
     if args.edits is not None:
@@ -416,7 +416,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 def _simulate(args: argparse.Namespace, grid: str, sweep) -> int:
     """Shared body of the simulate commands: ``sweep(bundle, points,
     **stopping)`` runs the sweep; its rows go to stdout or --out."""
-    bundle = presets.get_bundle(args.lattice)
+    bundle = _bundle(args)
     points = _parse_range(grid)
     done, runs = _prior_output(args.out)
     reports = sweep(bundle, points, max_trials=args.max_trials,

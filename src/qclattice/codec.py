@@ -67,8 +67,10 @@ A batch is decoded in equal frame tiles whose work set fits
 ``_TILE_BYTES`` (6 MiB): the bytes per frame come from :class:`_Work`'s
 buffer table, so the work memory is bounded whatever the batch size and
 the graph's shape (example1's H0 decodes 512 frames as 2 tiles of 256,
-wimax1152's H0 takes at most 46 frames per tile and its H1 73), and each
-tile's results are written straight into the (batch, ...) outputs.  The
+wimax1152's H0 takes at most 47 frames per tile and its H1 75), and each
+tile's results are written straight into the (batch, ...) outputs: a
+frame's hard decision is un-permuted into its output row once, when it
+converges or at ``max_iter``, with no tile-sized staging copy.  The
 budget is not smaller because each tile pays a fixed Python cost: tiles
 of 26 frames on wimax1152's H0 cost about 7% of lattice trials/s.
 Frames are decoded independently, so the results do not depend on the
@@ -166,15 +168,16 @@ class EncoderPlan:
         combo = V[:, self.pivot_cols].astype(np.float32) @ self.info_map.T
         return ((combo.astype(np.int64) & 1) == V[:, self.free_cols]).all(axis=1)
 
-    def encode_batch(self, syndromes: np.ndarray, infos: np.ndarray) -> np.ndarray:
+    def encode_batch(self, syndromes: np.ndarray | None, infos: np.ndarray) -> np.ndarray:
         """Solve ``H c^T = s^T`` for (batch, n) codewords with ``c`` equal
-        to the info bits on ``free_cols``.
+        to the info bits on ``free_cols``; ``syndromes`` None means all
+        zero, as in :func:`bp_decode_batch`.
 
         Raises :class:`InconsistentSyndromeError` if a syndrome is not
         achievable (checked whenever any syndrome is nonzero).
         """
         acc = infos.astype(np.float32) @ self.info_map
-        if syndromes.any():
+        if syndromes is not None and syndromes.any():
             s = syndromes.astype(np.float32)
             if ((s @ self.left_null).astype(np.int64) & 1).any():
                 raise InconsistentSyndromeError(
@@ -218,15 +221,14 @@ def encode_lattice(plans: tuple[EncoderPlan, EncoderPlan],
     with c0, i.e. the pair is not nested.
     """
     plan0, plan1 = plans
-    z = np.asarray(z, dtype=np.int64)
-    c0 = plan0.encode_batch(np.zeros((z.shape[0], plan0.matrix.rows), dtype=np.uint8), infos0)
+    c0 = plan0.encode_batch(None, infos0)
     s1, odd = stage_syndrome(plan1.matrix.a, c0)
     if odd.any():
         b, j = np.argwhere(odd)[0]
         raise OddDotError(f"level-1 row {j} has an odd dot product with the "
                           f"level-0 codeword of point {b}: the pair is not nested")
     c1 = plan1.encode_batch(s1, infos1)
-    x = 4 * z
+    x = np.multiply(z, 4, dtype=np.int64)
     x[:, 0] += 3
     x[:, 1:] += c0
     x[:, 1:] += 2 * c1
@@ -485,7 +487,10 @@ class _Work:
     array that shrinks as frames converge owns a pair of buffers: it lives
     at the head of ``pair[0]``, and :func:`_compact` moves its kept columns
     to ``pair[1]`` and swaps the two.  The spare of ``c2v``'s pair is the
-    iteration's edge scratch (``t``, then ``g``).
+    iteration's edge scratch (``t``, then ``g``).  No buffer stages the
+    hard decisions: :func:`_bp_tile` writes each frame's straight to the
+    output.  With these eight entries a frame of wimax1152's H0 takes
+    133,464 bytes, so 47 frames fit ``_TILE_BYTES``, and 75 of its H1.
     """
 
     BUFFERS = (("c2v", "n_edges", np.float64, True),
@@ -494,8 +499,6 @@ class _Work:
                ("sgn", "n_checks", np.float64, True),
                ("syn", "n_checks", np.uint8, True),
                ("hard", "n_vars", np.bool_, False),
-               ("hard_done", "n_vars", np.bool_, False),
-               ("hard_t", "n_vars", np.bool_, False),
                ("hard_e", "n_edges", np.uint8, False),
                ("par", "n_checks", np.uint8, False))
 
@@ -579,9 +582,11 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
              max_iter: int, work: _Work, hard_out: np.ndarray,
              iters_out: np.ndarray, conv_out: np.ndarray) -> None:
     """Decode one tile of :func:`bp_decode_batch` into its output views
-    (``iters_out`` arrives filled with max_iter, ``conv_out`` with False).
-    Messages, ``post`` and ``llr`` are in the half-LLR domain (see the
-    module docstring)."""
+    (``iters_out`` arrives filled with max_iter, ``conv_out`` with False);
+    a frame's decision goes to its row of ``hard_out``, un-permuted by
+    ``graph.var_row``, when it converges or at max_iter.  Messages,
+    ``post`` and ``llr`` are in the half-LLR domain (see the module
+    docstring)."""
     B, n = llrs.shape
     E, m = graph.n_edges, graph.n_checks
     clip = 0.5 * MSG_CLIP
@@ -599,7 +604,6 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
     sgn = np.multiply(syn, -2.0, out=_rows(work.sgn[0], m, B))
     sgn += 1.0                 # the syndrome as a +/-1 tanh factor
     active = np.arange(B)
-    hard_t = _rows(work.hard_t, n, B)
     c2v = None                 # unset until the first check update writes it
 
     for it in range(max_iter + 1):
@@ -616,8 +620,7 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
         if not bad.all():
             ok = np.flatnonzero(~bad)
             done = active[ok]
-            hard_t[:, done] = np.take(hard, ok, axis=1, mode="clip",
-                                      out=_rows(work.hard_done, n, ok.size))
+            hard_out[done] = hard[:, ok][graph.var_row].T
             iters_out[done] = it
             conv_out[done] = True
             if ok.size == nb:
@@ -632,7 +635,8 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
             if c2v is not None:
                 c2v = _compact(work.c2v, c2v, keep)
         if it == max_iter:
-            hard_t[:, active] = np.less(post, 0.0, out=_rows(work.hard, n, nb))
+            hard = np.less(post, 0.0, out=_rows(work.hard, n, nb))
+            hard_out[active] = hard[graph.var_row].T
             break
 
         # check-node update in the product domain: t = tanh(half message)
@@ -656,8 +660,6 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
             np.add.reduce(g[s0:s0 + d * mv].reshape(d, mv, nb), axis=0,
                           out=post[v0:v0 + mv])
         post += llr
-
-    hard_out[:] = hard_t[graph.var_row].T
 
 
 # ---------------------------------------------------------------------------

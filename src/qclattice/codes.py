@@ -73,15 +73,10 @@ class NestedPair:
         return self.h0.cols
 
 
-def build_h0(P: ProtoMatrix) -> BitMatrix:
-    """Level-0 matrix: the expanded QC matrix over the staircase block."""
-    h_qc = expand(P)
-    stair = build_staircase(P.n_b, P.z)
-    return vstack(h_qc, stair)
-
-
-def build_h1_row_sums(P: ProtoMatrix, groups) -> BitMatrix:
-    """Level-1 matrix from GF(2) sums of block rows, one band per group.
+def make_pair_row_sums(P: ProtoMatrix, groups) -> NestedPair:
+    """Nested pair of one prototype: H0 is the expanded QC matrix over the
+    staircase block, and H1 one band per group, the GF(2) sum of the
+    group's block rows, over the same staircase.  P is expanded once.
 
     Every block column must be covered by (have a CPM in) at least one
     group's sum; bands keep their 0/1 entries for reuse as integer
@@ -101,13 +96,13 @@ def build_h1_row_sums(P: ProtoMatrix, groups) -> BitMatrix:
             if i in g[:k]:
                 raise BadGroupsError(f"group {'+'.join(map(str, g))} names "
                                      f"block row {i} twice")
-    A = expand(P).a
+    h_qc = expand(P)
     z = P.z
     bands = []
     for g in groups:
         band = np.zeros((z, P.n), dtype=np.uint8)
         for i in g:
-            band ^= A[i * z: (i + 1) * z]
+            band ^= h_qc.a[i * z: (i + 1) * z]
         bands.append(band)
     covered = np.zeros(P.n_b, dtype=bool)
     for band in bands:
@@ -116,10 +111,5 @@ def build_h1_row_sums(P: ProtoMatrix, groups) -> BitMatrix:
     if not covered.all():
         missing = np.nonzero(~covered)[0].tolist()
         raise BadGroupsError(f"block columns {missing} not covered by any group")
-    stair = build_staircase(P.n_b, P.z)
-    return BitMatrix(np.vstack(bands + [stair.a]))
-
-
-def make_pair_row_sums(P: ProtoMatrix, groups) -> NestedPair:
-    """Nested pair with H1 = per-group block-row sums over the staircase."""
-    return NestedPair(h0=build_h0(P), h1=build_h1_row_sums(P, groups))
+    stair = build_staircase(P.n_b, z)
+    return NestedPair(h0=vstack(h_qc, stair), h1=BitMatrix(np.vstack(bands + [stair.a])))

@@ -322,17 +322,18 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return unpack(W, n), pivots
 
 
-def nullspace_basis(M: BitMatrix) -> list[np.ndarray]:
+def nullspace_basis(M: BitMatrix) -> np.ndarray:
     """Basis of the right nullspace: vectors v with ``M v^T = 0`` over GF(2).
 
-    Returns ``cols - rank(M)`` vectors; empty list for full column rank.
-    Vector j is 1 on the j-th non-pivot column of the RREF R, 0 on the
-    other non-pivot columns and ``R[i, free_j]`` on pivot i.
+    Returns the k = ``cols - rank(M)`` vectors as the rows of one
+    (k, cols) uint8 array, with no rows for full column rank.  Vector j is
+    1 on the j-th non-pivot column of the RREF R, 0 on the other non-pivot
+    columns and ``R[i, free_j]`` on pivot i.
     """
     R, pivots = rref(M.a)
     free = np.setdiff1d(np.arange(M.cols), pivots)
     basis = np.zeros((free.size, M.cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = R[: len(pivots), free].T
-    return list(basis)
+    return basis
 

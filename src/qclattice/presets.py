@@ -76,7 +76,7 @@ def _recipe_bundle(name: str) -> LatticeBundle:
     r = RECIPES[name]
     P = qc.parse_proto(qc.bundled_text(r["proto"]))
     if "scale_n" in r:
-        P = qc.SCALE_RULES[r["scale_rule"]](P, r["scale_n"])
+        P = qc.scale(P, r["scale_n"], r["scale_rule"])
     if "edits" in r:
         P = qc.apply_edits(P, qc.parse_edits(qc.bundled_text(r["edits"])))
     return LatticeBundle(name, P, codes.make_pair_row_sums(P, r["h1_groups"]),

@@ -98,11 +98,27 @@ def expand(P: ProtoMatrix) -> BitMatrix:
     return BitMatrix(a)
 
 
-def _scale(P2304: ProtoMatrix, n: int, exponent) -> ProtoMatrix:
-    """Rescale a z=96 prototype to length ``n``: z = 96*n/2304, and each
-    exponent e becomes ``exponent(e, z)``.  Raises :class:`BadLengthError`
-    unless P2304 has z=96, z comes out a positive integer and the result
-    has length n, which only a 24-column table gets."""
+# the rescaling rules by name, as --scale-rule and the presets name them:
+# each maps an exponent e of the z=96 table to one of the new size z.
+# "mod" reduces it modulo z; "floor" scales it in proportion, floor(e*z/96),
+# the 802.16e rule for the rate-1/2 family, which unlike "mod" keeps the
+# scaled rate-1/2 matrix free of 4-cycles at z=48
+SCALE_RULES = {"mod": lambda e, z: e % z,
+               "floor": lambda e, z: e * z // BASE_Z}
+
+
+def scale(P2304: ProtoMatrix, n: int, rule: str) -> ProtoMatrix:
+    """Rescale a z=96 prototype to length ``n`` by the ``SCALE_RULES``
+    entry ``rule``.
+
+    The new circulant size is z = 96*n/2304, which must come out a positive
+    integer; empty cells stay empty, and a double cell whose two exponents
+    become equal is the zero block.  ``n`` is the length of the 24-column
+    802.16e table: a prototype of another width, which would get length
+    n_b*z, is refused with :class:`BadLengthError`, as is a prototype
+    whose z is not 96.
+    """
+    exponent = SCALE_RULES[rule]
     if P2304.z != BASE_Z:
         raise BadLengthError(f"scaling expects a z={BASE_Z} prototype, got z={P2304.z}")
     z = BASE_Z * n // BASE_LENGTH
@@ -121,35 +137,6 @@ def _scale(P2304: ProtoMatrix, n: int, exponent) -> ProtoMatrix:
 
     cells = tuple(tuple(scale_cell(c) for c in row) for row in P2304.cells)
     return ProtoMatrix(P2304.m_b, P2304.n_b, z, cells)
-
-
-def scale_shifts(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
-    """Rescale a z=96 prototype to length ``n`` by reducing exponents mod z.
-
-    The new circulant size is z = 96*n/2304, which must come out a positive
-    integer; empty cells stay empty, and a double cell whose two exponents
-    become equal is the zero block.  ``n`` is the length of the 24-column
-    802.16e table: a prototype of another width, which would get length
-    n_b*z, is refused with :class:`BadLengthError`.
-    """
-    return _scale(P2304, n, lambda e, z: e % z)
-
-
-def scale_shifts_floor(P2304: ProtoMatrix, n: int) -> ProtoMatrix:
-    """Rescale a z=96 prototype to length ``n`` with proportional shifts.
-
-    Exponents become floor(b * z / 96); this is the 802.16e scaling rule for
-    the rate-1/2 family and, unlike the plain modulo reduction, keeps the
-    scaled rate-1/2 matrix free of 4-cycles at z=48.  As in
-    :func:`scale_shifts`, z = 96*n/2304, ``n`` is the length of the
-    24-column table (another width is refused) and a double cell whose
-    exponents meet is the zero block.
-    """
-    return _scale(P2304, n, lambda e, z: e * z // BASE_Z)
-
-
-# the rescaling rules by name, as --scale-rule and the presets name them
-SCALE_RULES = {"mod": scale_shifts, "floor": scale_shifts_floor}
 
 
 def apply_edits(P: ProtoMatrix, edits) -> ProtoMatrix:

@@ -220,12 +220,11 @@ def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
     """
     _check_plan(plan, H, "plan")
     graph = TannerGraph(H)
-    zero_syn = np.zeros((1, H.rows), dtype=np.uint8)
     fields = (Integers(0, 2, plan.num_info, np.uint8), Normals(H.cols + 1))
 
     def step(draws, sigma):
         infos, noise = draws
-        cw = plan.encode_batch(np.repeat(zero_syn, len(infos), axis=0), infos)
+        cw = plan.encode_batch(None, infos)
         # y = (word + sigma * noise) mod 2, over the noise; the dummy
         # coordinate (column 0) is never read
         y = noise[:, 1:]

@@ -73,7 +73,7 @@ def exact_dmin(H: BitMatrix) -> int:
         raise TooLargeError(f"dimension k={k} exceeds {MAX_EXACT_DIM}")
     if k == 0:
         raise ValueError("code is trivial (full column rank); no nonzero codeword")
-    masks = pack(np.array(basis))
+    masks = pack(basis)
 
     k_lo = min(k, 16)
     lo = np.zeros((1 << k_lo, masks.shape[1]), dtype=np.uint64)
@@ -208,11 +208,10 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     if stop_at is not None and stop_at < 1:
         raise ValueError(f"stop_at must be >= 1 (a nonzero codeword has weight "
                          f">= 1), got {stop_at}")
-    basis = nullspace_basis(H)
-    if not basis:
-        raise ValueError("code is trivial (full column rank); nothing to search")
-    G0 = np.array(basis, dtype=np.uint8)
+    G0 = nullspace_basis(H)
     k, n = G0.shape
+    if k == 0:
+        raise ValueError("code is trivial (full column rank); nothing to search")
     # column permutations become row gathers on a transposed copy
     G0T = np.ascontiguousarray(G0.T)
     rng = np.random.default_rng(seed)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qclattice import gf2, presets
+from qclattice import codes, gf2, presets, qc
 
 
 @pytest.fixture(scope="session")
@@ -33,4 +33,21 @@ def eliminations(monkeypatch):
         return kernel(W, n)
 
     monkeypatch.setattr(gf2, "rref_words", counted)
+    return calls
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """A list that gets the prototype of every ``qc.expand`` call made
+    during the test, through ``qc``'s own name or ``codes``' import of
+    it."""
+    calls = []
+    expand = qc.expand
+
+    def counted(P):
+        calls.append(P)
+        return expand(P)
+
+    for module in (qc, codes):
+        monkeypatch.setattr(module, "expand", counted)
     return calls

@@ -361,7 +361,7 @@ class TestDistanceProtoMatrix:
         H = self.searched(capsys, monkeypatch, "--proto", str(_WIMAX_Z96),
                           "--scale-n", "1152", "--scale-rule", "mod",
                           "--edits", str(_WIMAX_EDITS))
-        P = qc.apply_edits(qc.scale_shifts(qc.load_proto(_WIMAX_Z96), 1152),
+        P = qc.apply_edits(qc.scale(qc.load_proto(_WIMAX_Z96), 1152, "mod"),
                            qc.load_edits(_WIMAX_EDITS))
         assert H == qc.expand(P)
 

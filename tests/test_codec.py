@@ -121,6 +121,16 @@ class TestEncode:
         assert all(lattice.is_member(pair, p[1:]) for p in x)
         assert len({tuple(p) for p in x.tolist()}) == 2 * 2 * 16  # injective encoding
 
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("name", ["example1", "wimax1152"])
+    def test_none_syndrome_is_zero(self, name, level):
+        # None stands for the all-zero syndrome, as in bp_decode_batch
+        plan = presets.get_bundle(name).plans[level]
+        infos = np.random.default_rng(14).integers(0, 2, (7, plan.num_info), dtype=np.uint8)
+        zeros = np.zeros((7, plan.matrix.rows), np.uint8)
+        assert np.array_equal(plan.encode_batch(None, infos),
+                              plan.encode_batch(zeros, infos))
+
     def test_non_nested_pair_refused(self, toy_setup):
         # H1 plus a weight-1 row that H0's row space does not contain:
         # the level-0 codeword 1111 has an odd dot with it

@@ -58,7 +58,7 @@ class TestBuildH0:
 
     def test_tiny(self):
         P = qc.ProtoMatrix.from_shifts([[0]], 2)
-        H0 = codes.build_h0(P)
+        H0 = codes.make_pair_row_sums(P, [(0,)]).h0
         assert H0.a.tolist() == [[1, 0], [0, 1], [1, 1]]
         assert ref_rank(H0.a) == 2
 
@@ -72,7 +72,7 @@ class TestBuildH0:
 class TestBuildH1BlockRow:
     # a block row is the row-sum group of one row
     def test_example1(self, example1_bundle):
-        H1 = codes.build_h1_row_sums(example1_bundle.proto, [(0,)])
+        H1 = codes.make_pair_row_sums(example1_bundle.proto, [(0,)]).h1
         assert H1.shape == (39, 170)
         assert ref_rank(H1.a) == 38
         assert len(nullspace_basis(H1)) == 132
@@ -80,14 +80,14 @@ class TestBuildH1BlockRow:
     def test_toy_is_spc_product_code(self):
         # all-{0} 1x2 prototype at z=2: H1 = [I2 I2; staircase(2,2)]
         P = qc.ProtoMatrix.from_shifts([[0, 0]], 2)
-        H1 = codes.build_h1_row_sums(P, [(0,)])
+        H1 = codes.make_pair_row_sums(P, [(0,)]).h1
         spc = codes.build_spc(2, 2)
         assert set(exhaustive_nullspace(H1.a)) == set(exhaustive_nullspace(spc.a))
 
     def test_zero_block_raises(self):
         P = qc.ProtoMatrix(1, 2, 3, (((0,), ()),))
         with pytest.raises(codes.BadGroupsError):
-            codes.build_h1_row_sums(P, [(0,)])
+            codes.make_pair_row_sums(P, [(0,)])
 
 
 class TestBuildH1RowSums:
@@ -97,7 +97,7 @@ class TestBuildH1RowSums:
         stair = codes.build_staircase(P.n_b, P.z)
         for i in range(P.m_b):
             band = BitMatrix(qc.expand(P).a[i * P.z: (i + 1) * P.z])
-            assert codes.build_h1_row_sums(P, [(i,)]) == vstack(band, stair)
+            assert codes.make_pair_row_sums(P, [(i,)]).h1 == vstack(band, stair)
 
     def test_wimax_dimensions_and_band(self, wimax_bundle):
         H1 = wimax_bundle.pair.h1
@@ -130,13 +130,13 @@ class TestBuildH1RowSums:
     def test_bad_groups(self, wimax_bundle):
         P = wimax_bundle.proto
         with pytest.raises(codes.BadGroupsError):
-            codes.build_h1_row_sums(P, [])
+            codes.make_pair_row_sums(P, [])
         with pytest.raises(codes.BadGroupsError):
-            codes.build_h1_row_sums(P, [(1, 8), ()])
+            codes.make_pair_row_sums(P, [(1, 8), ()])
         with pytest.raises(codes.BadGroupsError):
-            codes.build_h1_row_sums(P, [(1, 8)])  # leaves columns uncovered
+            codes.make_pair_row_sums(P, [(1, 8)])  # leaves columns uncovered
         with pytest.raises(codes.BadGroupsError):
-            codes.build_h1_row_sums(P, [(0, 25)])
+            codes.make_pair_row_sums(P, [(0, 25)])
 
     @pytest.mark.parametrize("groups, message", [
         ([(1, 1)], r"group 1\+1 names block row 1 twice"),
@@ -145,7 +145,7 @@ class TestBuildH1RowSums:
     def test_block_row_twice_in_a_group(self, example1_bundle, groups, message):
         # a block row plus itself is the zero band; 1+1 once built row 1 alone
         with pytest.raises(codes.BadGroupsError, match=message):
-            codes.build_h1_row_sums(example1_bundle.proto, groups)
+            codes.make_pair_row_sums(example1_bundle.proto, groups)
 
 
 class TestNestedPair:

@@ -74,6 +74,12 @@ class TestBundle:
         m0, m1 = b.pair.h0.rows, b.pair.h1.rows
         assert [shape[0] for shape in eliminations] == [m0, m1]
 
+    @pytest.mark.parametrize("name", ["example1", "wimax1152"])
+    def test_uncached_bundle_expands_once(self, name, expansions):
+        # H0 and H1 both come from one expansion of the prototype
+        b = presets.BUILTIN_LATTICES[name].__wrapped__()
+        assert expansions == [b.proto]
+
     def test_bundle_of_a_prototype_runs_no_elimination(self, toy_pair, eliminations):
         b = presets.LatticeBundle("toy", qc.ProtoMatrix.from_shifts([[0, 0]], 2), toy_pair)
         assert (b.pair, b.design_d) == (toy_pair, None)

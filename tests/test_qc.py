@@ -90,21 +90,20 @@ class TestExpand:
 class TestScaleShifts:
     def test_mod_example(self):
         P = qc.ProtoMatrix.from_shifts([[94] + [-1] * 23] * 12, 96)
-        scaled = qc.scale_shifts(P, 1152)
+        scaled = qc.scale(P, 1152, "mod")
         assert scaled.z == 48
         assert scaled.cells[0][0] == (94 % 48,) == (46,)
 
     def test_empty_cells_unchanged(self):
         P = qc.ProtoMatrix.from_shifts([[-1, 3] + [-1] * 22, [5] + [-1] * 23], 96)
-        scaled = qc.scale_shifts(P, 1152)
+        scaled = qc.scale(P, 1152, "mod")
         assert scaled.cells[0][0] == () and scaled.cells[1][1] == ()
 
     def test_identity_scaling(self):
         P = qc.ProtoMatrix.from_shifts([[7] + [-1] * 23], 96)
-        assert qc.scale_shifts(P, 2304).cells[0][0] == (7,)
+        assert qc.scale(P, 2304, "mod").cells[0][0] == (7,)
 
-    @pytest.mark.parametrize("rule", [qc.scale_shifts, qc.scale_shifts_floor],
-                             ids=["mod", "floor"])
+    @pytest.mark.parametrize("rule", ["mod", "floor"])
     @pytest.mark.parametrize("z, n, match", [(96, 1000, "integer circulant size"),
                                              (96, 0, "integer circulant size"),
                                              (48, 1152, "z=96 prototype")],
@@ -112,32 +111,31 @@ class TestScaleShifts:
     def test_bad_length(self, rule, z, n, match):
         P = qc.ProtoMatrix.from_shifts([[7]], z)
         with pytest.raises(qc.BadLengthError, match=match):
-            rule(P, n)
+            qc.scale(P, n, rule)
 
-    @pytest.mark.parametrize("rule", [qc.scale_shifts, qc.scale_shifts_floor],
-                             ids=["mod", "floor"])
+    @pytest.mark.parametrize("rule", ["mod", "floor"])
     def test_width_other_than_24_refused(self, rule):
         # z = 96*n/2304 gives length n only to a 24-column table; a 1x2
         # table at n = 1152 once came out at length 96 without a word
         P = qc.ProtoMatrix.from_shifts([[0, 5]], 96)
         with pytest.raises(qc.BadLengthError) as e:
-            rule(P, 1152)
+            qc.scale(P, 1152, rule)
         assert str(e.value) == ("the 1x2 prototype scales to length 96, not 1152; the "
                                 "802.16e rule gives length n only to a 24-column table")
 
     def test_identity_scaling_preserves_expansion(self):
         rng = np.random.default_rng(0)
         P = qc.ProtoMatrix.from_shifts(rng.integers(-1, 96, (3, 24)), 96)
-        assert qc.expand(qc.scale_shifts(P, 2304)) == qc.expand(P)
+        assert qc.expand(qc.scale(P, 2304, "mod")) == qc.expand(P)
 
     def test_floor_rule(self):
         P = qc.ProtoMatrix.from_shifts([[94, 0] + [-1] * 22], 96)
-        scaled = qc.scale_shifts_floor(P, 1152)
+        scaled = qc.scale(P, 1152, "floor")
         assert scaled.cells[0][:3] == ((47,), (0,), ())
 
     @pytest.mark.parametrize("rule, exponent", [
-        (qc.scale_shifts, lambda e, z: e % z),
-        (qc.scale_shifts_floor, lambda e, z: e * z // 96),
+        ("mod", lambda e, z: e % z),
+        ("floor", lambda e, z: e * z // 96),
     ], ids=["mod", "floor"])
     @pytest.mark.parametrize("n", [576, 1152, 1920])
     @given(P=z96_protos())
@@ -152,7 +150,7 @@ class TestScaleShifts:
                 for e in cell:
                     cpm = np.roll(np.eye(z, dtype=np.uint8), exponent(e, z), axis=1)
                     expected[i * z:(i + 1) * z, j * z:(j + 1) * z] ^= cpm
-        assert np.array_equal(qc.expand(rule(P, n)).a, expected)
+        assert np.array_equal(qc.expand(qc.scale(P, n, rule)).a, expected)
 
 
 class TestApplyEdits:

@@ -210,7 +210,7 @@ class TestLowWeightSearch:
         # fails H c = 0; the explicit check (kept under python -O) refuses it
         H = codes.build_spc(2, 2)
         monkeypatch.setattr(wmin, "nullspace_basis",
-                            lambda H: [np.eye(H.cols, dtype=np.uint8)[0]])
+                            lambda H: np.eye(H.cols, dtype=np.uint8)[:1])
         with pytest.raises(wmin.WitnessError):
             wmin.low_weight_search(H, 3, seed=0)
 
@@ -234,7 +234,7 @@ class TestLowWeightSearch:
             "import numpy as np\n"
             "from qclattice import codes, wmin\n"
             "basis, lightest = wmin.nullspace_basis, wmin._lightest\n"
-            "wmin.nullspace_basis = lambda H: [np.eye(H.cols, dtype=np.uint8)[0]]\n"
+            "wmin.nullspace_basis = lambda H: np.eye(H.cols, dtype=np.uint8)[:1]\n"
             "try:\n"
             "    wmin.low_weight_search(codes.build_spc(2, 2), 3, seed=0)\n"
             "except wmin.WitnessError:\n"
