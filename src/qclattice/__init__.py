@@ -6,8 +6,8 @@ from .codec import (EncoderPlan, MultistageDecoder, encode_lattice, stage_syndro
                     wrapped_llr)
 from .codes import NestedPair, build_spc, build_staircase, make_pair_row_sums
 from .gf2 import BitMatrix, InconsistentSyndromeError, nullspace_basis
-from .lattice import LatticeProfile, balanced_check, is_member, profile
-from .presets import BUILTIN_LATTICES, LatticeBundle, example1, get_bundle, wimax1152
+from .lattice import LatticeProfile, is_member, profile
+from .presets import BUILTIN_LATTICES, LatticeBundle, get_bundle
 from .qc import ProtoMatrix, apply_edits, expand, has_four_cycle, scale
 from .sim import SimReport, snr_to_sigma2, sweep_code, sweep_lattice, vnr_to_sigma2
 from .wmin import exact_dmin, low_weight_search
@@ -18,9 +18,9 @@ __all__ = [
     "EncoderPlan", "InconsistentSyndromeError", "LatticeBundle",
     "LatticeProfile", "MultistageDecoder", "NestedPair",
     "ProtoMatrix", "SimReport",
-    "apply_edits", "balanced_check", "build_spc", "build_staircase",
+    "apply_edits", "build_spc", "build_staircase",
     "encode_lattice", "exact_dmin",
-    "example1", "expand", "get_bundle", "has_four_cycle", "is_member",
+    "expand", "get_bundle", "has_four_cycle", "is_member",
     "low_weight_search",
     "make_pair_row_sums", "nullspace_basis", "profile",
     "scale", "snr_to_sigma2",

@@ -29,7 +29,6 @@ immutable :class:`BitMatrix`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,18 +58,6 @@ class BitMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "BitMatrix":
-        return cls(np.array(list(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -82,9 +69,6 @@ class BitMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
-
-    def __getitem__(self, idx):
-        return self.a[idx]
 
     def mul_vec(self, v: np.ndarray) -> np.ndarray:
         """Return ``M v^T`` over GF(2) as a uint8 vector: the XOR of the

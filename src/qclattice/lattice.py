@@ -72,9 +72,3 @@ def profile(k: tuple[int, int], N: int, design_d: tuple[int, int]) -> LatticePro
     return LatticeProfile(N=N, k=(k0, k1), r=(r0, r1), d=(d0, d1), d2min=d2min,
                           normalized_volume=vol,
                           gain_db=10.0 * math.log10(d2min / vol))
-
-
-def balanced_check(d) -> bool:
-    """True iff 4^l * d_l is the same for every level l."""
-    vals = [(4 ** l) * dl for l, dl in enumerate(d)]
-    return len(set(vals)) <= 1

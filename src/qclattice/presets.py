@@ -85,7 +85,6 @@ def _recipe_bundle(name: str) -> LatticeBundle:
 
 BUILTIN_LATTICES = {name: lru_cache(maxsize=None)(partial(_recipe_bundle, name))
                     for name in RECIPES}
-example1, wimax1152 = BUILTIN_LATTICES["example1"], BUILTIN_LATTICES["wimax1152"]
 
 
 def get_bundle(name: str) -> LatticeBundle:

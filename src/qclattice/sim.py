@@ -2,8 +2,9 @@
 
 Two channels:
 
-* mod-2 additive Gaussian noise for the binary component codes, output
-  folded into [0, 2); operating point given as SNR = 1/sigma^2.
+* mod-2 additive Gaussian noise for the binary component codes; the
+  output is left unfolded and :func:`~qclattice.codec.wrapped_llr` reads
+  it modulo 2; operating point given as SNR = 1/sigma^2.
 * power-unconstrained additive Gaussian noise for the lattice, operating
   point given as the volume-to-noise ratio VNR = V^(2/N) / (2*pi*e*sigma^2)
   (0 dB is the Poltyrev limit).
@@ -213,10 +214,12 @@ def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
     Gaussian channel.
 
     Per trial: draw information bits, encode with zero syndrome, transmit
-    the codeword with its dummy head bit over y = (word + noise) mod 2,
-    decode from wrapped LLRs with the dummy pinned to 1, and count a block
-    error when the decision differs from the transmitted word.  Raises
-    ValueError when ``plan`` was built for another matrix than ``H``.
+    the codeword with its dummy head bit as y = word + noise, decode from
+    wrapped LLRs with the dummy pinned to 1, and count a block error when
+    the decision differs from the transmitted word.  y stays unfolded: the
+    LLR's fold reads it modulo 2 as its exact distance to 2Z, where a fold
+    into [0, 2) here would round for y < 0.  Raises ValueError when
+    ``plan`` was built for another matrix than ``H``.
     """
     _check_plan(plan, H, "plan")
     graph = TannerGraph(H)
@@ -225,12 +228,11 @@ def sweep_code(H: BitMatrix, plan: EncoderPlan, snr_points_db,
     def step(draws, sigma):
         infos, noise = draws
         cw = plan.encode_batch(None, infos)
-        # y = (word + sigma * noise) mod 2, over the noise; the dummy
-        # coordinate (column 0) is never read
+        # y = word + sigma * noise, over the noise; the dummy coordinate
+        # (column 0) is never read
         y = noise[:, 1:]
         y *= sigma
         y += cw
-        np.mod(y, 2.0, out=y)
         llr = wrapped_llr(y, sigma)
         hard, iters, _ = bp_decode_batch(graph, llr, None, max_iter)
         return np.where((hard != cw).any(axis=1), 0, -1), iters

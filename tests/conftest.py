@@ -10,12 +10,12 @@ from qclattice import codes, gf2, presets, qc
 
 @pytest.fixture(scope="session")
 def example1_bundle():
-    return presets.example1()
+    return presets.get_bundle("example1")
 
 
 @pytest.fixture(scope="session")
 def wimax_bundle():
-    return presets.wimax1152()
+    return presets.get_bundle("wimax1152")
 
 
 @pytest.fixture

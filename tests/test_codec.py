@@ -29,7 +29,7 @@ def toy_setup():
 
 class TestPlanLevel:
     def test_identity_no_free_columns(self):
-        plan = codec.EncoderPlan(BitMatrix.identity(6))
+        plan = codec.EncoderPlan(BitMatrix(np.eye(6, dtype=np.uint8)))
         assert plan.num_info == 0
 
     def test_example1_free_counts(self, example1_bundle):
@@ -149,7 +149,7 @@ class TestEncode:
             "import numpy as np\n"
             "from qclattice import codec\n"
             "from qclattice.gf2 import BitMatrix, InconsistentSyndromeError\n"
-            "plan = codec.EncoderPlan(BitMatrix.from_rows([[1, 1], [1, 1]]))\n"
+            "plan = codec.EncoderPlan(BitMatrix(np.array([[1, 1], [1, 1]])))\n"
             "try:\n"
             "    plan.encode_batch(np.array([[1, 0]], np.uint8), np.zeros((1, 1), np.uint8))\n"
             "except InconsistentSyndromeError:\n"
@@ -375,7 +375,7 @@ class TestSpaDecode:
         # cycle-free code: after convergence the hard decision equals the
         # exact bitwise MAP (enumeration over [syndrome | H] with the dummy
         # pinned to 1 by a saturated LLR)
-        H = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+        H = BitMatrix(np.array([[1, 1, 0], [0, 1, 1]]))
         rng = np.random.default_rng(15)
         for syn in ([0, 0], [1, 0], [0, 1], [1, 1]):
             ext = np.hstack([np.array(syn, np.uint8)[:, None], H.a])

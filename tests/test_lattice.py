@@ -284,11 +284,3 @@ class TestDminBounds:
         for N, d in [(171, (0, 4)), (171, (16, -1)), (0, (16, 4))]:
             with pytest.raises(ValueError, match="must be >= 1"):
                 lattice.profile((68, 132), N, d)
-
-
-class TestBalancedCheck:
-    def test_examples(self):
-        assert lattice.balanced_check((16, 4)) is True
-        assert lattice.balanced_check((16, 5)) is False
-        assert lattice.balanced_check((4, 1)) is True
-        assert lattice.balanced_check((25, 4)) is False

@@ -89,6 +89,29 @@ class TestSweepCode:
         assert rep.trials == 25
         assert rep.block_errors == 25
 
+    def test_llr_reads_the_unfolded_channel_output(self, example1_bundle, monkeypatch):
+        # the LLR's own fold reads y modulo 2, so the sweep hands it
+        # word + sigma * noise exactly, with no rounding fold before it
+        seen = []
+
+        def spy(y, sigma):
+            seen.append((y.copy(), sigma))
+            return codec.wrapped_llr(y, sigma)
+
+        monkeypatch.setattr(sim, "wrapped_llr", spy)
+        H, plan = example1_bundle.pair.h0, example1_bundle.plan0
+        sim.sweep_code(H, plan, [3.0], max_trials=40, target_errors=1000, seed=4,
+                       batch=16)
+        sigma = math.sqrt(sim.snr_to_sigma2(3.0))
+        infos, noise = sim.trial_draws(4, 0, 0, 40,
+                                       (sim.Integers(0, 2, plan.num_info, np.uint8),
+                                        sim.Normals(H.cols + 1)))
+        want = plan.encode_batch(None, infos) + sigma * noise[:, 1:]
+        assert [s for _, s in seen] == [sigma] * 3
+        got = np.concatenate([y for y, _ in seen])
+        assert np.array_equal(got, want)
+        assert (got < 0).any() and (got >= 2).any()
+
     def test_spa_close_to_ml_at_moderate_noise(self):
         # exhaustive-codebook ML on the same noise stream; at SNR 9 dB the
         # sum-product decoder matches ML within 3 Monte Carlo sigma

@@ -37,11 +37,11 @@ def _small_searches(count: int, seed: int) -> list:
     return cases
 
 
-HAMMING_7_4 = BitMatrix.from_rows([
+HAMMING_7_4 = BitMatrix(np.array([
     [1, 0, 1, 0, 1, 0, 1],
     [0, 1, 1, 0, 0, 1, 1],
     [0, 0, 0, 1, 1, 1, 1],
-])
+]))
 
 
 class TestExactDmin:
@@ -49,7 +49,7 @@ class TestExactDmin:
         assert wmin.exact_dmin(codes.build_spc(3, 3)) == 4
 
     def test_chain_code(self):
-        H = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+        H = BitMatrix(np.array([[1, 1, 0], [0, 1, 1]]))
         assert wmin.exact_dmin(H) == 3
 
     def test_hamming_7_4(self):
@@ -59,13 +59,13 @@ class TestExactDmin:
         assert min(weights) == 3
 
     def test_too_large(self):
-        H = BitMatrix.zeros(1, 40)
+        H = BitMatrix(np.zeros((1, 40), np.uint8))
         with pytest.raises(wmin.TooLargeError):
             wmin.exact_dmin(H)
 
     def test_trivial_code_raises(self):
         with pytest.raises(ValueError):
-            wmin.exact_dmin(BitMatrix.identity(4))
+            wmin.exact_dmin(BitMatrix(np.eye(4, dtype=np.uint8)))
 
     def test_spc_grid(self):
         for p, q in [(2, 4), (3, 4), (4, 4), (2, 6)]:
@@ -73,7 +73,7 @@ class TestExactDmin:
 
     def test_split_enumeration_path(self):
         # k > 16 exercises the two-table enumeration
-        H = BitMatrix.from_rows([np.ones(19, dtype=np.uint8)])
+        H = BitMatrix(np.ones((1, 19), np.uint8))
         assert wmin.exact_dmin(H) == 2
 
     @given(st.integers(0, 2 ** 31))
@@ -194,7 +194,7 @@ class TestLowWeightSearch:
 
     def test_trivial_code_raises(self):
         with pytest.raises(ValueError):
-            wmin.low_weight_search(BitMatrix.identity(5), 10, seed=0)
+            wmin.low_weight_search(BitMatrix(np.eye(5, dtype=np.uint8)), 10, seed=0)
 
     @pytest.mark.parametrize("stop_at", [0, -1])
     def test_stop_at_below_one_refused(self, stop_at):
