@@ -196,10 +196,13 @@ def _pick_one(W, keys, unused, home, j):
     return T, combo[None], P
 
 
-def _pick_stack(W, keys, unused, home, j):
-    """Chunk j of a larger stack: Gauss-Jordan on all (B, m) keys at once,
-    one masked step per bit b.  Each matrix takes its first unused row with
-    bit b as that bit's pivot row and clears bit b from its other rows.
+def _pick_stack(W, keys, unused, home, j, reach=None):
+    """Chunk j of a larger stack, or of any stack with row limits:
+    Gauss-Jordan on all (B, m) keys at once, one masked step per bit b.
+    Each matrix takes its first unused row with bit b as that bit's pivot
+    row and clears bit b from its other rows; with ``reach`` (B, m), the
+    chunk's bits each row may still pivot on, only rows with
+    ``reach > b`` are candidates.
     The high byte of ``state`` tracks each row's combination of pivot rows,
     bit b standing for the pivot row of bit b.  Each bit's pivot row goes
     to ``home`` (left at -1 without one); returns ``(T, combo, P)``: the
@@ -217,6 +220,8 @@ def _pick_stack(W, keys, unused, home, j):
     for b in range(8):
         col = (state & (1 << b)).astype(bool)
         cand = col & unused
+        if reach is not None:
+            cand &= reach > b
         p = cand.argmax(axis=1)
         fp = p + base
         has = cand.reshape(-1)[fp]
@@ -236,7 +241,8 @@ def _pick_stack(W, keys, unused, home, j):
     return T, combo, int(np.count_nonzero(home >= 0))
 
 
-def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
+def rref_words(W: np.ndarray, n: int,
+               limit: np.ndarray | None = None) -> list[int] | list[list[int]]:
     """In-place reduced row-echelon form of packed rows; returns the pivots.
 
     ``W`` holds the rows of an (m, n) matrix as returned by :func:`pack`,
@@ -252,7 +258,8 @@ def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
     used as pivots whose keys span those of the others; the chunk's pivots
     are the lowest bits of that span's echelon basis.  A stack of one picks
     them in a pure-Python pass over the distinct keys; a larger stack runs
-    8 masked bit steps on all its keys at once.  Each matrix gets a table
+    8 masked bit steps on all its keys at once, each bit's pivot row being
+    the matrix's first unused row with that bit.  Each matrix gets a table
     of the XOR combinations of its picked rows, combination-major over
     whole rows, and one contiguous gather-XOR of whole table rows into the
     whole stack then clears the pivot bits of every row (above and below
@@ -260,12 +267,23 @@ def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
     place.  Whole rows are exact: the picked rows are not yet pivots, so
     they are zero on every column of the earlier chunks, and so is every
     combination of them.  One reorder at the end moves the pivot rows to
-    the top in column order; rows at or past the rank come out zero on the
-    first n columns.
+    the top in column order, followed by the other rows in their input
+    order; without ``limit`` those rows are zero on the first n columns.
 
-    Columns n and up are padding: they never become pivots, and the bits
-    there after the call are only defined (zero) when they were zero on
-    entry, which :func:`pack` guarantees.
+    ``limit`` (shape ``(B, m)``, or ``(m,)`` for a 2-D ``W``) restricts the
+    pivots: row i of matrix b may become the pivot of column c only when
+    c < ``limit[b, i]``, and the chunk loop stops once no row is both
+    unused and within its limit.  Each column is still cleared on every
+    other row when it gets a pivot, and the pivot is the first unused row
+    within its limit that has the bit (the masked bit steps run for every
+    stack size).  The result is then an RREF only of what the limits
+    allow; :mod:`qclattice.wmin` orders the rows and sets the limits so
+    that it completes to the RREF of the whole generator with no further
+    row operation.
+
+    Columns n and up are carried, not eliminated: they never become pivots
+    and their bits follow the row operations, so they stay zero when they
+    are zero on entry, as :func:`pack` leaves them.
     """
     W3 = W if W.ndim == 3 else W[None]
     B, m, _ = W3.shape
@@ -273,6 +291,8 @@ def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
     pick = _pick_one if B == 1 else _pick_stack
     unused = np.ones((B, m), dtype=bool)
     home = np.full((B, 8 * ((n + 7) // 8)), -1, dtype=np.intp)  # column -> pivot row
+    if limit is not None:
+        limit = np.reshape(limit, (B, m))
     left = B * m                        # rows not yet pivots
     for j in range((n + 7) // 8):
         if left == 0:
@@ -280,7 +300,14 @@ def rref_words(W: np.ndarray, n: int) -> list[int] | list[list[int]]:
         keys = Wb[:, :, j]
         if n - 8 * j < 8:
             keys = keys & ((1 << (n - 8 * j)) - 1)
-        picked = pick(W3, keys, unused, home[:, 8 * j: 8 * j + 8], j)
+        if limit is None:
+            picked = pick(W3, keys, unused, home[:, 8 * j: 8 * j + 8], j)
+        else:
+            reach = limit - 8 * j
+            if not (unused & (reach > 0)).any():
+                break
+            picked = _pick_stack(W3, keys, unused, home[:, 8 * j: 8 * j + 8], j,
+                                 reach)
         if picked is None:
             continue
         T, combo, new = picked

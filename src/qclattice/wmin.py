@@ -23,17 +23,29 @@ stacked kernel :func:`qclattice.gf2.rref_words` row-reduces up to
 ``_BLOCK`` permuted generators together, which shares the kernel's
 per-chunk numpy overhead across the block.  A search with ``stop_at``
 grows its blocks from 1 to ``_BLOCK`` (1, 2, 4, ...), so an early stop
-leaves few eliminations unused.  Each permuted generator is packed from
-its columns gathered as rows, eight of them OR-ed into each byte, with no
-transposing copy of the bits.  Each RREF is unique and the permutations
-are drawn in the same order from the same generator, so every seed's
-search path is the one of a search that eliminates one permutation at a
-time.
+leaves few eliminations unused.
+
+The generator from :func:`qclattice.gf2.nullspace_basis` is systematic:
+row j has a unit column, equal to e_j, and the other r = n - k columns
+are its non-unit columns.  Each permuted generator is laid out as its
+non-unit columns in permuted order, then its unit part, and its rows are
+sorted so that the row whose unit column comes last is first.  The kernel
+eliminates the non-unit columns only, each row limited to the non-unit
+columns before its own unit column, and pivots each such column on the
+candidate whose unit column comes last; the unit columns cost no chunk
+step, and the result is the permuted generator's unique RREF (the
+reasoning is in :func:`low_weight_search`).  The non-unit columns are
+packed from their columns gathered as rows, eight of them OR-ed into
+each byte, with no transposing copy of the bits.  Each RREF is unique and
+the permutations are drawn in the same order from the same generator, so
+every seed's search path is the one of a search that eliminates one
+permutation at a time over all its columns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain
 
 import numpy as np
 
@@ -105,14 +117,15 @@ def _block_sizes(iterations: int, stop_at: int | None) -> Iterable[int]:
 
 
 def _pack_permuted(G0T: np.ndarray, perm: np.ndarray, out: np.ndarray) -> None:
-    """Write ``pack(G0T[perm].T)`` into the zeroed uint64 array ``out``.
+    """Write ``pack(G0T[perm].T)`` into the zeroed uint64 array ``out``;
+    ``perm`` may pick any of ``G0T``'s rows, in any order.
 
-    The permuted columns are gathered as rows of a copy padded with zero
+    The picked columns are gathered as rows of a copy padded with zero
     rows to a multiple of 8; each group of 8 rows is shifted to its bit in
-    place and OR-reduced to one byte row, so only the (n/8, k) bytes are
-    transposed, into ``out``'s byte view.
+    place and OR-reduced to one byte row, so only the (len(perm)/8, k)
+    bytes are transposed, into ``out``'s byte view.
     """
-    n, k = G0T.shape
+    n, k = len(perm), G0T.shape[1]
     M = np.zeros((-(-n // 8) * 8, k), dtype=np.uint8)
     np.take(G0T, perm, axis=0, out=M[:n])
     M = M.reshape(-1, 8, k)
@@ -120,19 +133,92 @@ def _pack_permuted(G0T: np.ndarray, perm: np.ndarray, out: np.ndarray) -> None:
     out.view(np.uint8)[:, : M.shape[0]] = np.bitwise_or.reduce(M, axis=1).T
 
 
-def _eliminated(G0T: np.ndarray, sizes: Iterable[int],
-                rng: np.random.Generator):
-    """Yield ``(perm, W, pivots)`` for each iteration in order: the column
-    permutation, the packed RREF of the permuted generator (whose transpose
-    is ``G0T``) and its pivots.  Permutations are drawn and eliminated a
-    block at a time, one block per entry of ``sizes``."""
+def _unit_columns(G0T: np.ndarray) -> np.ndarray:
+    """Row j's unit column of the systematic generator whose transpose is
+    ``G0T``: its last column equal to e_j.  :func:`nullspace_basis` puts
+    e_j on H's j-th non-pivot column, and a pivot column of H can equal
+    e_j only to the left of it (an RREF row of H is zero left of its
+    pivot)."""
+    k = G0T.shape[1]
+    single = np.flatnonzero(G0T.sum(axis=1, dtype=np.intp) == 1)
+    unit = np.full(k, -1, dtype=np.intp)
+    np.maximum.at(unit, G0T[single].argmax(axis=1), single)
+    if (unit < 0).any():
+        raise ValueError("generator is not systematic: a row has no unit column")
+    return unit
+
+
+def _lowest_bits(W: np.ndarray, c: int) -> np.ndarray:
+    """Column of each packed row's lowest set bit at column c or later
+    (garbage for a row with none there)."""
+    U = W[..., c >> 6:].copy()
+    U[..., 0] &= ~np.uint64((1 << (c & 63)) - 1)
+    first = (U != 0).argmax(axis=-1)
+    x = np.take_along_axis(U, first[..., None], axis=-1)[..., 0]
+    # ~x & (x - 1) sets exactly the bits below x's lowest
+    return 64 * ((c >> 6) + first) + np.bitwise_count(~x & (x - np.uint64(1)))
+
+
+def _eliminated(G0T: np.ndarray, blocks: Iterable[np.ndarray]):
+    """Yield ``(cols, rows, free)`` for each permutation in order: the
+    layout (the original column of each packed column), the packed RREF
+    rows of the permuted generator (whose transpose is ``G0T``) in pivot
+    order, and its non-pivot columns in the layout.  ``blocks`` holds the
+    permutations, one ``(B, n)`` array per stacked elimination.
+
+    The layout is the r = n - k non-unit columns, then the k unit
+    columns, each in permuted order.  The rows go into the kernel last
+    unit column first, each limited to the non-unit columns before its
+    unit column, and the kernel eliminates the first r columns only; the
+    unit part follows its row operations.  After the kernel each row's
+    pivot is its non-unit pivot, or else its own unit column, the lowest
+    set bit of its unit part (see :func:`low_weight_search`).
+    """
     n, k = G0T.shape
-    for size in sizes:
-        perms = [rng.permutation(n) for _ in range(size)]
-        W = np.zeros((size, k, (n + 63) // 64), dtype=np.uint64)
-        for b, perm in enumerate(perms):
-            _pack_permuted(G0T, perm, W[b])
-        yield from zip(perms, W, _rref_packed(W, n))
+    r = n - k
+    words = (n + 63) // 64
+    unit = _unit_columns(G0T)
+    is_unit = np.zeros(n, dtype=bool)
+    is_unit[unit] = True
+    row_of = np.zeros(n, dtype=np.intp)
+    row_of[unit] = np.arange(k)
+    # the unit part in kernel row order: row i has the (k-1-i)-th unit
+    # column in permuted order, at layout column n-1-i
+    ident = np.zeros((k, words), dtype=np.uint64)
+    at = n - 1 - np.arange(k)
+    ident.view(np.uint8)[np.arange(k), at >> 3] = 1 << (at & 7)
+    for perms in blocks:
+        B = len(perms)
+        unit_in = is_unit[perms]
+        cols = np.concatenate([perms[~unit_in].reshape(B, r),
+                               perms[unit_in].reshape(B, k)], axis=1)
+        # the permuted position of each layout column
+        where = np.concatenate([np.nonzero(~unit_in)[1].reshape(B, r),
+                                np.nonzero(unit_in)[1].reshape(B, k)], axis=1)
+        # row i of the kernel's input, by unit columns last first, and the
+        # number of non-unit columns before its unit column (int32, which
+        # the kernel compares per bit at about half the cost of int64)
+        rows_in = row_of[cols[:, r:]][:, ::-1]
+        limit = (where[:, r:] - np.arange(k))[:, ::-1].astype(np.int32)
+        W = np.zeros((B, k, words), dtype=np.uint64)
+        for b in range(B):
+            _pack_permuted(G0T, cols[b, :r], W[b])
+            W[b] = W[b, rows_in[b]]
+        W |= ident
+        pivots = _rref_packed(W, r, limit)
+        # the kernel puts the rows with a non-unit pivot first, in column
+        # order, and the others after them in input order; lay is the
+        # layout column of each row's pivot
+        npiv = np.array([len(p) for p in pivots])
+        lay = _lowest_bits(W, r)
+        lay[np.arange(k) < npiv[:, None]] = np.fromiter(chain.from_iterable(pivots),
+                                                        dtype=np.intp)
+        order = np.argsort(np.take_along_axis(where, lay, axis=1), axis=1)
+        is_free = np.ones((B, n), dtype=bool)
+        np.put_along_axis(is_free, lay, False, axis=1)
+        free = np.nonzero(is_free)[1].reshape(B, r)
+        for b in range(B):
+            yield cols[b], W[b, order[b]], free[b]
 
 
 def _lightest(rows: np.ndarray, free: np.ndarray) -> tuple[int, int, int]:
@@ -201,6 +287,29 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     2, 4, ... up to ``_BLOCK``, so a search that stops inside a block
     leaves fewer of its eliminations unused than it ran.  The result is
     bit-identical to eliminating one permutation per iteration.
+
+    Each elimination runs over the generator's non-unit columns only.  Row
+    j's unit column u_j is its last column equal to e_j (see
+    :func:`_unit_columns`).  The rows go into the kernel last unit column
+    first, row f limited to the non-unit columns before u_f, so each
+    non-unit column pivots on the candidate, an unused row within its
+    limit, whose unit column comes last.  That is exact:
+
+    * Suppose the permutation reaches u_f while f is unused.  That column
+      is still e_f, because a row is added to other rows only after it
+      pivots.  So the column is a pivot on f, and it needs no work.
+    * Suppose pivot p is added to an unused row h.  Then u_h comes before
+      u_p, because p was the candidate whose unit column comes last (or h
+      is past its limit, so u_h comes before the pivot's column).
+    * Now let row f pivot on a non-unit column.  By induction, every
+      unused row that later holds a 1 in u_f has its own unit column
+      before u_f.  When the permutation reaches u_f, all of those rows
+      are already used, so u_f is zero on every unused row and is not a
+      pivot.
+    * So the pivots are the non-unit pivots plus the unit columns of the
+      other rows, and only non-unit columns need chunk steps; the row
+      operations are those of an elimination in permuted order, so the
+      rows, sorted by their pivots' positions, are the RREF.
     """
     for name, value, least in (("iterations", iterations, 1), ("seed", seed, 0)):
         if value < least:
@@ -217,28 +326,27 @@ def low_weight_search(H: BitMatrix, iterations: int, seed: int,
     rng = np.random.default_rng(seed)
 
     best_w = n + 1
-    best = None    # (perm, packed word) of the best codeword so far
+    best = None    # (layout, packed word) of the best codeword so far
 
-    for perm, W, pivots in _eliminated(G0T, _block_sizes(iterations, stop_at), rng):
-        rows = W[: len(pivots)]
-        free = np.ones(n, dtype=bool)
-        free[pivots] = False
-        i, j, w = _lightest(rows, np.flatnonzero(free))
+    blocks = (np.array([rng.permutation(n) for _ in range(size)])
+              for size in _block_sizes(iterations, stop_at))
+    for cols, rows, free in _eliminated(G0T, blocks):
+        i, j, w = _lightest(rows, free)
         if w < best_w:
-            # a copy, not a view, which would pin the whole elimination block
+            # a copy, not a view, which would pin all of the iteration's rows
             word = rows[i] ^ rows[j] if i != j else rows[i].copy()
             best_w = int(np.bitwise_count(word).sum())
             if best_w != w:
                 raise WitnessError(f"low-weight search table gave weight {w} "
                                    f"for a word of weight {best_w}")
-            best = perm, word
+            best = cols, word
         if stop_at is not None and best_w <= stop_at:
             break
 
     # the first iteration sets best: its lightest entry weighs at most n
-    perm, word = best
+    cols, word = best
     c = np.zeros(n, dtype=np.uint8)
-    c[perm] = unpack(word[None], n)[0]
+    c[cols] = unpack(word[None], n)[0]
     if not c.any() or H.mul_vec(c).any():
         raise WitnessError("low-weight search produced no nonzero codeword of H")
     return best_w, c

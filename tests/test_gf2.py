@@ -301,6 +301,53 @@ class TestStackedKernel:
                 assert np.array_equal(unpack(W[b], n), unpack(W_one[b], n))
                 assert np.array_equal(unpack(W[b], n), unpack(W_ref, n))
 
+    @given(st.integers(1, 4), st.integers(1, 20), st.integers(1, 80),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_carried_columns_follow_row_operations(self, B, m, n, seed):
+        # carry [X | I] after the n eliminated columns: the identity comes
+        # out as the row operations T, and the carried X as T X (which rows
+        # pivot, and so T past the rank, may differ between a stack and a
+        # matrix alone)
+        rng = np.random.default_rng(seed)
+        a = (rng.random((B, m, n)) < rng.random((B, 1, 1))).astype(np.uint8)
+        x = rng.integers(0, 2, (B, m, 5)).astype(np.uint8)
+        eye = np.broadcast_to(np.eye(m, dtype=np.uint8), (B, m, m))
+        full = np.concatenate([a, x, eye], axis=2)
+        W = np.stack([pack(f) for f in full])
+        W_alone = W.copy()
+        pivots = rref_words(W, n)
+        for b in range(B):
+            out = unpack(W[b], n + 5 + m).astype(np.int64)
+            T = out[:, n + 5:]
+            assert np.array_equal(out[:, :n], T @ a[b] % 2)
+            assert np.array_equal(out[:, n: n + 5], T @ x[b] % 2)
+            assert pivots[b] == rref_words(W_alone[b], n)
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_limit_past_every_column_is_no_limit(self, B):
+        # with no column barred, the masked bit steps (which a stack of one
+        # runs too when given limits) give the unlimited result
+        rng = np.random.default_rng(40 + B)
+        for m, n in ((30, 13), (10, 70), (65, 127), (5, 1)):
+            a = (rng.random((B, m, n)) < rng.random((B, 1, 1))).astype(np.uint8)
+            W = np.stack([pack(x) for x in a])
+            W_free = W.copy()
+            limit = rng.integers(n, n + 9, (B, m))
+            assert rref_words(W, n, limit) == rref_words(W_free, n)
+            assert np.array_equal(W, W_free)
+
+    def test_limit_bars_late_pivots(self):
+        # row 0 may pivot on no column and row 1 on column 0 only: column 0
+        # pivots on row 1 and is cleared from row 0, then no row is both
+        # unused and within its limit, so column 1 gets no pivot
+        for B in (1, 2):
+            W = np.stack([pack(np.array([[1, 1], [1, 0]]))] * B)
+            pivots = rref_words(W, 2, np.array([[0, 1]] * B))
+            assert pivots == [[0]] * B
+            for b in range(B):
+                assert np.array_equal(unpack(W[b], 2), [[1, 0], [0, 1]])
+
     def test_traced_peak_on_wimax_block(self, wimax_bundle):
         # one 16-matrix block of the low-weight search: the kernel's work
         # set is the table, one gather of the stack and the final reorder

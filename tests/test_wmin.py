@@ -6,13 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import exhaustive_nullspace, ref_lightest, ref_low_weight_search
 from qclattice import codes, qc, wmin
-from qclattice.gf2 import BitMatrix, pack
+from qclattice.gf2 import BitMatrix, pack, rref, unpack
 
 
 def _record_blocks(monkeypatch) -> list[int]:
@@ -20,7 +20,8 @@ def _record_blocks(monkeypatch) -> list[int]:
     sizes: list[int] = []
     kernel = wmin._rref_packed
     monkeypatch.setattr(wmin, "_rref_packed",
-                        lambda W, n: sizes.append(W.shape[0]) or kernel(W, n))
+                        lambda W, n, limit=None:
+                        sizes.append(W.shape[0]) or kernel(W, n, limit))
     return sizes
 
 
@@ -298,6 +299,47 @@ class TestSearchSteps:
         out = np.zeros((k, (n + 63) // 64), dtype=np.uint64)
         wmin._pack_permuted(G0T, perm, out)
         assert np.array_equal(out, pack(G0T[perm].T))
+        # the search packs only the non-unit columns: any subset, any order
+        sub = perm[: n // 2]
+        out = np.zeros((k, (len(sub) + 63) // 64), dtype=np.uint64)
+        wmin._pack_permuted(G0T, sub, out)
+        assert np.array_equal(out, pack(G0T[sub].T))
+
+    @given(st.integers(1, 12), st.integers(0, 40),
+           st.sampled_from(["dense", "sparse", "repeated"]), st.integers(1, 5),
+           st.integers(0, 2 ** 31))
+    @example(k=6, r=0, kind="dense", B=3, seed=1)     # all-zero H: no non-unit column
+    @example(k=6, r=1, kind="dense", B=3, seed=2)     # a single non-unit column
+    @settings(max_examples=80, deadline=None)
+    def test_limited_elimination_is_rref(self, k, r, kind, B, seed):
+        # a systematic generator, the identity on k random columns and its
+        # other r columns dense, sparse or drawn from a few repeated ones
+        # (zero, unit or dense), eliminated in stacks of up to B
+        # permutations: every permutation's rows in pivot order and its
+        # pivots are those of the RREF of the permuted generator
+        rng = np.random.default_rng(seed)
+        n = k + r
+        if kind == "repeated":
+            pool = np.concatenate([np.zeros((k, 1)), np.eye(k)[:, :2],
+                                   rng.integers(0, 2, (k, 2))], axis=1)
+            F = pool[:, rng.integers(0, pool.shape[1], r)]
+        else:
+            F = rng.random((k, r)) < (0.5 if kind == "dense" else 0.1)
+        unit = rng.choice(n, k, replace=False)
+        G0 = np.zeros((k, n), dtype=np.uint8)
+        G0[np.arange(k), unit] = 1
+        G0[:, np.setdiff1d(np.arange(n), unit)] = F
+        perms = rng.permuted(np.tile(np.arange(n), (2 * B, 1)), axis=1)
+        blocks = [perms[:B], perms[B:]]
+        found = list(wmin._eliminated(np.ascontiguousarray(G0.T), blocks))
+        assert len(found) == 2 * B
+        for perm, (cols, rows, free) in zip(perms, found):
+            R, pivots = rref(G0[:, perm])
+            at = np.argsort(perm)[cols]     # permuted position of each layout column
+            got = np.zeros((k, n), dtype=np.uint8)
+            got[:, at] = unpack(rows, n)
+            assert np.array_equal(got, R)
+            assert np.setdiff1d(np.arange(n), at[free]).tolist() == pivots
 
     @given(st.integers(1, 12), st.integers(0, 30), st.sampled_from([0.05, 0.2, 0.5]),
            st.integers(0, 2 ** 31))
