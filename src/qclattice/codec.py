@@ -66,11 +66,11 @@ part only on LLRs or messages within about 1e-308 of zero.
 A batch is decoded in equal frame tiles whose work set fits
 ``_TILE_BYTES`` (6 MiB): the bytes per frame come from :class:`_Work`'s
 buffer table, so the work memory is bounded whatever the batch size and
-the graph's shape (example1's H0 decodes 512 frames as 2 tiles of 256,
-wimax1152's H0 takes at most 47 frames per tile and its H1 75), and each
+the graph's shape (:class:`_Work` gives the presets' tile sizes), and each
 tile's results are written straight into the (batch, ...) outputs: a
-frame's hard decision is un-permuted into its output row once, when it
-converges or at ``max_iter``, with no tile-sized staging copy.  The
+frame's hard decision, iteration count and flag are written once, when it
+leaves the tile (its parity clears, or ``max_iter`` is reached), with the
+decision un-permuted into its output row and no tile-sized staging copy.  The
 budget is not smaller because each tile pays a fixed Python cost: tiles
 of 26 frames on wimax1152's H0 cost about 7% of lattice trials/s.
 Frames are decoded independently, so the results do not depend on the
@@ -490,7 +490,8 @@ class _Work:
     iteration's edge scratch (``t``, then ``g``).  No buffer stages the
     hard decisions: :func:`_bp_tile` writes each frame's straight to the
     output.  With these eight entries a frame of wimax1152's H0 takes
-    133,464 bytes, so 47 frames fit ``_TILE_BYTES``, and 75 of its H1.
+    133,464 bytes, so 47 frames fit ``_TILE_BYTES``, and 75 of its H1;
+    example1's H0 decodes 512 frames as 2 tiles of 256.
     """
 
     BUFFERS = (("c2v", "n_edges", np.float64, True),
@@ -567,8 +568,8 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
     syndromes = syndromes.astype(np.uint8)
 
     hard = np.empty((B, n), dtype=np.uint8)
-    iters = np.full(B, max_iter, dtype=np.int64)
-    conv = np.zeros(B, dtype=bool)
+    iters = np.empty(B, dtype=np.int64)
+    conv = np.empty(B, dtype=bool)
     size = _tile_size(graph, B)
     work = _Work(graph, size)
     for lo in range(0, B, size):
@@ -581,12 +582,12 @@ def bp_decode_batch(graph: TannerGraph, llrs: np.ndarray,
 def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
              max_iter: int, work: _Work, hard_out: np.ndarray,
              iters_out: np.ndarray, conv_out: np.ndarray) -> None:
-    """Decode one tile of :func:`bp_decode_batch` into its output views
-    (``iters_out`` arrives filled with max_iter, ``conv_out`` with False);
-    a frame's decision goes to its row of ``hard_out``, un-permuted by
-    ``graph.var_row``, when it converges or at max_iter.  Messages,
-    ``post`` and ``llr`` are in the half-LLR domain (see the module
-    docstring)."""
+    """Decode one tile of :func:`bp_decode_batch` into its output views.
+    A frame leaves the tile when its parity clears or at max_iter, and only
+    then are its rows written: its decision, un-permuted by
+    ``graph.var_row``, the iteration and whether its parity cleared.
+    Messages, ``post`` and ``llr`` are in the half-LLR domain (see the
+    module docstring)."""
     B, n = llrs.shape
     E, m = graph.n_edges, graph.n_checks
     clip = 0.5 * MSG_CLIP
@@ -617,13 +618,14 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
                                   out=par[r0:r0 + mg])
         par ^= syn
         bad = par.any(axis=0)
-        if not bad.all():
-            ok = np.flatnonzero(~bad)
-            done = active[ok]
-            hard_out[done] = hard[:, ok][graph.var_row].T
+        leave = ~bad | (it == max_iter)
+        if leave.any():
+            gone = np.flatnonzero(leave)
+            done = active[gone]
+            hard_out[done] = hard[:, gone][graph.var_row].T
             iters_out[done] = it
-            conv_out[done] = True
-            if ok.size == nb:
+            conv_out[done] = ~bad[gone]
+            if gone.size == nb:
                 break
             keep = np.flatnonzero(bad)
             active = active[keep]
@@ -634,10 +636,6 @@ def _bp_tile(graph: TannerGraph, llrs: np.ndarray, syndromes: np.ndarray,
             sgn = _compact(work.sgn, sgn, keep)
             if c2v is not None:
                 c2v = _compact(work.c2v, c2v, keep)
-        if it == max_iter:
-            hard = np.less(post, 0.0, out=_rows(work.hard, n, nb))
-            hard_out[active] = hard[graph.var_row].T
-            break
 
         # check-node update in the product domain: t = tanh(half message)
         # per edge, exclusive products per check (written over the dead

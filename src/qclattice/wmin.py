@@ -189,12 +189,10 @@ def _eliminated(G0T: np.ndarray, blocks: Iterable[np.ndarray]):
     ident.view(np.uint8)[np.arange(k), at >> 3] = 1 << (at & 7)
     for perms in blocks:
         B = len(perms)
-        unit_in = is_unit[perms]
-        cols = np.concatenate([perms[~unit_in].reshape(B, r),
-                               perms[unit_in].reshape(B, k)], axis=1)
-        # the permuted position of each layout column
-        where = np.concatenate([np.nonzero(~unit_in)[1].reshape(B, r),
-                                np.nonzero(unit_in)[1].reshape(B, k)], axis=1)
+        # the permuted position of each layout column: a stable sort puts
+        # the non-unit columns first, each part in permuted order
+        where = np.argsort(is_unit[perms], axis=1, kind="stable")
+        cols = np.take_along_axis(perms, where, axis=1)
         # row i of the kernel's input, by unit columns last first, and the
         # number of non-unit columns before its unit column (int32, which
         # the kernel compares per bit at about half the cost of int64)

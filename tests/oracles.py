@@ -168,17 +168,6 @@ def wrapped_log_density(y, sigma: float, bit: int) -> np.ndarray:
     return s0.reshape(y.shape)
 
 
-def ml_decode_wrapped(codebook: np.ndarray, y: np.ndarray, sigma: float) -> int:
-    """Index of the ML codeword for a wrapped-Gaussian channel output."""
-    best, best_ll = 0, -np.inf
-    for idx, word in enumerate(codebook):
-        ll = float(np.sum(wrapped_logpdf(y, sigma, 0) * (word == 0)
-                          + wrapped_logpdf(y, sigma, 1) * (word == 1)))
-        if ll > best_ll:
-            best, best_ll = idx, ll
-    return best
-
-
 def _congruences(pair) -> tuple[np.ndarray, np.ndarray]:
     """H1 and H0 of ``pair`` as integer matrices: mod 4 and mod 2 rows."""
     return pair.h1.a.astype(np.int64), pair.h0.a.astype(np.int64)

@@ -567,6 +567,47 @@ class TestBpKernelEquivalence:
             assert np.unique(iters[conv]).size >= 3
         assert _same(codec.bp_decode_batch(graph, llrs, syn, 100), want), label
 
+    @pytest.mark.parametrize("syn_kind", [None, "coset"])
+    @pytest.mark.parametrize("max_iter", [0, 1, 7])
+    def test_frames_leave_a_tile_once(self, syn_kind, max_iter):
+        # one tile of frames that converge at iterations 0, 1, 3 and 7 and
+        # frames that never do, so at max_iter 0, 1 and 7 some converge
+        # before the cap, some exactly at it and some never.  The tile
+        # decodes into outputs that hold values no frame can have, so a
+        # frame whose results are not written, or written wrong, fails
+        H = _kernel_matrix("example1-h0")
+        graph = codec.TannerGraph(H)
+        rng = np.random.default_rng(11)
+        words = np.zeros((400, H.cols), np.uint8)
+        syn = None
+        if syn_kind == "coset":
+            words = rng.integers(0, 2, words.shape).astype(np.uint8)
+            syn = (words.astype(np.int64) @ H.a.T.astype(np.int64) % 2).astype(np.uint8)
+        amp = np.linspace(0.8, 2.5, len(words))[:, None]
+        pool = (1.0 - 2.0 * words) * amp + rng.normal(0.0, 1.0, words.shape)
+        _, iters, conv = ref_bp_decode_batch(H, pool, syn, 20)
+        kinds = [np.flatnonzero(conv & (iters == t))[:2] for t in (0, 1, 3, 7)]
+        kinds.append(np.flatnonzero(~conv)[:3])
+        assert all(k.size for k in kinds)
+        pick = rng.permutation(np.concatenate(kinds))
+        llrs, syn = pool[pick], None if syn is None else syn[pick]
+        want = ref_bp_decode_batch(H, llrs, syn, max_iter)
+        at_cap = want[1] == max_iter
+        assert (want[2] & at_cap).any() and (~want[2]).any()
+        assert max_iter == 0 or (want[2] & ~at_cap).any()
+
+        B = len(pick)
+        assert _tiling(graph, B) == (1, B, B)
+        hard = np.full((B, H.cols), 2, np.uint8)
+        got_iters = np.full(B, -1, np.int64)
+        conv_bytes = np.full(B, 2, np.uint8)
+        codec._bp_tile(graph, llrs, np.zeros((B, H.rows), np.uint8) if syn is None else syn,
+                       max_iter, codec._Work(graph, B), hard, got_iters,
+                       conv_bytes.view(np.bool_))
+        assert np.array_equal(conv_bytes, want[2].view(np.uint8))
+        assert _same((hard, got_iters), want[:2])
+        assert _same(codec.bp_decode_batch(graph, llrs, syn, max_iter), want)
+
     @pytest.mark.parametrize("label", ["example1-h0", "example1-h1",
                                        "wimax1152-h0", "wimax1152-h1"])
     def test_work_set_within_budget(self, label, monkeypatch):
